@@ -1,0 +1,199 @@
+#!/usr/bin/env python3
+"""Byte-compare the outputs of two pcx checkouts.
+
+    python scripts/check_outputs.py OLD_CHECKOUT NEW_CHECKOUT
+
+Runs a fixed list of CLI invocations through each checkout's own
+`pcx.cli.run` (one subprocess per checkout, with that checkout's `src` first
+on PYTHONPATH), plus `crossing_components(...).to_dict()` and the cluster
+limit cells for strips and square annuli in both modes, then compares every
+output file and exit code byte for byte.  Prints one line per output and
+exits 0 when all are identical, 1 otherwise.  Each checkout takes about
+30 s on a 2-core machine.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+# (name, argv); "{out}" expands to the output directory.  Every case gets
+# `--out {out}/<name>` appended, so outputs never go through stdout.  A
+# spiral case without --t-max gets a short arm (--t-max 6): the default
+# arm's fill would dominate the run, so only one case keeps it.
+_GEN_LEVELS = (("cantor_comb", 3), ("topologist_sine", 5), ("spiral_disk", 5),
+               ("sierpinski_carpet", 3), ("unit_square", 4), ("bars", 4))
+_DECOMPOSE = (("cantor_comb", 3), ("topologist_sine", 5), ("spiral_disk", 4),
+              ("sierpinski_carpet", 2), ("unit_square", 3), ("bars", 4))
+CASES: list[tuple[str, list[str]]] = [
+    ("gen_spiral_default.pbm", ["gen", "--gen", "spiral_disk", "--level", "4",
+                                "--t-max", "40"])]
+for _g, _n in _GEN_LEVELS:
+    CASES.append((f"gen_{_g}.pbm", ["gen", "--gen", _g, "--level", str(_n)]))
+    CASES.append((f"components_{_g}.json",
+                  ["components", "--gen", _g, "--level", str(_n)]))
+for _dim in (1, 2):
+    CASES.append((f"gen_dust{_dim}.pbm", ["gen", "--gen", "cantor_dust",
+                                          "--dust-dim", str(_dim), "--level", "3"]))
+    CASES.append((f"components_dust{_dim}.json",
+                  ["components", "--gen", "cantor_dust", "--dust-dim", str(_dim),
+                   "--level", "3"]))
+for _seed in (0, 7):
+    CASES.append((f"gen_blobs{_seed}.pbm", ["gen", "--gen", "random_blobs", "--ascii",
+                                            "--seed", str(_seed), "--level", "5"]))
+    CASES.append((f"decompose_blobs{_seed}.json",
+                  ["decompose", "--gen", "random_blobs", "--seed", str(_seed),
+                   "--level", "5"]))
+for _g, _lv in (("cantor_comb", "2..4"), ("topologist_sine", "2..6"),
+                ("spiral_disk", "2..4"), ("sierpinski_carpet", "2..3"),
+                ("unit_square", "2..4"), ("bars", "3..5")):
+    CASES.append((f"scan_{_g}.json", ["scan", "--gen", _g, "--levels", _lv,
+                                      "--strip", "auto"]))
+CASES.append(("scan_dust.json", ["scan", "--gen", "cantor_dust", "--levels", "2..4",
+                                 "--strip", "h:0.3:0.7", "--strip", "v:0.1:0.5"]))
+for _g, _n in _DECOMPOSE:
+    for _fmt in ("json", "svg", "text"):
+        CASES.append((f"decompose_{_g}.{_fmt}", ["decompose", "--gen", _g, "--level",
+                                                 str(_n), "--format", _fmt]))
+    CASES.append((f"quotient_{_g}.json", ["quotient", "--contract", "--gen", _g,
+                                          "--level", str(_n)]))
+    CASES.append((f"render_{_g}.svg", ["render", "--gen", _g, "--level", str(_n),
+                                       "--format", "classes"]))
+CASES += [
+    ("decompose_dust.json", ["decompose", "--gen", "cantor_dust", "--level", "3"]),
+    ("render_plain.svg", ["render", "--gen", "spiral_disk", "--level", "5"]),
+    # the same-level route: four-cell delta builds the persistence raster
+    ("quotient_comb_delta.json", ["quotient", "--contract", "--gen", "cantor_comb",
+                                  "--level", "3", "--delta", repr(4 * 3.0 ** -3)]),
+    ("decompose_comb_nmin3.json", ["decompose", "--gen", "cantor_comb", "--level", "3",
+                                   "--nmin", "3", "--delta", repr(3 * 3.0 ** -3),
+                                   "--family", "strips-all-offsets"]),
+    ("decompose_spiral_flags.json", ["decompose", "--gen", "spiral_disk", "--t-max",
+                                     "6", "--level", "5", "--family",
+                                     "rect-annuli-sampled", "--stride", "4",
+                                     "--deep-levels", "2", "--deep-children", "2"]),
+    ("decompose_comb_flat.json", ["decompose", "--gen", "cantor_comb", "--level", "3",
+                                  "--no-multi-level"]),
+    ("decompose_pbm.json", ["decompose", "--in", "{out}/gen_blobs7.pbm",
+                            "--level", "5"]),
+    ("compare_comb.json", ["compare", "--a", "{out}/decompose_cantor_comb.json",
+                           "--b", "{out}/decompose_comb_flat.json"]),
+    ("compare_comb_tol.json", ["compare", "--a", "{out}/decompose_comb_flat.json",
+                               "--b", "{out}/decompose_comb_nmin3.json",
+                               "--tol", "0.2"]),
+    ("compare_spiral_self.json", ["compare", "--a", "{out}/decompose_spiral_disk.json",
+                                  "--b", "{out}/decompose_spiral_disk.json"]),
+    ("error_nmin.json", ["decompose", "--gen", "bars", "--level", "3", "--nmin", "2"]),
+    ("error_jobs.json", ["scan", "--gen", "bars", "--levels", "3", "--strip", "auto",
+                         "--jobs", "0"]),
+]
+# rasters for the crossing_components dump: (generator, level)
+CROSSING_RASTERS = (("cantor_comb", 3), ("topologist_sine", 5), ("spiral_disk", 4),
+                    ("sierpinski_carpet", 2), ("bars", 4), ("random_blobs", 5))
+
+
+def _crossings(out: Path) -> None:
+    from pcx import (Box, GeneratorParams, Level, RectAnnulus, crossing_components,
+                     default_strip_family, make_spec, rasterize)
+    doc = {}
+    for gen, n in CROSSING_RASTERS:
+        spec = make_spec(GeneratorParams(gen, seed=3, t_max=6.0))
+        level = Level(n, spec.base)
+        K = rasterize(spec, level)
+        s = level.cell_size
+        regions = list(default_strip_family(spec, level))
+        i0, j0, i1, j1 = K.cell_bbox()
+        for i in range(i0, i1 + 1, 5):
+            for j in range(j0, j1 + 1, 5):
+                regions.append(RectAnnulus(
+                    Box((i - 6) * s, (j - 6) * s, (i + 7) * s, (j + 7) * s),
+                    Box((i - 2) * s, (j - 2) * s, (i + 3) * s, (j + 3) * s)))
+        rows = []
+        for region in regions:
+            for mode in ("intersection", "difference"):
+                for n_min, delta in ((4, None), (3, 3 * s)):
+                    rep = crossing_components(K, region, mode, delta=delta, n_min=n_min)
+                    row = rep.to_dict()
+                    row["limits"] = [c.limit.tolist() for c in rep.clusters]
+                    rows.append(row)
+        doc[f"{gen}_L{n}"] = rows
+    (out / "crossing_components.json").write_text(
+        json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _argv(argv: list[str], out: Path) -> list[str]:
+    argv = [a.replace("{out}", str(out)) for a in argv]
+    if "spiral_disk" in argv and "--t-max" not in argv:
+        argv += ["--t-max", "6"]
+    return argv
+
+
+def emit(out: Path) -> None:
+    """Write every output of the imported pcx into `out`, plus a manifest."""
+    import pcx
+    from pcx.cli import run
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = {"pcx": str(Path(pcx.__file__).resolve().parent), "rc": {}}
+    t0 = time.perf_counter()
+    for name, argv in CASES:
+        manifest["rc"][name] = run(_argv(argv, out) + ["--out", str(out / name)])
+    _crossings(out)
+    manifest["seconds"] = round(time.perf_counter() - t0, 1)
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def _run_checkout(checkout: Path, out: Path) -> dict:
+    src = checkout.resolve() / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, __file__, "--emit", str(out)], env=env, check=True)
+    manifest = json.loads((out / "manifest.json").read_text())
+    if Path(manifest["pcx"]) != src / "pcx":
+        raise SystemExit(f"{checkout}: imported pcx from {manifest['pcx']}")
+    return manifest
+
+
+def compare(old: Path, new: Path, work: Path) -> int:
+    ma = _run_checkout(old, work / "old")
+    mb = _run_checkout(new, work / "new")
+    print(f"old: {ma['seconds']} s, new: {mb['seconds']} s")
+    names = [name for name, _ in CASES] + ["crossing_components.json"]
+    bad = 0
+    for name in names:
+        a, b = work / "old" / name, work / "new" / name
+        rc = (ma["rc"].get(name), mb["rc"].get(name))
+        same = rc[0] == rc[1] and a.exists() == b.exists() and \
+            (not a.exists() or a.read_bytes() == b.read_bytes())
+        size = a.stat().st_size if a.exists() else 0
+        print(f"{'same' if same else 'DIFF'}  rc={rc[0]}/{rc[1]}  {size:>9} B  {name}")
+        bad += not same
+    print(f"{len(names) - bad} of {len(names)} outputs identical")
+    return 1 if bad else 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("old", nargs="?", type=Path)
+    ap.add_argument("new", nargs="?", type=Path)
+    ap.add_argument("--work", type=Path, default=None,
+                    help="keep outputs here (default: a temporary directory)")
+    ap.add_argument("--emit", type=Path, default=None, help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.emit is not None:
+        emit(args.emit)
+        return 0
+    if args.old is None or args.new is None:
+        ap.error("give two checkouts")
+    if args.work is not None:
+        return compare(args.old, args.new, args.work)
+    with tempfile.TemporaryDirectory() as tmp:
+        return compare(args.old, args.new, Path(tmp))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,8 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .decomposition import (Decomposition, RelationParams, _partition_from_ids,
-                            contract_degree_two, decompose, is_simple_path,
-                            monotone_check, quotient_graph)
+                            close_equivalence, contract_degree_two,
+                            is_simple_path, monotone_check, quotient_graph,
+                            schoenflies_relation)
 from .generators import (GENERATOR_NAMES, GeneratorParams, ParseError,
                          emit_pbm, from_pbm, make_spec)
 from .grid import (DepthExceeded, GridCompactum, GridError, Level, SetSpec,
@@ -103,12 +104,15 @@ def _raster_for(cfg: RunConfig, n: int) -> GridCompactum:
     return rasterize(spec, Level(n, spec.base))
 
 
-def _relation_params(cfg: RunConfig) -> RelationParams:
-    return RelationParams(n_min=cfg.nmin, delta=cfg.delta,
-                          annulus_family=cfg.family, stride=cfg.stride,
-                          multi_level=cfg.multi_level,
-                          deep_levels=cfg.deep_levels,
-                          deep_children=cfg.deep_children)
+def _decompose(cfg: RunConfig) -> tuple[GridCompactum, Decomposition]:
+    """The raster at cfg.level and its decomposition, rasterized once."""
+    params = RelationParams(n_min=cfg.nmin, delta=cfg.delta,
+                            annulus_family=cfg.family, stride=cfg.stride,
+                            multi_level=cfg.multi_level,
+                            deep_levels=cfg.deep_levels,
+                            deep_children=cfg.deep_children)
+    K = _raster_for(cfg, cfg.level)
+    return K, close_equivalence(K, schoenflies_relation(K, params))
 
 
 def _emit_text(text: str, out: str | None) -> None:
@@ -260,22 +264,19 @@ def _resolve_strips(cfg: RunConfig, spec: SetSpec) -> list[Strip]:
 def _cmd_scan(cfg: RunConfig) -> int:
     spec = _spec_for(cfg)
     strips = _resolve_strips(cfg, spec)
-    report = schoenflies_scan(spec, strips, cfg.levels, jobs=cfg.jobs)
+    report = schoenflies_scan(spec, strips, cfg.levels)
     payload = {"schema": SCHEMA, "command": "scan", **report.to_dict()}
     _dump_json(payload, cfg.out)
     return 0
 
 
 def _cmd_decompose(cfg: RunConfig) -> int:
-    spec = _spec_for(cfg)
-    level = Level(cfg.level, spec.base)
-    D = decompose(spec, level, _relation_params(cfg), jobs=cfg.jobs)
+    K, D = _decompose(cfg)
     if cfg.format == "svg":
-        K = rasterize(spec, level)
         _emit_text(render_svg(K, D), cfg.out)
     elif cfg.format == "text":
-        lines = [f"{len(D.classes)} classes at level {level.n} "
-                 f"(cell_size {level.cell_size:.8g})"]
+        lines = [f"{len(D.classes)} classes at level {K.level.n} "
+                 f"(cell_size {K.level.cell_size:.8g})"]
         for c in D.classes:
             lines.append(f"  class {c.id}: size={c.size} "
                          f"diameter={c.diameter:.8g} "
@@ -287,10 +288,7 @@ def _cmd_decompose(cfg: RunConfig) -> int:
 
 
 def _cmd_quotient(cfg: RunConfig) -> int:
-    spec = _spec_for(cfg)
-    level = Level(cfg.level, spec.base)
-    K = rasterize(spec, level)
-    D = decompose(spec, level, _relation_params(cfg), jobs=cfg.jobs)
+    K, D = _decompose(cfg)
     G = quotient_graph(K, D)
     payload = {"schema": SCHEMA, "command": "quotient", **G.to_dict()}
     payload["monotone"] = monotone_check(K, D).to_dict()
@@ -327,12 +325,10 @@ def _cmd_compare(cfg: RunConfig) -> int:
 
 
 def _cmd_render(cfg: RunConfig) -> int:
-    spec = _spec_for(cfg)
-    level = Level(cfg.level, spec.base)
-    K = rasterize(spec, level)
-    D = None
     if cfg.format == "classes":
-        D = decompose(spec, level, _relation_params(cfg), jobs=cfg.jobs)
+        K, D = _decompose(cfg)
+    else:
+        K, D = _raster_for(cfg, cfg.level), None
     _emit_text(render_svg(K, D), cfg.out)
     return 0
 
@@ -373,6 +369,9 @@ def _add_relation_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--deep-children", type=int, default=3)
 
 
+_JOBS_HELP = "accepted, no effect: every command runs serially (must be >= 1)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pcx",
@@ -398,14 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="e.g. 2..6 or 3 or 2,4,6")
     p.add_argument("--strip", action="append", required=True, metavar="SPEC",
                    help="h:<c1>:<c2> / v:<c1>:<c2>, or auto (repeatable)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("decompose", help="finite-scale core decomposition")
     _add_source_args(p)
     _add_relation_args(p)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--format", default="json", choices=("json", "svg", "text"))
     p.add_argument("--out", default=None)
 
@@ -413,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p)
     _add_relation_args(p)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--contract", action="store_true",
                    help="also emit the degree-2 contraction")
     p.add_argument("--out", default=None)
@@ -430,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p)
     _add_relation_args(p)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--format", default="plain", choices=("plain", "classes"))
     p.add_argument("--out", default=None)
     return ap

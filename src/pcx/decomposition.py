@@ -21,9 +21,7 @@ byte-identical.
 """
 from __future__ import annotations
 
-import math
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -31,9 +29,13 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .grid import (Box, Cells, GridCompactum, GridError, Level, SetSpec,
-                   _as_cells, _label_mask, diameter, hausdorff_distance,
-                   label_components, max_level, rasterize, sort_cells)
-from .schoenflies import RectAnnulus, Region, Strip, _region_core, _slab
+                   _as_cells, _cells_by_label, _cells_of, _label_mask,
+                   _mask_of, _slab, diameter, label_components, max_level,
+                   rasterize)
+from .schoenflies import (RectAnnulus, Region, Strip, _band_strips,
+                          _UnionFind, _limit_cells, _near_cells,
+                          _region_core, _single_linkage, _support,
+                          _strictly_increasing_tail)
 
 _FAMILIES = ("strips-all-offsets", "rect-annuli-sampled", "both")
 
@@ -110,9 +112,7 @@ class Decomposition:
         return -1
 
     def cells(self) -> Cells:
-        js, is_ = np.nonzero(self.class_map >= 0)
-        return np.stack([is_ + self.origin[0], js + self.origin[1]],
-                        axis=1).astype(np.int64)
+        return _cells_of(self.class_map >= 0, self.origin)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Decomposition):
@@ -176,10 +176,7 @@ def _strip_family(K: GridCompactum) -> list[Strip]:
     """All bands two cells wide, both axes, overlapping by one cell so glued
     bands chain transitively along a fiber."""
     i0, j0, i1, j1 = K.cell_bbox()
-    s = K.level.cell_size
-    fam = [Strip("h", k * s, (k + 2) * s) for k in range(j0 - 1, j1 + 1)]
-    fam += [Strip("v", k * s, (k + 2) * s) for k in range(i0 - 1, i1 + 1)]
-    return fam
+    return _band_strips(K.level, i0 - 1, j0 - 1, i1, j1)
 
 
 def _annulus_family(K: GridCompactum, stride: int) -> list[RectAnnulus]:
@@ -204,87 +201,11 @@ def _annulus_family(K: GridCompactum, stride: int) -> list[RectAnnulus]:
 # ---------------------------------------------------------------------------
 # relation seeding
 
-def _cells_by_label(labels: np.ndarray, origin: tuple[int, int],
-                    ids: Iterable[int]) -> dict[int, Cells]:
-    """Absolute cells per label id, row-major within each id."""
-    wanted = set(int(x) for x in ids)
-    js, is_ = np.nonzero(labels >= 0)
-    lab = labels[js, is_]
-    cells = np.stack([is_ + origin[0], js + origin[1]], axis=1).astype(np.int64)
-    order = np.argsort(lab, kind="stable")  # keeps row-major order inside ids
-    lab, cells = lab[order], cells[order]
-    bounds = np.searchsorted(lab, np.arange(lab.max() + 2) if len(lab) else [])
-    out = {}
-    for cid in wanted:
-        if len(lab) and cid <= lab[-1]:
-            a, b = bounds[cid], bounds[cid + 1]
-            if b > a:
-                out[cid] = cells[a:b]
-    return out
-
-
 def _islands(cells: Cells) -> list[Cells]:
     """8-connected pieces of a cell set, each row-major sorted."""
-    i0, j0 = int(cells[:, 0].min()), int(cells[:, 1].min())
-    mask = np.zeros((int(cells[:, 1].max()) - j0 + 1,
-                     int(cells[:, 0].max()) - i0 + 1), dtype=bool)
-    mask[cells[:, 1] - j0, cells[:, 0] - i0] = True
+    origin, mask = _mask_of(cells)
     labels, n = _label_mask(mask, 8)
-    if n <= 1:
-        return [sort_cells(cells)]
-    js, is_ = np.nonzero(mask)
-    lab = labels[js, is_]
-    pieces = np.stack([is_ + i0, js + j0], axis=1).astype(np.int64)
-    return [sort_cells(pieces[lab == cid]) for cid in range(n)]
-
-
-def _single_linkage(cells_of: dict[int, Cells], delta: float,
-                    s: float) -> list[list[int]]:
-    """Groups of ids whose cell sets chain together under symmetric Hausdorff
-    distance <= delta.  Box-gap prefilter: the gap between bounding boxes
-    lower-bounds the Hausdorff distance, so distant pairs are never measured."""
-    ids = sorted(cells_of)
-    if not ids:
-        return []
-    lo = np.array([[cells_of[c][:, 0].min(), cells_of[c][:, 1].min()] for c in ids])
-    hi = np.array([[cells_of[c][:, 0].max(), cells_of[c][:, 1].max()] for c in ids])
-    parent = {c: c for c in ids}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ai in range(len(ids)):
-        for bi in range(ai + 1, len(ids)):
-            a, b = ids[ai], ids[bi]
-            gx = max(0, lo[bi, 0] - hi[ai, 0] - 1, lo[ai, 0] - hi[bi, 0] - 1)
-            gy = max(0, lo[bi, 1] - hi[ai, 1] - 1, lo[ai, 1] - hi[bi, 1] - 1)
-            if math.hypot(gx, gy) * s > delta + 1e-9 or find(a) == find(b):
-                continue
-            if hausdorff_distance(cells_of[a], cells_of[b], s) <= delta + 1e-9:
-                parent[find(b)] = find(a)
-
-    groups: dict[int, list[int]] = {}
-    for c in ids:
-        groups.setdefault(find(c), []).append(c)
-    return [sorted(groups[r]) for r in sorted(groups, key=lambda r: min(groups[r]))]
-
-
-def _limit_cells(members: list[Cells], candidates: Cells, delta: float,
-                 s: float, n_min: int) -> Cells:
-    """Cells supported by at least min(len(members), n_min) member sets."""
-    if len(candidates) == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    need = min(len(members), n_min)
-    pts = (candidates.astype(np.float64) + 0.5) * s
-    acc = np.zeros(len(candidates), dtype=np.int32)
-    for mc in members:
-        tree = cKDTree((mc.astype(np.float64) + 0.5) * s)
-        d = tree.query(pts, distance_upper_bound=delta + 1e-9)[0]
-        acc += np.isfinite(d)
-    return sort_cells(candidates[acc >= need])
+    return _cells_by_label(labels, n, origin)
 
 
 def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
@@ -299,7 +220,8 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
     emits its fracture locus: the cells touched by at least two fragments
     within delta, one connected patch per merge set.  Both routes need
     K.source when they refine; without a source the same-level route runs
-    unfiltered and deep splitting is off.
+    unfiltered and deep splitting is off.  Regions are seeded serially in
+    family order; `jobs` is accepted and has no effect.
     """
     params = params or RelationParams()
     if K.is_empty:
@@ -339,9 +261,9 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
         if K2 is None:
             return True  # nothing to refine against: accept as-is
         core2 = _region_core(K2, region, "intersection")
-        if not core2.crossing:
-            return False
-        cells2 = _cells_by_label(core2.labels, core2.origin, core2.crossing)
+        if len(core2.crossing) < size:
+            return False  # no group can reach the gate
+        cells2 = core2.crossing_cells()
         union = set(map(tuple, np.concatenate(members)))
         for group in _single_linkage(cells2, delta, K2.level.cell_size):
             if len(group) < size:
@@ -357,20 +279,16 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
         core = _region_core(K, region, "intersection")
         if not core.crossing:
             return out
-        cells_of = _cells_by_label(core.labels, core.origin, core.crossing)
+        cells_of = core.crossing_cells()
 
-        # same-level accumulation: big clusters glue their limit cells
-        gated = [g for g in _single_linkage(cells_of, delta, s)
-                 if len(g) >= params.n_min]
+        # same-level accumulation: big clusters glue their limit cells; with
+        # fewer crossing ids than n_min no group can reach the gate
+        gated = []
+        if len(cells_of) >= params.n_min:
+            gated = [g for g in _single_linkage(cells_of, delta, s)
+                     if len(g) >= params.n_min]
         if gated:
-            reach = int(np.ceil(delta / s)) + 1
-            nj, ni = core.labels.shape
-            o = core.origin
-            keep = ((kcells[:, 0] >= o[0] - reach)
-                    & (kcells[:, 0] <= o[0] + ni - 1 + reach)
-                    & (kcells[:, 1] >= o[1] - reach)
-                    & (kcells[:, 1] <= o[1] + nj - 1 + reach))
-            candidates = kcells[keep]
+            candidates = _near_cells(kcells, core, delta, s)
             for group in gated:
                 members = [cells_of[c] for c in group]
                 if params.multi_level and not persists(region, members, len(group)):
@@ -387,7 +305,7 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
         if deep is not None:
             dcore = _region_core(deep, region, "intersection")
             if dcore.crossing:
-                dcells = _cells_by_label(dcore.labels, dcore.origin, dcore.crossing)
+                dcells = dcore.crossing_cells()
                 # an annulus ring cuts a curve threading the hole into two
                 # crossing pieces (one per side).  That is the right crossing
                 # count, but for fragment identity the curve is one object:
@@ -434,12 +352,8 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
                     kids = children.get(cid, ())
                     if len(kids) < params.deep_children:
                         continue
-                    pts = (cells_of[cid].astype(np.float64) + 0.5) * s
-                    acc = np.zeros(len(pts), dtype=np.int32)
-                    for uid in kids:
-                        tree = cKDTree((units[uid].astype(np.float64) + 0.5) * sd)
-                        d = tree.query(pts, distance_upper_bound=delta + 1e-9)[0]
-                        acc += np.isfinite(d)
+                    acc = _support(cells_of[cid], s,
+                                   [(units[uid], sd) for uid in kids], delta)
                     # >= deep_children pieces witness the split globally; a
                     # cell sits on the fracture locus when at least two of
                     # the fragments meet it within delta (a transversal
@@ -451,35 +365,12 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
                         out.extend(_islands(limit))
         return out
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_region = list(pool.map(seeds_for, regions))
-    else:
-        per_region = [seeds_for(r) for r in regions]
-
-    merge_sets = tuple(ms for group in per_region for ms in group)
+    merge_sets = tuple(ms for region in regions for ms in seeds_for(region))
     return RelationSeed(K.level, merge_sets)
 
 
 # ---------------------------------------------------------------------------
 # equivalence closure and partitions
-
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = np.arange(n, dtype=np.int64)
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return int(x)
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
 
 def _partition_from_ids(K: GridCompactum, cells: Cells,
                         raw_ids: np.ndarray) -> Decomposition:
@@ -540,7 +431,8 @@ def close_equivalence(K: GridCompactum, seed: RelationSeed) -> Decomposition:
 
 def decompose(spec: SetSpec, level: Level, params: RelationParams | None = None,
               jobs: int = 1) -> Decomposition:
-    """rasterize -> schoenflies_relation -> close_equivalence."""
+    """rasterize -> schoenflies_relation -> close_equivalence.  `jobs` is
+    accepted and has no effect (seeding is serial)."""
     K = rasterize(spec, level)
     seed = schoenflies_relation(K, params, jobs=jobs)
     return close_equivalence(K, seed)
@@ -578,11 +470,7 @@ def quotient_graph(K: GridCompactum, D: Decomposition) -> QuotientGraph:
     uf = _UnionFind(n)
     for a, b in edges:
         uf.union(a, b)
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(uf.find(v), []).append(v)
-    components = tuple(tuple(sorted(groups[r]))
-                       for r in sorted(groups, key=lambda r: min(groups[r])))
+    components = tuple(tuple(g) for g in uf.groups())
     s = K.level.cell_size
     comp_diams = tuple(
         diameter(np.concatenate([D.classes[c].cells for c in comp]), s)
@@ -692,15 +580,7 @@ def monotone_check(K: GridCompactum, D: Decomposition) -> MonotoneReport:
     reported, never repaired — it signals bad relation parameters."""
     bad = []
     for c in D.classes:
-        if c.size == 1:
-            continue
-        cells = c.cells
-        i0, j0 = int(cells[:, 0].min()), int(cells[:, 1].min())
-        m = np.zeros((int(cells[:, 1].max()) - j0 + 1,
-                      int(cells[:, 0].max()) - i0 + 1), dtype=bool)
-        m[cells[:, 1] - j0, cells[:, 0] - i0] = True
-        _, ncomp = _label_mask(m, 8)
-        if ncomp != 1:
+        if c.size > 1 and len(_islands(c.cells)) != 1:
             bad.append(c.id)
     G = quotient_graph(K, D)
     kcomp = label_components(K, 8).count
@@ -752,20 +632,15 @@ def peano_check(graphs: Sequence[QuotientGraph],
 
     divergent = False
     reps = [GridCompactum.from_cells(g.level, g.representatives) for g in graphs]
-    coarse = reps[0]
-    if not coarse.is_empty:
-        i0, j0, i1, j1 = coarse.cell_bbox()
-        s0 = coarse.level.cell_size
-        strips = [Strip("h", k * s0, (k + 2) * s0) for k in range(j0 - 1, j1 + 1)]
-        strips += [Strip("v", k * s0, (k + 2) * s0) for k in range(i0 - 1, i1 + 1)]
-        for strip in strips:
+    if not reps[0].is_empty:
+        for strip in _strip_family(reps[0]):
             ms = []
             for R in reps:
                 try:
                     ms.append(len(_region_core(R, strip, "intersection").crossing))
                 except GridError:
                     ms.append(0)
-            if len(ms) >= 3 and all(ms[-3:][t] < ms[-3:][t + 1] for t in range(2)):
+            if _strictly_increasing_tail(ms, 3):
                 divergent = True
                 break
     return PeanoReport(levels, tuple(float(c) for c in C_grid), counts,

@@ -395,10 +395,10 @@ def spiral_disk(t_max: float = 40.0) -> SetSpec:
         jj, ii = np.nonzero(d2 < 1.0)
         mask[di[jj] - j0, di[ii] - i0] = True
         # spiral: canonical sample cloud shared across levels so coarsening
-        # one level equals rasterizing at the parent level
+        # one level equals rasterizing at the parent level; repeated cells
+        # just set the same entry again, so no deduplication is needed
         pts = _spiral_samples(t_max)
         idx = np.floor(pts / s).astype(np.int64)
-        idx = np.unique(idx, axis=0)
         mask[idx[:, 1] - j0, idx[:, 0] - i0] = True
         return (i0, j0), mask
 

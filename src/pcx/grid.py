@@ -18,6 +18,10 @@ from scipy.spatial import ConvexHull, QhullError, cKDTree
 Cells = np.ndarray  # (N, 2) int64 array of (i, j) lattice coordinates
 
 DEFAULT_MAX_LEVEL = 12
+# Largest bbox cell range rasterize accepts: a 100 MB mask, about 1 GB once
+# labelled.  Admits base-3 level 8 and base-2 level 11 over the spiral's
+# +-17/8 box; rejects base-3 level 9 and above on the unit square.
+MAX_RASTER_CELLS = 10 ** 8
 
 _STRUCT_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _STRUCT_8 = np.ones((3, 3), dtype=bool)
@@ -38,10 +42,15 @@ class WindowError(GridError):
 def max_level() -> int:
     """Deepest refinement level allowed; override with PCX_MAX_LEVEL."""
     raw = os.environ.get("PCX_MAX_LEVEL", "")
-    try:
-        return int(raw)
-    except ValueError:
+    if not raw:
         return DEFAULT_MAX_LEVEL
+    try:
+        n = int(raw)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise GridError(f"PCX_MAX_LEVEL must be a non-negative integer, got {raw!r}")
+    return n
 
 
 @dataclass(frozen=True, order=True)
@@ -144,6 +153,35 @@ def sort_cells(cells: Cells) -> Cells:
     return cells[order]
 
 
+def _mask_of(cells: Cells) -> tuple[tuple[int, int], np.ndarray]:
+    """(origin, mask) of the tightest raster holding the cells; see GridCompactum."""
+    cells = _as_cells(cells)
+    if len(cells) == 0:
+        return (0, 0), np.zeros((0, 0), dtype=bool)
+    i0, j0 = int(cells[:, 0].min()), int(cells[:, 1].min())
+    mask = np.zeros((int(cells[:, 1].max()) - j0 + 1,
+                     int(cells[:, 0].max()) - i0 + 1), dtype=bool)
+    mask[cells[:, 1] - j0, cells[:, 0] - i0] = True
+    return (i0, j0), mask
+
+
+def _cells_of(mask: np.ndarray, origin: tuple[int, int]) -> Cells:
+    """The True cells of an origin-anchored mask, in row-major order."""
+    js, is_ = np.nonzero(mask)
+    return np.stack([is_ + origin[0], js + origin[1]], axis=1).astype(np.int64)
+
+
+def _cells_by_label(labels: np.ndarray, n: int,
+                    origin: tuple[int, int]) -> list[Cells]:
+    """Cells of each label id 0..n-1 (-1 is background), row-major within an id."""
+    fg = labels >= 0
+    lab = labels[fg]
+    order = np.argsort(lab, kind="stable")  # keeps row-major order inside ids
+    cells = _cells_of(fg, origin)[order]
+    bounds = np.searchsorted(lab[order], np.arange(n + 1))
+    return [cells[bounds[k]:bounds[k + 1]] for k in range(n)]
+
+
 @dataclass(frozen=True, eq=False)
 class GridCompactum:
     """Raster of a planar compactum: an origin-anchored boolean mask.
@@ -158,15 +196,8 @@ class GridCompactum:
     @staticmethod
     def from_cells(level: Level, cells: Cells,
                    source: SetSpec | None = None) -> "GridCompactum":
-        cells = _as_cells(cells)
-        if len(cells) == 0:
-            return GridCompactum(level, (0, 0), np.zeros((0, 0), dtype=bool), source)
-        i0, j0 = int(cells[:, 0].min()), int(cells[:, 1].min())
-        ni = int(cells[:, 0].max()) - i0 + 1
-        nj = int(cells[:, 1].max()) - j0 + 1
-        mask = np.zeros((nj, ni), dtype=bool)
-        mask[cells[:, 1] - j0, cells[:, 0] - i0] = True
-        return GridCompactum(level, (i0, j0), mask, source)
+        origin, mask = _mask_of(cells)
+        return GridCompactum(level, origin, mask, source)
 
     @staticmethod
     def from_mask(level: Level, origin: tuple[int, int], mask: np.ndarray,
@@ -190,11 +221,7 @@ class GridCompactum:
         return int(self.mask.sum())
 
     def cells(self) -> Cells:
-        if self.is_empty:
-            return np.zeros((0, 2), dtype=np.int64)
-        js, is_ = np.nonzero(self.mask)
-        cells = np.stack([is_ + self.origin[0], js + self.origin[1]], axis=1)
-        return sort_cells(cells.astype(np.int64))
+        return _cells_of(self.mask, self.origin)
 
     def cell_bbox(self) -> tuple[int, int, int, int]:
         """(i0, j0, i1, j1) inclusive cell-index bounds; raises when empty."""
@@ -226,6 +253,22 @@ class GridCompactum:
                 f"cells={self.count})")
 
 
+def _slab(K: GridCompactum, i0: int, j0: int, i1: int, j1: int) -> np.ndarray:
+    """K's occupancy over the inclusive cell rectangle as bool[nj, ni]."""
+    out = np.zeros((j1 - j0 + 1, i1 - i0 + 1), dtype=bool)
+    if K.is_empty:
+        return out
+    oi, oj = K.origin
+    H, W = K.mask.shape
+    si0, si1 = max(i0, oi), min(i1, oi + W - 1)
+    sj0, sj1 = max(j0, oj), min(j1, oj + H - 1)
+    if si0 > si1 or sj0 > sj1:
+        return out
+    out[sj0 - j0:sj1 - j0 + 1, si0 - i0:si1 - i0 + 1] = \
+        K.mask[sj0 - oj:sj1 - oj + 1, si0 - oi:si1 - oi + 1]
+    return out
+
+
 def rasterize(spec: SetSpec, level: Level) -> GridCompactum:
     """Outer cover of spec at the given level.
 
@@ -235,9 +278,6 @@ def rasterize(spec: SetSpec, level: Level) -> GridCompactum:
     """
     if level.n > max_level():
         raise DepthExceeded(f"level {level.n} exceeds cap {max_level()}")
-    if spec.fill is not None:
-        origin, mask = spec.fill(level)
-        return GridCompactum.from_mask(level, origin, mask, source=spec)
     s = level.cell_size
     # One cell of margin on every side: a closed cell box that only touches a
     # bbox edge lying on a grid line still meets the set; the oracle prunes.
@@ -245,6 +285,13 @@ def rasterize(spec: SetSpec, level: Level) -> GridCompactum:
     j0 = int(np.floor(spec.bbox.y0 / s)) - 1
     i1 = int(np.ceil(spec.bbox.x1 / s))
     j1 = int(np.ceil(spec.bbox.y1 / s))
+    span = (i1 - i0 + 1) * (j1 - j0 + 1)
+    if span > MAX_RASTER_CELLS:
+        raise GridError(f"{spec.name} at level {level.n} (base {level.base}) spans "
+                        f"{span} cells, over the budget of {MAX_RASTER_CELLS}")
+    if spec.fill is not None:
+        origin, mask = spec.fill(level)
+        return GridCompactum.from_mask(level, origin, mask, source=spec)
     hits: list[tuple[int, int]] = []
     stack = [(i0, j0, i1 - i0 + 1, j1 - j0 + 1)]
     while stack:
@@ -305,9 +352,7 @@ class ComponentLabeling:
         return len(self.metas)
 
     def component_cells(self, cid: int) -> Cells:
-        js, is_ = np.nonzero(self.labels == cid)
-        cells = np.stack([is_ + self.origin[0], js + self.origin[1]], axis=1)
-        return sort_cells(cells.astype(np.int64))
+        return _cells_of(self.labels == cid, self.origin)
 
     def id_at(self, i: int, j: int) -> int:
         ii, jj = i - self.origin[0], j - self.origin[1]
@@ -339,14 +384,12 @@ def _label_mask(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, int]:
 def _metas_from_labels(labels: np.ndarray, n: int, origin: tuple[int, int],
                        level: Level) -> tuple[ComponentMeta, ...]:
     metas = []
-    nj, ni = labels.shape
-    for cid in range(n):
-        js, is_ = np.nonzero(labels == cid)
-        cells = np.stack([is_ + origin[0], js + origin[1]], axis=1).astype(np.int64)
+    frame = (origin[0], origin[1], origin[0] + labels.shape[1] - 1,
+             origin[1] + labels.shape[0] - 1)
+    for cid, cells in enumerate(_cells_by_label(labels, n, origin)):
         bbox = (int(cells[:, 0].min()), int(cells[:, 1].min()),
                 int(cells[:, 0].max()), int(cells[:, 1].max()))
-        touches = bool(js.min() == 0 or is_.min() == 0
-                       or js.max() == nj - 1 or is_.max() == ni - 1)
+        touches = any(a == b for a, b in zip(bbox, frame))
         metas.append(ComponentMeta(cid, len(cells), bbox,
                                    diameter(cells, level.cell_size), touches))
     return tuple(metas)
@@ -382,12 +425,7 @@ def complement_components(K: GridCompactum, window: Box) -> ComponentLabeling:
         ki0, kj0, ki1, kj1 = K.cell_bbox()
         if ki0 < i0 or kj0 < j0 or ki1 > i1 or kj1 > j1:
             raise WindowError("window smaller than K's bounding box")
-    ni, nj = i1 - i0 + 1, j1 - j0 + 1
-    occupied = np.zeros((nj, ni), dtype=bool)
-    if not K.is_empty:
-        cells = K.cells()
-        occupied[cells[:, 1] - j0, cells[:, 0] - i0] = True
-    labels, n = _label_mask(~occupied, 4)
+    labels, n = _label_mask(~_slab(K, i0, j0, i1, j1), 4)
     return ComponentLabeling(K.level, (i0, j0), labels,
                              _metas_from_labels(labels, n, (i0, j0), K.level))
 
@@ -433,57 +471,38 @@ def diameter(a: Cells, cell_size: float) -> float:
     return float(np.sqrt((diff ** 2).sum(axis=2)).max())
 
 
-# The 8 grid isometries, as maps on cell indices about the scene origin.
-# t = 0..3 rotate by 90*t degrees CCW; t = 4..7 reflect (x -> -x) then rotate.
+# The 8 grid isometries about the scene origin, as integer matrices acting on
+# (x, y).  t = 0..3 rotate by 90*t degrees CCW; t = 4..7 reflect (x -> -x)
+# then rotate.
 TRANSFORM_IDS = tuple(range(8))
+_ISOMETRIES = np.array([[[1, 0], [0, 1]], [[0, -1], [1, 0]],
+                        [[-1, 0], [0, -1]], [[0, 1], [-1, 0]],
+                        [[-1, 0], [0, 1]], [[0, 1], [1, 0]],
+                        [[1, 0], [0, -1]], [[0, -1], [-1, 0]]], dtype=np.int64)
+
+
+def _isometry(t: int) -> np.ndarray:
+    if t not in TRANSFORM_IDS:
+        raise GridError(f"unknown transform {t}")
+    return _ISOMETRIES[int(t)]
 
 
 def transform_cells(cells: Cells, t: int) -> Cells:
-    cells = _as_cells(cells)
-    i, j = cells[:, 0], cells[:, 1]
-    if t == 0:
-        out = cells
-    elif t == 1:
-        out = np.stack([-1 - j, i], axis=1)
-    elif t == 2:
-        out = np.stack([-1 - i, -1 - j], axis=1)
-    elif t == 3:
-        out = np.stack([j, -1 - i], axis=1)
-    elif t == 4:
-        out = np.stack([-1 - i, j], axis=1)
-    elif t == 5:
-        out = np.stack([j, i], axis=1)
-    elif t == 6:
-        out = np.stack([i, -1 - j], axis=1)
-    elif t == 7:
-        out = np.stack([-1 - j, -1 - i], axis=1)
-    else:
-        raise GridError(f"unknown transform {t}")
-    return out.astype(np.int64)
+    """Cell (i, j) covers [i, i+1] x [j, j+1]; M maps it to the cell whose
+    lower-left corner is M(i, j) + (M(1, 1) - (1, 1)) / 2."""
+    M = _isometry(t)
+    return _as_cells(cells) @ M.T + (M.sum(axis=1) - 1) // 2
 
 
 def transform_point(x: float, y: float, t: int) -> tuple[float, float]:
-    if t == 0:
-        return x, y
-    if t == 1:
-        return -y, x
-    if t == 2:
-        return -x, -y
-    if t == 3:
-        return y, -x
-    if t == 4:
-        return -x, y
-    if t == 5:
-        return y, x
-    if t == 6:
-        return x, -y
-    if t == 7:
-        return -y, -x
-    raise GridError(f"unknown transform {t}")
+    (a, b), (c, d) = _isometry(t).tolist()
+    return a * x + b * y, c * x + d * y
 
 
 def inverse_transform(t: int) -> int:
-    return {0: 0, 1: 3, 2: 2, 3: 1, 4: 4, 5: 5, 6: 6, 7: 7}[t]
+    """The isometry undoing t: its matrix is the transpose of t's."""
+    inv = _isometry(t).T
+    return next(k for k in TRANSFORM_IDS if np.array_equal(_ISOMETRIES[k], inv))
 
 
 def transform_box(box: Box, t: int) -> Box:
@@ -509,16 +528,7 @@ def transform_spec(spec: SetSpec, t: int) -> SetSpec:
 
         def fill(level: Level, _f: ExactFill = base_fill) -> tuple[tuple[int, int], np.ndarray]:
             origin, mask = _f(level)
-            js, is_ = np.nonzero(mask)
-            cells = np.stack([is_ + origin[0], js + origin[1]], axis=1).astype(np.int64)
-            moved = transform_cells(cells, t)
-            if len(moved) == 0:
-                return (0, 0), np.zeros((0, 0), dtype=bool)
-            i0, j0 = int(moved[:, 0].min()), int(moved[:, 1].min())
-            out = np.zeros((int(moved[:, 1].max()) - j0 + 1,
-                            int(moved[:, 0].max()) - i0 + 1), dtype=bool)
-            out[moved[:, 1] - j0, moved[:, 0] - i0] = True
-            return (i0, j0), out
+            return _mask_of(transform_cells(_cells_of(mask, origin), t))
 
     def oracle(box: Box) -> Optional[bool]:
         return spec.oracle(transform_box(box, inv))

@@ -8,8 +8,8 @@ polylines on an offset brick tiling and exact crossing paths in rectangles.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -17,10 +17,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .grid import (Box, Cells, ComponentLabeling, GridCompactum, GridError,
-                   Level, SetSpec, WindowError, _as_cells, _label_mask,
-                   _metas_from_labels, complement_components,
-                   hausdorff_distance, label_components, rasterize,
-                   sort_cells, window_cell_range)
+                   Level, SetSpec, WindowError, _as_cells, _cells_by_label,
+                   _cells_of, _label_mask, _mask_of, _metas_from_labels, _slab,
+                   complement_components, hausdorff_distance,
+                   label_components, rasterize, sort_cells, window_cell_range)
 
 
 @dataclass(frozen=True)
@@ -115,22 +115,6 @@ class CrossingReport:
         }
 
 
-def _slab(K: GridCompactum, i0: int, j0: int, i1: int, j1: int) -> np.ndarray:
-    """K's occupancy over the inclusive cell rectangle as bool[nj, ni]."""
-    out = np.zeros((j1 - j0 + 1, i1 - i0 + 1), dtype=bool)
-    if K.is_empty:
-        return out
-    oi, oj = K.origin
-    H, W = K.mask.shape
-    si0, si1 = max(i0, oi), min(i1, oi + W - 1)
-    sj0, sj1 = max(j0, oj), min(j1, oj + H - 1)
-    if si0 > si1 or sj0 > sj1:
-        return out
-    out[sj0 - j0:sj1 - j0 + 1, si0 - i0:si1 - i0 + 1] = \
-        K.mask[sj0 - oj:sj1 - oj + 1, si0 - oi:si1 - oi + 1]
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class _RegionData:
     origin: tuple[int, int]
@@ -138,6 +122,11 @@ class _RegionData:
     n: int
     crossing: tuple[int, ...]
     snapped: tuple[float, float] | tuple[Box, Box]
+
+    def crossing_cells(self) -> dict[int, Cells]:
+        """Cells of each crossing component, row-major."""
+        groups = _cells_by_label(self.labels, self.n, self.origin)
+        return {cid: groups[cid] for cid in self.crossing}
 
 
 def _lateral_range(K: GridCompactum, strip: Strip, level: Level) -> tuple[int, int]:
@@ -221,64 +210,83 @@ def _region_core(K: GridCompactum, region: Region, mode: str) -> _RegionData:
     raise GridError(f"unsupported region {type(region).__name__}")
 
 
-def _cluster_crossings(core: _RegionData, labeling: ComponentLabeling,
-                       K: GridCompactum, mode: str, delta: float,
-                       n_min: int) -> tuple[Cluster, ...]:
-    s = K.level.cell_size
-    ids = list(core.crossing)
+class _UnionFind:
+    """Union-find over 0..n-1; every root is the smallest member of its set."""
+
+    def __init__(self, n: int) -> None:
+        self.parent = np.arange(n, dtype=np.int64)
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return int(x)
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+    def groups(self) -> list[list[int]]:
+        """Members of each set, ascending; sets ordered by smallest member."""
+        out: dict[int, list[int]] = {}
+        for x in range(len(self.parent)):
+            out.setdefault(self.find(x), []).append(x)
+        return list(out.values())
+
+
+def _single_linkage(cells_of: dict[int, Cells], delta: float,
+                    s: float) -> list[list[int]]:
+    """Groups of ids whose cell sets chain together under symmetric Hausdorff
+    distance <= delta.  Box-gap prefilter: the gap between bounding boxes
+    lower-bounds the Hausdorff distance, so distant pairs are never measured."""
+    ids = sorted(cells_of)
     if not ids:
-        return ()
-    cells_of = {cid: labeling.component_cells(cid) for cid in ids}
-    parent = {cid: cid for cid in ids}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ai in range(len(ids)):
-        for bi in range(ai + 1, len(ids)):
-            a, b = ids[ai], ids[bi]
-            if find(a) == find(b):
+        return []
+    lo = np.array([[cells_of[c][:, 0].min(), cells_of[c][:, 1].min()] for c in ids])
+    hi = np.array([[cells_of[c][:, 0].max(), cells_of[c][:, 1].max()] for c in ids])
+    uf = _UnionFind(len(ids))
+    for a in range(len(ids)):
+        for b in range(a + 1, len(ids)):
+            gx = max(0, lo[b, 0] - hi[a, 0] - 1, lo[a, 0] - hi[b, 0] - 1)
+            gy = max(0, lo[b, 1] - hi[a, 1] - 1, lo[a, 1] - hi[b, 1] - 1)
+            if math.hypot(gx, gy) * s > delta + 1e-9 or uf.find(a) == uf.find(b):
                 continue
-            if hausdorff_distance(cells_of[a], cells_of[b], s) <= delta + 1e-9:
-                parent[find(b)] = find(a)
+            if hausdorff_distance(cells_of[ids[a]], cells_of[ids[b]], s) <= delta + 1e-9:
+                uf.union(a, b)
+    return [[ids[k] for k in group] for group in uf.groups()]
 
-    groups: dict[int, list[int]] = {}
-    for cid in ids:
-        groups.setdefault(find(cid), []).append(cid)
 
-    # candidate universe for approximate limits: occupied cells near the
-    # region (intersection mode reaches into K outside the region by delta;
-    # difference mode stays inside the labeled window)
+def _support(cells: Cells, s: float, members: Iterable[tuple[Cells, float]],
+             delta: float) -> np.ndarray:
+    """Per cell, how many member cell sets (each with its own cell size) have
+    a cell center within delta of its center."""
+    pts = (cells.astype(np.float64) + 0.5) * s
+    acc = np.zeros(len(cells), dtype=np.int32)
+    for mc, ms in members:
+        tree = cKDTree((mc.astype(np.float64) + 0.5) * ms)
+        acc += np.isfinite(tree.query(pts, distance_upper_bound=delta + 1e-9)[0])
+    return acc
+
+
+def _limit_cells(members: list[Cells], candidates: Cells, delta: float,
+                 s: float, n_min: int) -> Cells:
+    """Cells supported by at least min(len(members), n_min) member sets."""
+    if len(candidates) == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    acc = _support(candidates, s, [(mc, s) for mc in members], delta)
+    return sort_cells(candidates[acc >= min(len(members), n_min)])
+
+
+def _near_cells(kc: Cells, core: _RegionData, delta: float, s: float) -> Cells:
+    """The cells of kc within delta (plus a cell) of the region's window."""
     reach = int(np.ceil(delta / s)) + 1
     nj, ni = core.labels.shape
     o = core.origin
-    if mode == "intersection":
-        kc = K.cells()
-        keep = ((kc[:, 0] >= o[0] - reach) & (kc[:, 0] <= o[0] + ni - 1 + reach)
-                & (kc[:, 1] >= o[1] - reach) & (kc[:, 1] <= o[1] + nj - 1 + reach))
-        candidates = kc[keep]
-    else:
-        js, is_ = np.nonzero(core.labels >= 0)
-        candidates = np.stack([is_ + o[0], js + o[1]], axis=1).astype(np.int64)
-
-    out = []
-    for root in sorted(groups, key=lambda r: min(groups[r])):
-        members = sorted(groups[root])
-        limit = np.zeros((0, 2), dtype=np.int64)
-        if len(candidates):
-            need = min(len(members), n_min)
-            pts = (candidates.astype(np.float64) + 0.5) * s
-            acc = np.zeros(len(candidates), dtype=np.int32)
-            for cid in members:
-                tree = cKDTree((cells_of[cid].astype(np.float64) + 0.5) * s)
-                d = tree.query(pts, distance_upper_bound=delta + 1e-9)[0]
-                acc += np.isfinite(d)
-            limit = sort_cells(candidates[acc >= need])
-        out.append(Cluster(tuple(members), limit))
-    return tuple(out)
+    keep = ((kc[:, 0] >= o[0] - reach) & (kc[:, 0] <= o[0] + ni - 1 + reach)
+            & (kc[:, 1] >= o[1] - reach) & (kc[:, 1] <= o[1] + nj - 1 + reach))
+    return kc[keep]
 
 
 def crossing_components(K: GridCompactum, region: Region,
@@ -302,7 +310,18 @@ def crossing_components(K: GridCompactum, region: Region,
     labeling = ComponentLabeling(K.level, core.origin, core.labels,
                                  _metas_from_labels(core.labels, core.n,
                                                     core.origin, K.level))
-    clusters = _cluster_crossings(core, labeling, K, mode, delta, n_min)
+    # candidate universe for approximate limits: occupied cells near the
+    # region (intersection mode reaches into K outside the region by delta;
+    # difference mode stays inside the labeled window)
+    if mode == "intersection":
+        candidates = _near_cells(K.cells(), core, delta, s)
+    else:
+        candidates = _cells_of(core.labels >= 0, core.origin)
+    cells_of = core.crossing_cells()
+    clusters = tuple(
+        Cluster(tuple(group), _limit_cells([cells_of[c] for c in group],
+                                           candidates, delta, s, n_min))
+        for group in _single_linkage(cells_of, delta, s))
     return CrossingReport(region, mode, K.level, core.snapped,
                           core.crossing, len(core.crossing), clusters, labeling)
 
@@ -369,15 +388,22 @@ class ScanReport:
         return out
 
 
+def _band_strips(level: Level, i0: int, j0: int, i1: int,
+                 j1: int) -> list[Strip]:
+    """Strips two cells wide whose lower line sits on cell row j0..j1 (h),
+    then on cell column i0..i1 (v), bounds inclusive."""
+    s = level.cell_size
+    fam = [Strip("h", k * s, (k + 2) * s) for k in range(j0, j1 + 1)]
+    fam += [Strip("v", k * s, (k + 2) * s) for k in range(i0, i1 + 1)]
+    return fam
+
+
 def default_strip_family(spec: SetSpec, level: Level) -> list[Strip]:
     """Every axis-aligned strip two cells wide at the given level, across the
     spec's bounding box.  Offsets are multiples of this level's cell size, so
     they stay exactly aligned at every finer level of the same base."""
     i0, j0, i1, j1 = window_cell_range(spec.bbox, level)
-    s = level.cell_size
-    fam = [Strip("h", k * s, (k + 2) * s) for k in range(j0, j1)]
-    fam += [Strip("v", k * s, (k + 2) * s) for k in range(i0, i1)]
-    return fam
+    return _band_strips(level, i0, j0, i1 - 1, j1 - 1)
 
 
 def _strictly_increasing_tail(counts: Sequence[int], k: int) -> bool:
@@ -396,32 +422,21 @@ def schoenflies_scan(spec: SetSpec, strips: Sequence[Strip],
     the last `divergence_window` levels; any divergent strip yields the
     verdict "not locally connected", otherwise the verdict is "consistent
     with locally connected" (one-sided: finite resolution can never certify
-    local connectedness).
+    local connectedness).  Pairs are counted serially; `jobs` is accepted
+    and has no effect.
     """
     lvls = tuple(sorted(set(int(n) for n in levels)))
     if not lvls:
         raise GridError("scan needs at least one level")
     rasters = {n: rasterize(spec, Level(n, spec.base)) for n in lvls}
 
-    def one(strip: Strip, n: int) -> tuple[int, int, tuple[float, float]]:
-        K = rasters[n]
-        core_i = _region_core(K, strip, "intersection")
-        core_d = _region_core(K, strip, "difference")
-        return len(core_i.crossing), len(core_d.crossing), core_i.snapped
-
-    pairs = [(si, n) for si in range(len(strips)) for n in lvls]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda p: one(strips[p[0]], p[1]), pairs))
-    else:
-        results = [one(strips[si], n) for (si, n) in pairs]
-
     per_strip = []
-    for si, strip in enumerate(strips):
-        rows = [results[si * len(lvls) + t] for t in range(len(lvls))]
-        m_int = tuple(r[0] for r in rows)
-        m_diff = tuple(r[1] for r in rows)
-        snapped = tuple(r[2] for r in rows)
+    for strip in strips:
+        cores_i = [_region_core(rasters[n], strip, "intersection") for n in lvls]
+        m_int = tuple(len(c.crossing) for c in cores_i)
+        m_diff = tuple(len(_region_core(rasters[n], strip, "difference").crossing)
+                       for n in lvls)
+        snapped = tuple(c.snapped for c in cores_i)
         per_strip.append(StripScan(strip, lvls, snapped, m_int, m_diff,
                                    _strictly_increasing_tail(m_int, divergence_window)))
     verdict = ("not locally connected"
@@ -492,17 +507,13 @@ def cut_wire(X: Cells, A: Cells, B: Cells) -> CutWireResult:
         raise GridError("cut_wire on empty X")
     if len(A) == 0 or len(B) == 0:
         raise GridError("cut_wire needs nonempty A and B")
-    i0, j0 = int(X[:, 0].min()), int(X[:, 1].min())
-    mask = np.zeros((int(X[:, 1].max()) - j0 + 1, int(X[:, 0].max()) - i0 + 1),
-                    dtype=bool)
-    mask[X[:, 1] - j0, X[:, 0] - i0] = True
+    origin, mask = _mask_of(X)
     labels, n = _label_mask(mask, 8)
-    a_ids = set(_lookup_labels(labels, (i0, j0), mask, A, "A").tolist())
-    b_ids = set(_lookup_labels(labels, (i0, j0), mask, B, "B").tolist())
+    a_ids = set(_lookup_labels(labels, origin, mask, A, "A").tolist())
+    b_ids = set(_lookup_labels(labels, origin, mask, B, "B").tolist())
     common = a_ids & b_ids
-    js, is_ = np.nonzero(mask)
-    all_cells = np.stack([is_ + i0, js + j0], axis=1).astype(np.int64)
-    cell_labels = labels[js, is_]
+    all_cells = _cells_of(mask, origin)
+    cell_labels = labels[mask]
     if common:
         cid = min(common)
         return CutWireResult(True, sort_cells(all_cells[cell_labels == cid]),
@@ -665,9 +676,8 @@ def separating_curve(K: GridCompactum, P: int, Q: int, r: float) -> SeparatingLo
     w = rc // 2
 
     E = labeling.component_cells(P)
-    js, is_ = np.nonzero((labeling.labels >= 0) & (labeling.labels != P))
-    F = np.stack([is_ + labeling.origin[0], js + labeling.origin[1]],
-                 axis=1).astype(np.int64)
+    F = _cells_of((labeling.labels >= 0) & (labeling.labels != P),
+                  labeling.origin)
     Eb = _bricks_of(E, rc, dilate=True)
     Fb = _bricks_of(F, rc, dilate=True)
     if Eb & Fb:

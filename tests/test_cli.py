@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import pytest
 
 import pcx
 from pcx import GridCompactum, Level, parse_pbm, rasterize, from_pbm
-from pcx.cli import load_decomposition, render_svg, run
+from pcx.cli import build_parser, load_decomposition, render_svg, run
 
 
 def run_to_file(tmp_path, name, argv):
@@ -58,6 +60,25 @@ def test_pcx_executable_runs():
     p = subprocess.run(["pcx", *ENTRY_ARGV], capture_output=True, text=True)
     assert p.returncode == 0
     assert json.loads(p.stdout)["count"] == 1
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    return [shlex.split(line)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("pcx ")]
+
+
+def test_readme_commands_parse():
+    """Every `pcx ...` line of the README's shell blocks is valid CLI usage.
+    Only parsed, never run: the quick start decomposes at level 7."""
+    commands = _readme_commands()
+    assert len(commands) >= 3
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit as exc:
+            pytest.fail(f"README command `pcx {' '.join(argv)}` exits {exc.code}")
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -14,6 +16,7 @@ from pcx import (
     WindowError,
     coarsen,
     complement_components,
+    decompose,
     diameter,
     hausdorff_distance,
     inverse_transform,
@@ -66,6 +69,15 @@ def test_level_cap_env_override(monkeypatch):
     with pytest.raises(DepthExceeded):
         Level(5, 2)
     Level(4, 2)  # at the cap is fine
+
+
+@pytest.mark.parametrize("raw", ["twelve", "4.5", "-1", " "])
+def test_level_cap_env_rejects_bad_values(monkeypatch, raw):
+    monkeypatch.setenv("PCX_MAX_LEVEL", raw)
+    with pytest.raises(GridError, match="PCX_MAX_LEVEL"):
+        max_level()
+    with pytest.raises(GridError):
+        Level(2, 2)
 
 
 def test_box_validation_and_queries():
@@ -159,6 +171,38 @@ def test_rasterize_depth_cap(monkeypatch):
     rasterize(spec, lvl)
     with pytest.raises(DepthExceeded):
         rasterize(spec, Level(3, 2).finer())
+
+
+def _budget_spec(bbox: Box, base: int, max_filled: int) -> SetSpec:
+    """A spec whose fill yields one cell up to level max_filled and fails
+    above it, and whose oracle always fails: nothing big is ever allocated."""
+    def fill(level):
+        if level.n > max_filled:
+            raise AssertionError(f"fill ran at level {level.n}")
+        return (0, 0), np.ones((1, 1), dtype=bool)
+
+    def oracle(box):
+        raise AssertionError("oracle ran")
+
+    return SetSpec("budget", bbox, oracle, fill=fill, base=base)
+
+
+def test_rasterize_cell_budget(monkeypatch):
+    monkeypatch.delenv("PCX_MAX_LEVEL", raising=False)
+    unit = _budget_spec(Box(0, 0, 1, 1), 3, 8)
+    for n in (10, 12):
+        with pytest.raises(GridError, match="budget"):
+            rasterize(unit, Level(n, 3))
+        with pytest.raises(GridError, match="budget"):  # oracle route too
+            rasterize(replace(unit, fill=None), Level(n, 3))
+    # the largest rasters the suite and the benchmark build stay admitted:
+    # base 3 level 8 on the unit square, the spiral's +-17/8 box at level 10
+    assert rasterize(unit, Level(8, 3)).count == 1
+    spiral_box = _budget_spec(Box(-17 / 8, -17 / 8, 17 / 8, 17 / 8), 2, 12)
+    assert rasterize(spiral_box, Level(10, 2)).count == 1
+    # decompose's deep raster goes through the same check
+    with pytest.raises(GridError, match="budget"):
+        decompose(unit, Level(7, 3))
 
 
 def test_coarsen_matches_parent_division():

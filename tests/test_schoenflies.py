@@ -119,6 +119,33 @@ def test_diagonal_counts_differently_per_mode():
     assert crossing_components(K, strip, mode="difference").m == 2
 
 
+def test_crossing_clusters_and_limit_cells():
+    # vertical bars: columns 0, 2, 4 chain at the default delta of two cells,
+    # columns 9 and 14 sit five cells apart and stay alone
+    K = GridCompactum.from_cells(LVL, [(i, j) for i in (0, 2, 4, 9, 14)
+                                       for j in range(10)])
+    strip = Strip("h", 3 * S, 5 * S)  # rows 3 and 4
+
+    def rows(cols_by_row):
+        return [[i, j] for j in (3, 4) for i in cols_by_row] if cols_by_row else []
+
+    rep = crossing_components(K, strip)
+    assert [c.ids for c in rep.clusters] == [(0, 1, 2), (3,), (4,)]
+    assert [c.limit.tolist() for c in rep.clusters] == [
+        rows([2]),  # the middle bar is the only one within delta of all three
+        [[9, j] for j in range(1, 7)],
+        [[14, j] for j in range(1, 7)],
+    ]
+
+    # complement pieces of the window (columns -2..16): [-2, -1], [1], [3],
+    # [5, 8], [10, 13], [15, 16]; only the one-cell gaps 1 and 3 chain
+    rep = crossing_components(K, strip, mode="difference")
+    assert [c.ids for c in rep.clusters] == [(0,), (1, 2), (3,), (4,), (5,)]
+    assert [c.limit.tolist() for c in rep.clusters] == [
+        rows([-2, -1, 1]), rows([1, 3]), rows([3, 5, 6, 7, 8, 10]),
+        rows([8, 10, 11, 12, 13, 15]), rows([13, 15, 16])]
+
+
 def test_strip_window_must_contain_k():
     K = grid_from_art("#####", level=LVL)
     strip = Strip("h", 0.0, S, window=Box(0.0, 0.0, 3 * S, S))
