@@ -5,11 +5,13 @@
 
 Runs a fixed list of CLI invocations through each checkout's own
 `pcx.cli.run` (one subprocess per checkout, with that checkout's `src` first
-on PYTHONPATH), plus `crossing_components(...).to_dict()` and the cluster
-limit cells for strips and square annuli in both modes, then compares every
-output file and exit code byte for byte.  Prints one line per output and
-exits 0 when all are identical, 1 otherwise.  Each checkout takes about
-30 s on a 2-core machine.
+on PYTHONPATH), plus library calls: `crossing_components(...).to_dict()` and
+the cluster limit cells for strips and square annuli in both modes,
+`complement_diameter_scan` of the carpet, and `close_equivalence` of seeded
+random merge sets on the carpet written as decompose JSON (which the CLI then
+compares).  Every output file and exit code is compared byte for byte.
+Prints one line per output and exits 0 when all are identical, 1 otherwise.
+Each checkout takes about 30 s on a 2-core machine.
 """
 from __future__ import annotations
 
@@ -88,10 +90,20 @@ CASES += [
                                "--tol", "0.2"]),
     ("compare_spiral_self.json", ["compare", "--a", "{out}/decompose_spiral_disk.json",
                                   "--b", "{out}/decompose_spiral_disk.json"]),
+    # closures of random merge sets (written by _closures before these run)
+    ("compare_closure.json", ["compare", "--a", "{out}/closure_a.json",
+                              "--b", "{out}/closure_b.json"]),
+    ("compare_closure_rev.json", ["compare", "--a", "{out}/closure_b.json",
+                                  "--b", "{out}/closure_a.json"]),
+    ("compare_closure_tol.json", ["compare", "--a", "{out}/closure_b.json",
+                                  "--b", "{out}/closure_a.json",
+                                  "--tol", repr(2 * 3.0 ** -4)]),
     ("error_nmin.json", ["decompose", "--gen", "bars", "--level", "3", "--nmin", "2"]),
     ("error_jobs.json", ["scan", "--gen", "bars", "--levels", "3", "--strip", "auto",
                          "--jobs", "0"]),
 ]
+LIBRARY_OUTPUTS = ("closure_a.json", "closure_b.json", "complement_scan_carpet.json",
+                   "crossing_components.json")
 # rasters for the crossing_components dump: (generator, level)
 CROSSING_RASTERS = (("cantor_comb", 3), ("topologist_sine", 5), ("spiral_disk", 4),
                     ("sierpinski_carpet", 2), ("bars", 4), ("random_blobs", 5))
@@ -126,6 +138,43 @@ def _crossings(out: Path) -> None:
         json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _closures(out: Path) -> None:
+    """Close two nested lists of seeded random merge sets on the carpet at
+    level 4 and write them as decompose JSON: small sets near one cell, so
+    classes span sizes on both sides of the diameter kernel's cutoff."""
+    import numpy as np
+    from pcx import (GeneratorParams, Level, RelationSeed, close_equivalence,
+                     make_spec, rasterize)
+    from pcx.cli import _dump_json, decomposition_to_payload
+    K = rasterize(make_spec(GeneratorParams("sierpinski_carpet")), Level(4, 3))
+    cells = K.cells()
+    occupied = set(map(tuple, cells.tolist()))
+    rng = np.random.default_rng(5)
+
+    def merge_sets(count: int, reach: int) -> list[np.ndarray]:
+        sets = []
+        for k in rng.integers(len(cells), size=count):
+            near = cells[k] + rng.integers(-reach, reach + 1,
+                                           size=(int(rng.integers(0, 4)), 2))
+            sets.append(np.array([cells[k].tolist()] + [
+                c for c in near.tolist() if tuple(c) in occupied], dtype=np.int64))
+        return sets
+
+    fine = merge_sets(K.count // 8, 1)
+    for name, sets in (("closure_a.json", fine),
+                       ("closure_b.json", fine + merge_sets(K.count // 2, 2))):
+        D = close_equivalence(K, RelationSeed(K.level, tuple(sets)))
+        _dump_json(decomposition_to_payload(D), str(out / name))
+
+
+def _complement_scan(out: Path) -> None:
+    from pcx import GeneratorParams, complement_diameter_scan, make_spec
+    report = complement_diameter_scan(make_spec(GeneratorParams("sierpinski_carpet")),
+                                      range(2, 6))
+    (out / "complement_scan_carpet.json").write_text(
+        json.dumps(report.to_dict(), sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _argv(argv: list[str], out: Path) -> list[str]:
     argv = [a.replace("{out}", str(out)) for a in argv]
     if "spiral_disk" in argv and "--t-max" not in argv:
@@ -140,8 +189,10 @@ def emit(out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     manifest = {"pcx": str(Path(pcx.__file__).resolve().parent), "rc": {}}
     t0 = time.perf_counter()
+    _closures(out)
     for name, argv in CASES:
         manifest["rc"][name] = run(_argv(argv, out) + ["--out", str(out / name)])
+    _complement_scan(out)
     _crossings(out)
     manifest["seconds"] = round(time.perf_counter() - t0, 1)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -162,7 +213,7 @@ def compare(old: Path, new: Path, work: Path) -> int:
     ma = _run_checkout(old, work / "old")
     mb = _run_checkout(new, work / "new")
     print(f"old: {ma['seconds']} s, new: {mb['seconds']} s")
-    names = [name for name, _ in CASES] + ["crossing_components.json"]
+    names = [name for name, _ in CASES] + list(LIBRARY_OUTPUTS)
     bad = 0
     for name in names:
         a, b = work / "old" / name, work / "new" / name

@@ -19,7 +19,7 @@ from .generators import (GENERATOR_BASES, GENERATOR_NAMES, GeneratorParams,
 from .grid import (DEFAULT_MAX_LEVEL, Box, BoxOracle, Cells,
                    ComponentLabeling, ComponentMeta, DepthExceeded, ExactFill,
                    GridCompactum, GridError, Level, SetSpec, WindowError,
-                   coarsen, complement_components, diameter,
+                   coarsen, complement_components, diameter, diameters,
                    hausdorff_distance, inverse_transform, label_components,
                    max_level, rasterize, sort_cells, TRANSFORM_IDS,
                    transform_box, transform_cells, transform_grid,
@@ -43,7 +43,8 @@ __all__ = [
     "WindowError", "close_equivalence", "coarsen", "common_refinement",
     "complement_components", "complement_diameter_scan",
     "contract_degree_two", "crossing_components", "crossing_path", "cut_wire",
-    "decompose", "default_strip_family", "diameter", "emit_pbm", "from_pbm",
+    "decompose", "default_strip_family", "diameter", "diameters",
+    "emit_pbm", "from_pbm",
     "generator_base", "hausdorff_distance", "inverse_transform",
     "is_simple_path", "label_components", "make_spec", "max_level",
     "monotone_check", "parse_pbm", "peano_check", "quotient_graph",

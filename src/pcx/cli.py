@@ -158,18 +158,12 @@ def load_decomposition(path: str) -> Decomposition:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     try:
         level = Level(int(data["level"]), int(data["base"]))
-        chunks, keys = [], []
-        for idx, cls in enumerate(data["classes"]):
-            cells = np.asarray(cls["cells"], dtype=np.int64).reshape(-1, 2)
-            chunks.append(cells)
-            keys.append(np.full(len(cells), idx, dtype=np.int64))
+        chunks = [np.asarray(cls["cells"], dtype=np.int64).reshape(-1, 2)
+                  for cls in data["classes"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path} is not a decomposition document: {exc}") from exc
-    if not chunks:
-        K = GridCompactum.from_cells(level, np.zeros((0, 2), dtype=np.int64))
-        return _partition_from_ids(K, K.cells(), np.zeros(0, dtype=np.int64))
-    cells = np.concatenate(chunks)
-    raw = np.concatenate(keys)
+    cells = np.concatenate([np.zeros((0, 2), dtype=np.int64)] + chunks)
+    raw = np.repeat(np.arange(len(chunks)), [len(c) for c in chunks])
     if len(np.unique(cells, axis=0)) != len(cells):
         raise ParseError(f"{path}: classes overlap — not a partition")
     K = GridCompactum.from_cells(level, cells)

@@ -15,7 +15,8 @@ relation:
   two or more fragments within delta (the fracture locus) are glued, one
   connected patch at a time.  Needs the raster's source spec to refine.
 
-The relation is closed into an equivalence by union-find; class ids are
+The relation is closed into an equivalence by the connected components of a
+star graph over each merge set (scipy.sparse.csgraph); class ids are
 canonical (ascending by smallest row-major cell), so equal partitions are
 byte-identical.
 """
@@ -26,14 +27,15 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .grid import (Box, Cells, GridCompactum, GridError, Level, SetSpec,
-                   _as_cells, _cells_by_label, _cells_of, _label_mask,
-                   _mask_of, _slab, diameter, label_components, max_level,
-                   rasterize)
+                   _as_cells, _cells_by_label, _cells_of, _group, _label_mask,
+                   _mask_of, _slab, diameters, max_level, rasterize)
 from .schoenflies import (RectAnnulus, Region, Strip, _band_strips,
-                          _UnionFind, _limit_cells, _near_cells,
+                          _limit_cells, _near_cells,
                           _region_core, _single_linkage, _support,
                           _strictly_increasing_tail)
 
@@ -372,29 +374,34 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
 # ---------------------------------------------------------------------------
 # equivalence closure and partitions
 
-def _partition_from_ids(K: GridCompactum, cells: Cells,
-                        raw_ids: np.ndarray) -> Decomposition:
-    """Canonical Decomposition from per-cell group keys (cells row-major)."""
-    s = K.level.cell_size
+def _canonical(raw_ids: np.ndarray) -> tuple[np.ndarray, int]:
+    """Renumber group keys 0..n-1 in order of first occurrence."""
     _, first, inverse = np.unique(raw_ids, return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first, kind="stable")] = np.arange(len(first))
-    class_ids = rank[inverse]
+    return rank[inverse.ravel()], len(first)
 
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of the undirected graph on 0..n-1 with edges a-b."""
+    graph = coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    return connected_components(graph, directed=False)
+
+
+def _partition_from_ids(K: GridCompactum, cells: Cells,
+                        raw_ids: np.ndarray) -> Decomposition:
+    """Canonical Decomposition from per-cell group keys (cells row-major)."""
+    class_ids, n = _canonical(raw_ids)
     oi, oj = K.origin
     class_map = np.full(K.mask.shape, -1, dtype=np.int32)
     class_map[cells[:, 1] - oj, cells[:, 0] - oi] = class_ids.astype(np.int32)
 
-    order = np.argsort(class_ids, kind="stable")
-    sorted_ids = class_ids[order]
-    sorted_cells = cells[order]
-    bounds = np.searchsorted(sorted_ids, np.arange(len(first) + 1))
-    classes = []
-    for cid in range(len(first)):
-        group = sorted_cells[bounds[cid]:bounds[cid + 1]]
-        classes.append(ClassInfo(cid, (int(group[0, 0]), int(group[0, 1])),
-                                 group, len(group), diameter(group, s)))
-    return Decomposition(K.level, K.origin, class_map, tuple(classes))
+    grouped, bounds = _group(class_ids, n, cells)
+    diams = diameters(grouped, bounds, K.level.cell_size).tolist()
+    reps, sizes = grouped[bounds[:-1]].tolist(), np.diff(bounds).tolist()
+    classes = tuple(ClassInfo(cid, tuple(reps[cid]), grouped[bounds[cid]:bounds[cid + 1]],
+                              sizes[cid], diams[cid]) for cid in range(n))
+    return Decomposition(K.level, K.origin, class_map, classes)
 
 
 def close_equivalence(K: GridCompactum, seed: RelationSeed) -> Decomposition:
@@ -407,26 +414,22 @@ def close_equivalence(K: GridCompactum, seed: RelationSeed) -> Decomposition:
     if n == 0:
         return Decomposition(K.level, K.origin,
                              np.full(K.mask.shape, -1, dtype=np.int32), ())
-    oi, oj = K.origin
-    index = np.full(K.mask.shape, -1, dtype=np.int64)
+    sets = [_as_cells(ms) for ms in seed.merge_sets]
+    sizes = np.array([len(ms) for ms in sets], dtype=np.int64)
+    if (sizes == 0).any():
+        raise GridError("empty merge set")
+    ms = np.concatenate([np.zeros((0, 2), dtype=np.int64)] + sets)
+    (oi, oj), (H, W) = K.origin, K.mask.shape
+    ii, jj = ms[:, 0] - oi, ms[:, 1] - oj
+    ok = (ii >= 0) & (ii < W) & (jj >= 0) & (jj < H)
+    index = np.full((H, W), -1, dtype=np.int64)
     index[cells[:, 1] - oj, cells[:, 0] - oi] = np.arange(n)
-    uf = _UnionFind(n)
-    for ms in seed.merge_sets:
-        ms = _as_cells(ms)
-        if len(ms) == 0:
-            raise GridError("empty merge set")
-        ii, jj = ms[:, 0] - oi, ms[:, 1] - oj
-        ok = ((ii >= 0) & (ii < index.shape[1]) & (jj >= 0) & (jj < index.shape[0]))
-        if not ok.all():
-            raise GridError("merge set cell outside K")
-        idxs = index[jj, ii]
-        if (idxs < 0).any():
-            raise GridError("merge set cell outside K")
-        first = int(idxs[0])
-        for t in idxs[1:]:
-            uf.union(first, int(t))
-    roots = np.array([uf.find(t) for t in range(n)], dtype=np.int64)
-    return _partition_from_ids(K, cells, roots)
+    idxs = index[jj[ok], ii[ok]]
+    if not ok.all() or (idxs < 0).any():
+        raise GridError("merge set cell outside K")
+    # a star per merge set: its first cell joined to each of its cells
+    hubs = np.repeat(idxs[np.cumsum(sizes) - sizes], sizes)
+    return _partition_from_ids(K, cells, _components(n, hubs, idxs)[1])
 
 
 def decompose(spec: SetSpec, level: Level, params: RelationParams | None = None,
@@ -444,43 +447,47 @@ def decompose(spec: SetSpec, level: Level, params: RelationParams | None = None,
 _ADJ_SHIFTS = ((1, 0), (0, 1), (1, 1), (1, -1))
 
 
-def quotient_graph(K: GridCompactum, D: Decomposition) -> QuotientGraph:
+def _adjacencies(K: GridCompactum, D: Decomposition
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every 8-adjacent pair of cells as row-major cell indices (p, q), and
+    the class id of each cell; raises unless D partitions K."""
     if D.level != K.level or D.class_map.shape != K.mask.shape \
             or D.origin != K.origin or D.cell_count != K.count:
         raise GridError("decomposition does not partition this raster")
     cm = D.class_map
     H, W = cm.shape
-    pairs = []
+    fg = cm >= 0
+    index = np.full((H + 2, W + 2), -1, dtype=np.int32)  # -1 also on a guard ring
+    index[1:-1, 1:-1][fg] = np.arange(K.count)
+    p = index[1:-1, 1:-1]
+    ps, qs = [], []
     for di, dj in _ADJ_SHIFTS:
-        if dj >= 0:
-            a, b = cm[:H - dj, :W - di], cm[dj:, di:]
-        else:
-            a, b = cm[-dj:, :W - di], cm[:H + dj, di:]
-        both = (a >= 0) & (b >= 0) & (a != b)
-        if both.any():
-            pairs.append(np.stack([np.minimum(a[both], b[both]),
-                                   np.maximum(a[both], b[both])], axis=1))
-    if pairs:
-        edges_arr = np.unique(np.concatenate(pairs), axis=0)
-        edges = tuple((int(a), int(b)) for a, b in edges_arr)
-    else:
-        edges = ()
+        q = index[1 + dj:H + 1 + dj, 1 + di:W + 1 + di]
+        both = fg & (q >= 0)
+        ps.append(p[both])
+        qs.append(q[both])
+    return np.concatenate(ps), np.concatenate(qs), cm[fg].astype(np.int64)
 
+
+def quotient_graph(K: GridCompactum, D: Decomposition) -> QuotientGraph:
+    p, q, ids = _adjacencies(K, D)
+    a, b = ids[p], ids[q]
     n = len(D.classes)
-    uf = _UnionFind(n)
-    for a, b in edges:
-        uf.union(a, b)
-    components = tuple(tuple(g) for g in uf.groups())
-    s = K.level.cell_size
-    comp_diams = tuple(
-        diameter(np.concatenate([D.classes[c].cells for c in comp]), s)
-        for comp in components)
+    keys = np.unique((np.minimum(a, b) * n + np.maximum(a, b))[a != b])
+    edges = np.stack([keys // n, keys % n], axis=1)
+    comp_ids, count = _canonical(_components(n, a, b)[1])
+    members, bounds = _group(comp_ids, count, np.arange(n))
+    components = tuple(tuple(members[bounds[k]:bounds[k + 1]].tolist())
+                       for k in range(count))
+    cells, cbounds = _group(comp_ids[ids], count, D.cells())
+    comp_diams = tuple(diameters(cells, cbounds, K.level.cell_size).tolist())
     reps = np.array([c.representative for c in D.classes],
                     dtype=np.int64).reshape(n, 2)
     return QuotientGraph(K.level, tuple(range(n)),
                          tuple(c.size for c in D.classes),
                          tuple(c.diameter for c in D.classes),
-                         reps, edges, components, comp_diams)
+                         reps, tuple(map(tuple, edges.tolist())),
+                         components, comp_diams)
 
 
 def contract_degree_two(nodes: Iterable[int],
@@ -578,13 +585,15 @@ def monotone_check(K: GridCompactum, D: Decomposition) -> MonotoneReport:
     """Connectivity audit: every class should be one 8-connected piece and
     the quotient should have exactly as many components as K.  A violation is
     reported, never repaired — it signals bad relation parameters."""
-    bad = []
-    for c in D.classes:
-        if c.size > 1 and len(_islands(c.cells)) != 1:
-            bad.append(c.id)
-    G = quotient_graph(K, D)
-    kcomp = label_components(K, 8).count
-    return MonotoneReport(not bad, tuple(bad), len(G.components), kcomp)
+    p, q, ids = _adjacencies(K, D)
+    same = ids[p] == ids[q]
+    pieces = _components(len(ids), p[same], q[same])[1]
+    # a class is one 8-connected piece when its cells share one piece label
+    owners = np.unique(ids * len(ids) + pieces) // len(ids)
+    pieces_per_class = np.bincount(owners, minlength=len(D.classes))
+    bad = tuple(np.flatnonzero(pieces_per_class > 1).tolist())
+    qcomp = _components(len(D.classes), ids[p], ids[q])[0]
+    return MonotoneReport(not bad, bad, qcomp, _label_mask(K.mask, 8)[1])
 
 
 @dataclass(frozen=True)
@@ -650,11 +659,13 @@ def peano_check(graphs: Sequence[QuotientGraph],
 # ---------------------------------------------------------------------------
 # comparing decompositions
 
-def _same_cells(D1: Decomposition, D2: Decomposition) -> None:
+def _same_cells(D1: Decomposition, D2: Decomposition) -> tuple[np.ndarray, np.ndarray]:
+    """The class ids of the shared cells in D1 and in D2, both row-major."""
     if D1.level != D2.level:
         raise GridError("decompositions live at different levels")
     if not np.array_equal(D1.cells(), D2.cells()):
         raise GridError("decompositions cover different cell sets")
+    return tuple(D.class_map[D.class_map >= 0].astype(np.int64) for D in (D1, D2))
 
 
 def refines(D1: Decomposition, D2: Decomposition, tol: float = 0.0) -> bool:
@@ -663,17 +674,20 @@ def refines(D1: Decomposition, D2: Decomposition, tol: float = 0.0) -> bool:
     With tol > 0, containment is relaxed: a D1 class may spill outside its
     D2 class as long as every cell center stays within tol of it.
     """
-    _same_cells(D1, D2)
+    ids1, ids2 = _same_cells(D1, D2)
+    n2 = len(D2.classes) + 1
+    pairs = np.unique(ids1 * n2 + ids2)
+    owner = pairs // n2
+    split = np.flatnonzero(np.bincount(owner, minlength=len(D1.classes)) > 1)
+    if len(split) and tol <= 0:
+        return False
     s = D1.level.cell_size
-    for c in D1.classes:
-        ids2 = np.unique([D2.class_of(int(i), int(j)) for i, j in c.cells])
-        if len(ids2) == 1:
-            continue
-        if tol <= 0:
-            return False
+    bounds = np.searchsorted(owner, np.arange(len(D1.classes) + 1))
+    for c1 in split.tolist():
+        c = D1.classes[c1]
         ok = False
         pts = (c.cells.astype(np.float64) + 0.5) * s
-        for cand in ids2:
+        for cand in pairs[bounds[c1]:bounds[c1 + 1]] % n2:
             host = (D2.classes[int(cand)].cells.astype(np.float64) + 0.5) * s
             d = cKDTree(host).query(pts)[0]
             if (d <= tol + 1e-9).all():
@@ -686,10 +700,7 @@ def refines(D1: Decomposition, D2: Decomposition, tol: float = 0.0) -> bool:
 
 def common_refinement(D1: Decomposition, D2: Decomposition) -> Decomposition:
     """Classes are the nonempty pairwise intersections of D1 and D2 classes."""
-    _same_cells(D1, D2)
-    cells = D1.cells()
-    id1 = np.array([D1.class_of(int(i), int(j)) for i, j in cells], dtype=np.int64)
-    id2 = np.array([D2.class_of(int(i), int(j)) for i, j in cells], dtype=np.int64)
-    keys = id1 * (len(D2.classes) + 1) + id2
-    K = GridCompactum.from_cells(D1.level, cells)
+    ids1, ids2 = _same_cells(D1, D2)
+    keys = ids1 * (len(D2.classes) + 1) + ids2
+    K = GridCompactum.from_cells(D1.level, D1.cells())
     return _partition_from_ids(K, K.cells(), keys)

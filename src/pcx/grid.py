@@ -171,14 +171,18 @@ def _cells_of(mask: np.ndarray, origin: tuple[int, int]) -> Cells:
     return np.stack([is_ + origin[0], js + origin[1]], axis=1).astype(np.int64)
 
 
+def _group(keys: np.ndarray, n: int, cells: Cells) -> tuple[Cells, np.ndarray]:
+    """The cells ordered by key 0..n-1, input order kept inside a key, and
+    the n + 1 bounds of the groups."""
+    order = np.argsort(keys, kind="stable")
+    return cells[order], np.searchsorted(keys[order], np.arange(n + 1))
+
+
 def _cells_by_label(labels: np.ndarray, n: int,
                     origin: tuple[int, int]) -> list[Cells]:
     """Cells of each label id 0..n-1 (-1 is background), row-major within an id."""
     fg = labels >= 0
-    lab = labels[fg]
-    order = np.argsort(lab, kind="stable")  # keeps row-major order inside ids
-    cells = _cells_of(fg, origin)[order]
-    bounds = np.searchsorted(lab[order], np.arange(n + 1))
+    cells, bounds = _group(labels[fg], n, _cells_of(fg, origin))
     return [cells[bounds[k]:bounds[k + 1]] for k in range(n)]
 
 
@@ -383,16 +387,19 @@ def _label_mask(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, int]:
 
 def _metas_from_labels(labels: np.ndarray, n: int, origin: tuple[int, int],
                        level: Level) -> tuple[ComponentMeta, ...]:
-    metas = []
+    if n == 0:
+        return ()
+    fg = labels >= 0
+    cells, bounds = _group(labels[fg], n, _cells_of(fg, origin))
+    bbox = np.concatenate([np.minimum.reduceat(cells, bounds[:-1]),
+                           np.maximum.reduceat(cells, bounds[:-1])], axis=1)
     frame = (origin[0], origin[1], origin[0] + labels.shape[1] - 1,
              origin[1] + labels.shape[0] - 1)
-    for cid, cells in enumerate(_cells_by_label(labels, n, origin)):
-        bbox = (int(cells[:, 0].min()), int(cells[:, 1].min()),
-                int(cells[:, 0].max()), int(cells[:, 1].max()))
-        touches = any(a == b for a, b in zip(bbox, frame))
-        metas.append(ComponentMeta(cid, len(cells), bbox,
-                                   diameter(cells, level.cell_size), touches))
-    return tuple(metas)
+    touches = (bbox == frame).any(axis=1).tolist()
+    diams = diameters(cells, bounds, level.cell_size).tolist()
+    return tuple(ComponentMeta(cid, size, tuple(box), diams[cid], touches[cid])
+                 for cid, (size, box) in enumerate(zip(np.diff(bounds).tolist(),
+                                                       bbox.tolist())))
 
 
 def label_components(K: GridCompactum, connectivity: int = 8) -> ComponentLabeling:
@@ -443,7 +450,8 @@ def hausdorff_distance(a: Cells, b: Cells, cell_size: float) -> float:
 
 
 def diameter(a: Cells, cell_size: float) -> float:
-    """Max pairwise distance over cell-box corner extremes, scene units."""
+    """Max pairwise distance over cell-box corner extremes, scene units.
+    Agrees bit for bit with `diameters`, which batches it over many groups."""
     a = _as_cells(a)
     if len(a) == 0:
         raise GridError("diameter of an empty cell set")
@@ -469,6 +477,40 @@ def diameter(a: Cells, cell_size: float) -> float:
             pass  # collinear clouds: brute force below is still exact
     diff = corners[:, None, :] - corners[None, :, :]
     return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+
+
+_PAIR_CELLS = 64  # largest group `diameters` measures pairwise
+_PAIR_CHUNK = 1 << 16  # cell pairs per batch of such groups
+
+
+def diameters(cells: Cells, bounds: np.ndarray, cell_size: float) -> np.ndarray:
+    """diameter() of every group cells[bounds[k]:bounds[k+1]], bit for bit.
+
+    Small groups are bucketed by size and measured together: per axis, the
+    farthest corners of cells a and b lie max(|hi_a - lo_b|, |hi_b - lo_a|)
+    apart, with lo = c*s and hi = (c+1.0)*s the floats diameter() builds.
+    Subtraction, squaring and sqrt are monotone, so the largest pair is the
+    same number.  Larger groups go through diameter() itself."""
+    cells = _as_cells(cells)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    sizes = np.diff(bounds)
+    if (sizes <= 0).any():
+        raise GridError("diameter of an empty cell set")
+    lo, hi = cells * cell_size, (cells + 1.0) * cell_size
+    out = np.empty(len(sizes))
+    for m in np.unique(sizes).tolist():
+        ks = np.flatnonzero(sizes == m)
+        if m > _PAIR_CELLS:
+            out[ks] = [diameter(cells[bounds[k]:bounds[k + 1]], cell_size) for k in ks]
+            continue
+        step = max(1, _PAIR_CHUNK // (m * m))
+        for c in range(0, len(ks), step):
+            idx = bounds[ks[c:c + step]][:, None] + np.arange(m)
+            l, h = lo[idx], hi[idx]  # (g, m, 2); pairs broadcast to (g, m, m, 2)
+            d = np.maximum(np.abs(h[:, :, None] - l[:, None]),
+                           np.abs(h[:, None] - l[:, :, None]))
+            out[ks[c:c + step]] = np.sqrt((d ** 2).sum(axis=3)).max(axis=(1, 2))
+    return out
 
 
 # The 8 grid isometries about the scene origin, as integer matrices acting on

@@ -16,6 +16,7 @@ from pcx import (
     common_refinement,
     contract_degree_two,
     decompose,
+    diameter,
     is_simple_path,
     label_components,
     make_spec,
@@ -28,7 +29,7 @@ from pcx import (
     sort_cells,
 )
 
-from conftest import cells_from_art, grid_from_art
+from conftest import bfs_components, cells_from_art, grid_from_art
 
 LVL = Level(6, 2)
 S = LVL.cell_size
@@ -136,6 +137,54 @@ def test_closure_is_a_partition(cells, data):
     # every merge set landed inside one class
     for ms in merge_sets:
         assert len({D.class_of(*c) for c in map(tuple, ms.tolist())}) == 1
+
+
+def bfs_classes(cells: np.ndarray, merge_sets) -> set[frozenset]:
+    """Classes by breadth-first search over cells joined through merge sets."""
+    adj = {c: set() for c in map(tuple, cells.tolist())}
+    for ms in merge_sets:
+        members = set(map(tuple, ms.tolist()))
+        for c in members:
+            adj[c] |= members
+    classes, seen = set(), set()
+    for start in adj:
+        if start in seen:
+            continue
+        comp, todo = {start}, [start]
+        while todo:
+            for nb in adj[todo.pop()] - comp:
+                comp.add(nb)
+                todo.append(nb)
+        seen |= comp
+        classes.add(frozenset(comp))
+    return classes
+
+
+merge_cells = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                       min_size=1, max_size=30, unique=True)
+
+
+@given(merge_cells, st.data())
+def test_closure_matches_bfs_classes(cells, data):
+    """Random merge sets, repeated cells and one-cell sets included."""
+    cells = sort_cells(np.array(cells, dtype=np.int64))
+    K = GridCompactum.from_cells(LVL, cells)
+    picks = data.draw(st.lists(st.lists(st.integers(0, len(cells) - 1),
+                                        min_size=1, max_size=6), max_size=12))
+    merge_sets = tuple(cells[p] for p in picks)
+    D = close_equivalence(K, RelationSeed(LVL, merge_sets))
+    assert classes_as_sets(D) == bfs_classes(cells, merge_sets)
+    reps = [(j, i) for i, j in (c.representative for c in D.classes)]
+    assert reps == sorted(reps)  # ids ascend with the smallest row-major cell
+
+
+def test_closure_rejects_empty_and_stray_merge_sets():
+    K = grid_from_art("#.#", level=LVL)
+    one = np.array([[0, 0]], dtype=np.int64)
+    for bad in (np.zeros((0, 2), dtype=np.int64), np.array([[1, 0]]),
+                np.array([[2, 0], [9, 0]]), np.array([[0, -1]])):
+        with pytest.raises(GridError):
+            close_equivalence(K, RelationSeed(LVL, (one, bad)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +318,30 @@ def test_common_refinement():
     assert classes_as_sets(again) == classes_as_sets(ab)
 
 
+@given(merge_cells, st.data())
+def test_refines_and_common_refinement_match_per_cell_lookup(cells, data):
+    cells = sort_cells(np.array(cells, dtype=np.int64))
+    K = GridCompactum.from_cells(LVL, cells)
+
+    def draw_decomposition():
+        picks = data.draw(st.lists(st.lists(st.integers(0, len(cells) - 1),
+                                            min_size=1, max_size=4), max_size=8))
+        return close_equivalence(K, RelationSeed(LVL, tuple(cells[p] for p in picks)))
+
+    D1, D2 = draw_decomposition(), draw_decomposition()
+    pairs = {(D1.class_of(i, j), D2.class_of(i, j)) for i, j in cells.tolist()}
+    assert refines(D1, D2) == (len(pairs) == len(D1.classes))
+    assert len(common_refinement(D1, D2).classes) == len(pairs)
+    tol = data.draw(st.sampled_from([0.5 * S, 1.5 * S, 3.0 * S]))
+    want = True
+    for c in D1.classes:
+        hosts = sorted({D2.class_of(i, j) for i, j in c.cells.tolist()})
+        if len(hosts) > 1:
+            want &= any(all(min(np.hypot(*(a - b)) for b in D2.classes[h].cells) * S
+                            <= tol + 1e-9 for a in c.cells) for h in hosts)
+    assert refines(D1, D2, tol=tol) == want
+
+
 # ---------------------------------------------------------------------------
 # quotient graphs
 
@@ -353,6 +426,50 @@ def test_monotone_check_flags_disconnected_class():
     assert not rep.all_connected
     assert rep.disconnected_ids == (0,)
     assert not rep.ok
+    # the class skips its middle cell inside one piece of K
+    K = grid_from_art("###", level=LVL)
+    D = close_equivalence(K, seed)
+    assert monotone_check(K, D).disconnected_ids == (0,)
+
+
+@given(merge_cells, st.data())
+def test_quotient_and_monotone_match_brute_force(cells, data):
+    cells = sort_cells(np.array(cells, dtype=np.int64))
+    K = GridCompactum.from_cells(LVL, cells)
+    picks = data.draw(st.lists(st.lists(st.integers(0, len(cells) - 1),
+                                        min_size=1, max_size=4), max_size=8))
+    D = close_equivalence(K, RelationSeed(LVL, tuple(cells[p] for p in picks)))
+    rep = monotone_check(K, D)
+    assert rep.disconnected_ids == tuple(
+        c.id for c in D.classes if len(bfs_components(c.cells, 8)) > 1)
+    assert rep.compactum_components == len(bfs_components(cells, 8))
+    # quotient components: unions of classes that 8-touch, i.e. K's pieces
+    # glued by classes spanning them
+    G = quotient_graph(K, D)
+    assert rep.quotient_components == len(G.components)
+    cls = {c: D.class_of(*c) for c in map(tuple, cells.tolist())}
+    assert list(G.edges) == sorted(
+        {(min(x, y), max(x, y)) for (i, j), x in cls.items()
+         for di in (-1, 0, 1) for dj in (-1, 0, 1)
+         if (y := cls.get((i + di, j + dj), x)) != x})
+    assert G.component_diameters == tuple(
+        diameter(np.concatenate([D.classes[c].cells for c in comp]), S)
+        for comp in G.components)
+    glued = bfs_classes(cells, [np.array(sorted(p), dtype=np.int64) for p in
+                                bfs_components(cells, 8)] + [c.cells for c in D.classes])
+    assert {frozenset(x for c in comp for x in map(tuple, D.classes[c].cells.tolist()))
+            for comp in G.components} == glued
+    firsts = [min(comp) for comp in G.components]
+    assert firsts == sorted(firsts)
+
+
+def test_quotient_and_monotone_of_an_empty_raster():
+    K = GridCompactum.from_cells(LVL, np.zeros((0, 2), dtype=np.int64))
+    D = close_equivalence(K, all_singleton_seed(K))
+    G = quotient_graph(K, D)
+    assert G.nodes == G.edges == G.components == G.component_diameters == ()
+    rep = monotone_check(K, D)
+    assert rep.ok and rep.quotient_components == rep.compactum_components == 0
 
 
 def test_peano_check_on_comb():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import pcx.grid as pcx_grid
+
 from pcx import (
     Box,
     DepthExceeded,
@@ -18,6 +20,7 @@ from pcx import (
     complement_components,
     decompose,
     diameter,
+    diameters,
     hausdorff_distance,
     inverse_transform,
     label_components,
@@ -288,6 +291,31 @@ def test_diameter_matches_brute_force(cells):
     cells = np.array(cells[:25], dtype=np.int64)
     s = Level(5, 2).cell_size
     assert diameter(cells, s) == pytest.approx(brute_diameter(cells, s), abs=1e-12)
+
+
+_PAIR_CELLS = pcx_grid._PAIR_CELLS  # groups above it take diameter()'s hull
+
+
+@given(st.lists(st.lists(st.tuples(st.integers(-90, 90), st.integers(-90, 90)),
+                         min_size=1, max_size=2 * _PAIR_CELLS + 8, unique=True),
+                min_size=1, max_size=6),
+       st.sampled_from([Level(1, 2), Level(5, 2), Level(9, 2),
+                        Level(1, 3), Level(4, 3), Level(7, 3)]))
+@example([[(0, 0)], [(i, -i // 3) for i in range(-40, _PAIR_CELLS - 40)],
+          [(i, 7) for i in range(-60, _PAIR_CELLS - 59)]], Level(4, 3))
+def test_diameters_equal_diameter_bit_for_bit(groups, level):
+    s = level.cell_size
+    cells = np.concatenate([np.array(g, dtype=np.int64) for g in groups])
+    bounds = np.cumsum([0] + [len(g) for g in groups])
+    want = [diameter(np.array(g, dtype=np.int64), s) for g in groups]
+    assert diameters(cells, bounds, s).tolist() == want  # ==, not approx
+
+
+def test_diameters_of_no_groups_and_empty_groups():
+    one = np.array([[0, 0]], dtype=np.int64)
+    assert diameters(one[:0], [0], 0.5).shape == (0,)
+    with pytest.raises(GridError):
+        diameters(one, [0, 0, 1], 0.5)
 
 
 @given(cell_lists, cell_lists)
