@@ -22,9 +22,8 @@ byte-identical.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -35,7 +34,7 @@ from .grid import (Box, Cells, GridCompactum, GridError, Level, SetSpec,
                    _as_cells, _cells_by_label, _cells_of, _group, _label_mask,
                    _mask_of, _slab, diameters, max_level, rasterize)
 from .schoenflies import (RectAnnulus, Region, Strip, _band_strips,
-                          _limit_cells, _near_cells,
+                          _limit_cells, _near_cells, _RegionData,
                           _region_core, _single_linkage, _support,
                           _strictly_increasing_tail)
 
@@ -210,6 +209,52 @@ def _islands(cells: Cells) -> list[Cells]:
     return _cells_by_label(labels, n, origin)
 
 
+def _deep_children(core: _RegionData, dcore: _RegionData, factor: int,
+                   full: np.ndarray | None
+                   ) -> tuple[dict[int, list[int]], Callable[[], list[Cells]]]:
+    """Per coarse label id, the ascending ids of the deep units under it,
+    counted on the label images alone; and a function that builds the cells
+    of every unit (row-major), for when some piece passes the gate.
+
+    An annulus ring cuts a curve threading its hole into two crossing pieces,
+    but for fragment identity the curve is one object (else one arc vouches
+    for itself twice), so pieces whose first cells share a label of `full`,
+    the whole deep window, fuse into one unit; strips pass None.  A piece's
+    parents stay 8-connected inside the region, hence in one coarse piece, so
+    each piece counts its unit under the coarse piece holding the parent of
+    its first cell; a fused unit, whose halves reconnect through the hole,
+    can count under several.
+    """
+    flat = dcore.labels.ravel()
+    fg = np.flatnonzero(flat >= 0)
+    lab = flat[fg]
+    # ids run in first-encounter order, so the running max of the foreground
+    # labels first reaches id k at id k's first pixel
+    ids = np.asarray(dcore.crossing, dtype=np.int64)
+    first = fg[np.searchsorted(np.maximum.accumulate(lab), ids)]
+    unit = np.arange(len(ids)) if full is None else _canonical(full.ravel()[first])[0]
+    W, (nj, ni), (oi, oj) = dcore.labels.shape[1], core.labels.shape, dcore.origin
+    ii = (first % W + oi) // factor - core.origin[0]
+    jj = (first // W + oj) // factor - core.origin[1]
+    ok = (0 <= ii) & (ii < ni) & (0 <= jj) & (jj < nj)
+    cids, uids = core.labels[jj[ok], ii[ok]].astype(np.int64), unit[ok]
+    pairs = np.unique(cids[cids >= 0] * len(ids) + uids[cids >= 0])
+    cid_of, uid_of = np.divmod(pairs, len(ids))
+    c, at = np.unique(cid_of, return_index=True)
+    children = dict(zip(c.tolist(), (u.tolist() for u in np.split(uid_of, at[1:]))))
+
+    def unit_cells() -> list[Cells]:
+        unit_of = np.full(dcore.n, -1, dtype=np.int64)
+        unit_of[ids] = unit
+        pix_unit = unit_of[lab]
+        n_units = int(unit.max()) + 1
+        at, bounds = _group(pix_unit[pix_unit >= 0], n_units, fg[pix_unit >= 0])
+        j, i = np.divmod(at, W)
+        cells = np.stack([i + oi, j + oj], axis=1)
+        return [cells[bounds[k]:bounds[k + 1]] for k in range(n_units)]
+    return children, unit_cells
+
+
 def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
                          jobs: int = 1) -> RelationSeed:
     """Merge sets witnessing accumulation of crossing components.
@@ -220,10 +265,14 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
     Additionally, any single crossing component that splits into >=
     deep_children distinct fragments of the same region deep_levels finer
     emits its fracture locus: the cells touched by at least two fragments
-    within delta, one connected patch per merge set.  Both routes need
-    K.source when they refine; without a source the same-level route runs
-    unfiltered and deep splitting is off.  Regions are seeded serially in
-    family order; `jobs` is accepted and has no effect.
+    within delta, one connected patch per merge set.  The deep split is
+    gated in order: the region's deep crossing ids (>= deep_children), then
+    each coarse piece's deep units, counted on the label images; cell lists
+    are built only for the pieces that pass (and, for the same-level route,
+    only with >= n_min crossing ids).  Both routes need K.source when they
+    refine; without a source the same-level route runs unfiltered and deep
+    splitting is off.  Regions are seeded serially in family order; `jobs`
+    is accepted and has no effect.
     """
     params = params or RelationParams()
     if K.is_empty:
@@ -281,14 +330,12 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
         core = _region_core(K, region, "intersection")
         if not core.crossing:
             return out
-        cells_of = core.crossing_cells()
+        cells_of = core.crossing_cells() if len(core.crossing) >= params.n_min else None
 
         # same-level accumulation: big clusters glue their limit cells; with
         # fewer crossing ids than n_min no group can reach the gate
-        gated = []
-        if len(cells_of) >= params.n_min:
-            gated = [g for g in _single_linkage(cells_of, delta, s)
-                     if len(g) >= params.n_min]
+        gated = [] if cells_of is None else \
+            [g for g in _single_linkage(cells_of, delta, s) if len(g) >= params.n_min]
         if gated:
             candidates = _near_cells(kcells, core, delta, s)
             for group in gated:
@@ -303,68 +350,32 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
         # components is an accumulation witness.  Glue its approximate limit
         # (coarse cells supported by enough deep pieces), not the whole coarse
         # component, which can also hold well-resolved geometry that merely
-        # touches the blob at this resolution.
-        if deep is not None:
-            dcore = _region_core(deep, region, "intersection")
-            if dcore.crossing:
-                dcells = dcore.crossing_cells()
-                # an annulus ring cuts a curve threading the hole into two
-                # crossing pieces (one per side).  That is the right crossing
-                # count, but for fragment identity the curve is one object:
-                # fuse pieces that connect through the window's full slab, or
-                # one arc would vouch for itself twice near its portals.
-                if isinstance(region, RectAnnulus):
-                    (foi, foj, foi1, foj1), _ = region.snapped_rects(deep.level)
-                    full = _label_mask(_slab(deep, foi, foj, foi1, foj1), 8)[0]
-                    byfull: dict[int, list[int]] = defaultdict(list)
-                    for did in dcore.crossing:
-                        fi, fj = dcells[did][0]
-                        byfull[int(full[int(fj) - foj, int(fi) - foi])].append(did)
-                    groups = list(byfull.values())
-                    units = [dcells[g[0]] if len(g) == 1 else
-                             np.concatenate([dcells[d] for d in g]) for g in groups]
-                    fused = [len(g) > 1 for g in groups]
-                else:
-                    units = [dcells[did] for did in dcore.crossing]
-                    fused = [False] * len(units)
-                children: dict[int, list[int]] = defaultdict(list)
-                oi, oj = core.origin
-                nj, ni = core.labels.shape
-                for uid, ucells in enumerate(units):
-                    if fused[uid]:
-                        # a fused unit can surface in several coarse pieces
-                        # (its halves reconnect through the masked-out hole),
-                        # so it counts under every piece its parents meet
-                        par = ucells // factor
-                        ii, jj = par[:, 0] - oi, par[:, 1] - oj
-                        ok = (0 <= ii) & (ii < ni) & (0 <= jj) & (jj < nj)
-                        cids = np.unique(core.labels[jj[ok], ii[ok]])
-                    else:
-                        # one fragment: its parents stay 8-connected inside
-                        # the region, hence inside one coarse piece
-                        pi, pj = ucells[0] // factor
-                        ii, jj = int(pi) - oi, int(pj) - oj
-                        cids = (core.labels[jj, ii],) \
-                            if 0 <= jj < nj and 0 <= ii < ni else ()
-                    for cid in cids:
-                        if cid >= 0:
-                            children[int(cid)].append(uid)
-                sd = deep.level.cell_size
-                for cid in core.crossing:
-                    kids = children.get(cid, ())
-                    if len(kids) < params.deep_children:
-                        continue
-                    acc = _support(cells_of[cid], s,
-                                   [(units[uid], sd) for uid in kids], delta)
-                    # >= deep_children pieces witness the split globally; a
-                    # cell sits on the fracture locus when at least two of
-                    # the fragments meet it within delta (a transversal
-                    # through a split point only ever shows two local sides).
-                    # Each connected patch of that locus stands for its own
-                    # limit continuum, so patches are related separately.
-                    limit = cells_of[cid][acc >= 2]
-                    if len(limit):
-                        out.extend(_islands(limit))
+        # touches the blob at this resolution.  A piece counts a unit once and
+        # units never outnumber deep crossing ids: too few ids, no witness.
+        dcore = None if deep is None else _region_core(deep, region, "intersection")
+        if dcore is None or len(dcore.crossing) < params.deep_children:
+            return out
+        full = _label_mask(_slab(deep, *region.snapped_rects(deep.level)[0]), 8)[0] \
+            if isinstance(region, RectAnnulus) else None
+        children, unit_cells = _deep_children(core, dcore, factor, full)
+        passing = [cid for cid in core.crossing
+                   if len(children.get(cid, ())) >= params.deep_children]
+        if not passing:
+            return out
+        cells_of, units = cells_of or core.crossing_cells(), unit_cells()
+        sd = deep.level.cell_size
+        for cid in passing:
+            acc = _support(cells_of[cid], s,
+                           [(units[uid], sd) for uid in children[cid]], delta)
+            # >= deep_children pieces witness the split globally; a cell
+            # sits on the fracture locus when at least two of the fragments
+            # meet it within delta (a transversal through a split point only
+            # ever shows two local sides).  Each connected patch of that
+            # locus stands for its own limit continuum, so patches are
+            # related separately.
+            limit = cells_of[cid][acc >= 2]
+            if len(limit):
+                out.extend(_islands(limit))
         return out
 
     merge_sets = tuple(ms for region in regions for ms in seeds_for(region))
@@ -411,9 +422,6 @@ def close_equivalence(K: GridCompactum, seed: RelationSeed) -> Decomposition:
         raise GridError("seed level does not match the raster")
     cells = K.cells()
     n = len(cells)
-    if n == 0:
-        return Decomposition(K.level, K.origin,
-                             np.full(K.mask.shape, -1, dtype=np.int32), ())
     sets = [_as_cells(ms) for ms in seed.merge_sets]
     sizes = np.array([len(ms) for ms in sets], dtype=np.int64)
     if (sizes == 0).any():
@@ -427,6 +435,9 @@ def close_equivalence(K: GridCompactum, seed: RelationSeed) -> Decomposition:
     idxs = index[jj[ok], ii[ok]]
     if not ok.all() or (idxs < 0).any():
         raise GridError("merge set cell outside K")
+    if n == 0:
+        return Decomposition(K.level, K.origin,
+                             np.full(K.mask.shape, -1, dtype=np.int32), ())
     # a star per merge set: its first cell joined to each of its cells
     hubs = np.repeat(idxs[np.cumsum(sizes) - sizes], sizes)
     return _partition_from_ids(K, cells, _components(n, hubs, idxs)[1])

@@ -369,8 +369,9 @@ def _label_mask(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, int]:
     if connectivity not in (4, 8):
         raise GridError(f"connectivity must be 4 or 8, got {connectivity}")
     struct = _STRUCT_8 if connectivity == 8 else _STRUCT_4
-    raw, n = ndimage.label(mask, structure=struct)
-    labels = raw.astype(np.int32) - 1  # background -> -1, ids 0-based
+    labels = np.empty(mask.shape, dtype=np.int32)
+    n = ndimage.label(mask, structure=struct, output=labels)
+    labels -= 1  # background -> -1, ids 0-based
     if n == 0:
         return labels, 0
     # scipy assigns ids in scan order already, but renumber by first-encounter

@@ -29,6 +29,10 @@ from pcx import (
     sort_cells,
 )
 
+from pcx.decomposition import _annulus_family, _deep_children, _strip_family
+from pcx.grid import _label_mask, _slab
+from pcx.schoenflies import RectAnnulus, _region_core
+
 from conftest import bfs_components, cells_from_art, grid_from_art
 
 LVL = Level(6, 2)
@@ -185,6 +189,93 @@ def test_closure_rejects_empty_and_stray_merge_sets():
                 np.array([[2, 0], [9, 0]]), np.array([[0, -1]])):
         with pytest.raises(GridError):
             close_equivalence(K, RelationSeed(LVL, (one, bad)))
+    # an empty K admits no merge set, empty or not
+    E = GridCompactum.from_cells(LVL, np.zeros((0, 2), dtype=np.int64))
+    for bad in (np.zeros((0, 2), dtype=np.int64), np.array([[5, 5]])):
+        with pytest.raises(GridError):
+            close_equivalence(E, RelationSeed(LVL, (bad,)))
+    assert close_equivalence(E, RelationSeed(LVL, ())).classes == ()
+
+
+# ---------------------------------------------------------------------------
+# deep-split child count on label images vs the cell-list count
+
+def reference_deep_children(core, dcore, factor, full):
+    """The count made from per-piece cell lists: the deep crossing ids of each
+    unit (fused by the `full` label at their first cells), and per coarse
+    label id the units whose parents (every parent for a fused unit, the
+    first cell's for the rest) lie in it."""
+    dcells = dcore.crossing_cells()
+    groups: dict[int, list[int]] = {}
+    for did in dcore.crossing:
+        fi, fj = dcells[did][0]
+        key = did if full is None else \
+            int(full[fj - dcore.origin[1], fi - dcore.origin[0]])
+        groups.setdefault(key, []).append(did)
+    children: dict[int, list[int]] = {}
+    nj, ni = core.labels.shape
+    for uid, g in enumerate(groups.values()):
+        cells = np.concatenate([dcells[d] for d in g]) if len(g) > 1 \
+            else dcells[g[0]][:1]
+        cids = set()
+        for pi, pj in (cells // factor).tolist():
+            ii, jj = pi - core.origin[0], pj - core.origin[1]
+            if 0 <= ii < ni and 0 <= jj < nj and core.labels[jj, ii] >= 0:
+                cids.add(int(core.labels[jj, ii]))
+        for cid in cids:
+            children.setdefault(cid, []).append(uid)
+    return list(groups.values()), children
+
+
+DEEP_CORPUS = [(GeneratorParams("cantor_comb"), 3),
+               (GeneratorParams("spiral_disk", t_max=6.0), 4),
+               (GeneratorParams("topologist_sine"), 5),
+               (GeneratorParams("sierpinski_carpet"), 2),
+               (GeneratorParams("bars"), 4)]
+
+
+@pytest.mark.parametrize("family", ["strips", "annuli"])
+def test_deep_children_match_cell_list_count(family):
+    counted = fused = spread = 0
+    for gp, n in DEEP_CORPUS:
+        spec = make_spec(gp)
+        K = rasterize(spec, Level(n, spec.base))
+        deep = rasterize(spec, Level(n + 3, spec.base))
+        factor = spec.base ** 3
+        regions = _strip_family(K) if family == "strips" else _annulus_family(K, 8)
+        for region in regions:
+            core = _region_core(K, region, "intersection")
+            dcore = _region_core(deep, region, "intersection")
+            if not dcore.crossing:
+                continue
+            full = None
+            if isinstance(region, RectAnnulus):
+                (i0, j0, i1, j1), _ = region.snapped_rects(deep.level)
+                full = _label_mask(_slab(deep, i0, j0, i1, j1), 8)[0]
+            children, unit_cells = _deep_children(core, dcore, factor, full)
+            groups, want_children = reference_deep_children(core, dcore, factor, full)
+            assert children == want_children
+            dcells = dcore.crossing_cells()
+            units = unit_cells()
+            assert len(units) == len(groups)
+            for cells, g in zip(units, groups):
+                want = sort_cells(np.concatenate([dcells[d] for d in g]))
+                assert np.array_equal(cells, want)
+            counted += 1
+            fused += sum(len(g) > 1 for g in groups)
+            spread += sum(len(g) > 1 and sum(uid in us for us in children.values()) > 1
+                          for uid, g in enumerate(groups))
+            # the count takes each piece by its first cell only: every parent
+            # of a deep crossing piece lies in that cell's coarse piece
+            for did in dcore.crossing:
+                ii, jj = (dcells[did] // factor - core.origin).T
+                assert ((0 <= ii) & (ii < core.labels.shape[1])
+                        & (0 <= jj) & (jj < core.labels.shape[0])).all()
+                ids = core.labels[jj, ii]
+                assert (ids == ids[0]).all() and ids[0] >= 0
+    assert counted > 0
+    # annuli fuse pieces, and some fused unit counts under two coarse pieces
+    assert (fused > 0) == (spread > 0) == (family == "annuli")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 import pcx.grid as pcx_grid
 
@@ -238,6 +240,56 @@ def test_label_components_matches_bfs(cells, connectivity):
         key=min,
     )
     assert got == bfs_components(cells, connectivity)
+
+
+def remapped_labels(mask, connectivity):
+    """scipy's labels renumbered 0.. by first row-major position (background
+    -1): the canonical numbering, made without trusting scipy's order."""
+    struct = np.ones((3, 3), bool) if connectivity == 8 else \
+        np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], bool)
+    raw, n = ndimage.label(mask, structure=struct)
+    flat = raw.ravel().astype(np.int64) - 1
+    fg = np.nonzero(flat >= 0)[0]
+    first = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(first, flat[fg], fg)
+    remap = np.empty(n, dtype=np.int64)
+    remap[np.argsort(first, kind="stable")] = np.arange(n)
+    flat[fg] = remap[flat[fg]]
+    return flat.reshape(mask.shape), n
+
+
+@given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0,
+                                         max_side=24)),
+       st.sampled_from([4, 8]))
+def test_label_mask_ids_in_first_encounter_order(mask, connectivity):
+    labels, n = pcx_grid._label_mask(mask, connectivity)
+    want, want_n = remapped_labels(mask, connectivity)
+    assert labels.dtype == np.int32 and n == want_n
+    assert np.array_equal(labels, want)
+    ids = labels.ravel()[labels.ravel() >= 0]
+    _, first = np.unique(ids, return_index=True)
+    assert np.array_equal(ids[np.sort(first)], np.arange(n))
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_label_mask_renumbers_permuted_ids(monkeypatch, connectivity):
+    """When the labeller numbers components out of scan order, the
+    renumbering still returns the canonical ids."""
+    mask = np.zeros((7, 9), dtype=bool)
+    mask[[0, 0, 2, 3, 3, 5, 6, 6], [1, 7, 4, 0, 8, 2, 5, 6]] = True
+    want, n = remapped_labels(mask, connectivity)
+    assert n >= 3
+    real = ndimage.label
+
+    def reversed_ids(mask, structure=None, output=None):
+        k = real(mask, structure=structure, output=output)
+        output[output > 0] = k + 1 - output[output > 0]
+        return k
+
+    monkeypatch.setattr(pcx_grid.ndimage, "label", reversed_ids)
+    labels, got_n = pcx_grid._label_mask(mask, connectivity)
+    assert got_n == n
+    assert np.array_equal(labels, want)
 
 
 def test_component_metas_are_consistent():
