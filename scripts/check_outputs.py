@@ -7,11 +7,13 @@ Runs a fixed list of CLI invocations through each checkout's own
 `pcx.cli.run` (one subprocess per checkout, with that checkout's `src` first
 on PYTHONPATH), plus library calls: `crossing_components(...).to_dict()` and
 the cluster limit cells for strips and square annuli in both modes,
-`complement_diameter_scan` of the carpet, and `close_equivalence` of seeded
-random merge sets on the carpet written as decompose JSON (which the CLI then
-compares).  Every output file and exit code is compared byte for byte.
+`complement_diameter_scan` of the carpet, the merge sets of
+`schoenflies_relation` for a few parameter sets (a change in single linkage
+can show there while the closed classes hide it), and `close_equivalence` of
+seeded random merge sets on the carpet written as decompose JSON (which the
+CLI then compares).  Every output file and exit code is compared byte for byte.
 Prints one line per output and exits 0 when all are identical, 1 otherwise.
-Each checkout takes about 30 s on a 2-core machine.
+Each checkout takes about 15 s on a 2-core machine.
 """
 from __future__ import annotations
 
@@ -103,7 +105,7 @@ CASES += [
                          "--jobs", "0"]),
 ]
 LIBRARY_OUTPUTS = ("closure_a.json", "closure_b.json", "complement_scan_carpet.json",
-                   "crossing_components.json")
+                   "crossing_components.json", "relation_seeds.json")
 # rasters for the crossing_components dump: (generator, level)
 CROSSING_RASTERS = (("cantor_comb", 3), ("topologist_sine", 5), ("spiral_disk", 4),
                     ("sierpinski_carpet", 2), ("bars", 4), ("random_blobs", 5))
@@ -135,6 +137,35 @@ def _crossings(out: Path) -> None:
                     rows.append(row)
         doc[f"{gen}_L{n}"] = rows
     (out / "crossing_components.json").write_text(
+        json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+
+
+# merge-set dumps: (name, generator, level, RelationParams fields), with
+# delta in cells.  Four-cell delta on the comb runs the persistence check.
+RELATION_CASES = (
+    ("comb_L3", "cantor_comb", 3, {}),
+    ("comb_L3_nmin3", "cantor_comb", 3,
+     {"n_min": 3, "delta": 3, "annulus_family": "strips-all-offsets"}),
+    ("comb_L3_delta4", "cantor_comb", 3, {"delta": 4}),
+    ("sine_L6", "topologist_sine", 6, {}),
+    ("spiral_L5", "spiral_disk", 5, {}),
+    ("spiral_L5_flags", "spiral_disk", 5,
+     {"annulus_family": "rect-annuli-sampled", "stride": 4, "deep_levels": 2,
+      "deep_children": 2}),
+)
+
+
+def _relation_seeds(out: Path) -> None:
+    from pcx import (GeneratorParams, Level, RelationParams, make_spec, rasterize,
+                     schoenflies_relation)
+    doc = {}
+    for name, gen, n, fields in RELATION_CASES:
+        spec = make_spec(GeneratorParams(gen, t_max=6.0))
+        K = rasterize(spec, Level(n, spec.base))
+        if "delta" in fields:
+            fields = dict(fields, delta=fields["delta"] * K.level.cell_size)
+        doc[name] = schoenflies_relation(K, RelationParams(**fields)).to_dict()
+    (out / "relation_seeds.json").write_text(
         json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -194,6 +225,7 @@ def emit(out: Path) -> None:
         manifest["rc"][name] = run(_argv(argv, out) + ["--out", str(out / name)])
     _complement_scan(out)
     _crossings(out)
+    _relation_seeds(out)
     manifest["seconds"] = round(time.perf_counter() - t0, 1)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 

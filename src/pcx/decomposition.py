@@ -6,8 +6,8 @@ distinct components accumulating on a common limit set: the finite surrogate
 of "infinitely many crossing components".  Two detection routes feed the
 relation:
 
-* same-level clustering: >= n_min crossing components within single-linkage
-  Hausdorff distance delta of each other; their mutual limit cells are glued
+* same-level clustering: a delta-graph component (single linkage at cut
+  delta) of >= n_min crossing components; their mutual limit cells are glued
   (optionally required to persist one level finer);
 * deep splitting (multi-level mode): one crossing component at the working
   level that splinters into >= deep_children distinct fragments of the same
@@ -16,9 +16,9 @@ relation:
   connected patch at a time.  Needs the raster's source spec to refine.
 
 The relation is closed into an equivalence by the connected components of a
-star graph over each merge set (scipy.sparse.csgraph); class ids are
-canonical (ascending by smallest row-major cell), so equal partitions are
-byte-identical.
+star graph over each merge set (the one csgraph routine, grid._components);
+class ids are canonical (ascending by smallest row-major cell), so equal
+partitions are byte-identical.
 """
 from __future__ import annotations
 
@@ -26,13 +26,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .grid import (Box, Cells, GridCompactum, GridError, Level, SetSpec,
-                   _as_cells, _cells_by_label, _cells_of, _group, _label_mask,
-                   _mask_of, _slab, diameters, max_level, rasterize)
+                   _as_cells, _canonical, _cells_by_label, _cells_of,
+                   _components, _group, _label_mask, _mask_of, _slab,
+                   diameters, max_level, rasterize)
 from .schoenflies import (RectAnnulus, Region, Strip, _band_strips,
                           _limit_cells, _near_cells, _RegionData,
                           _region_core, _single_linkage, _support,
@@ -385,20 +384,6 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
 # ---------------------------------------------------------------------------
 # equivalence closure and partitions
 
-def _canonical(raw_ids: np.ndarray) -> tuple[np.ndarray, int]:
-    """Renumber group keys 0..n-1 in order of first occurrence."""
-    _, first, inverse = np.unique(raw_ids, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first, kind="stable")] = np.arange(len(first))
-    return rank[inverse.ravel()], len(first)
-
-
-def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
-    """Connected components of the undirected graph on 0..n-1 with edges a-b."""
-    graph = coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
-    return connected_components(graph, directed=False)
-
-
 def _partition_from_ids(K: GridCompactum, cells: Cells,
                         raw_ids: np.ndarray) -> Decomposition:
     """Canonical Decomposition from per-cell group keys (cells row-major)."""
@@ -543,28 +528,17 @@ def contract_degree_two(nodes: Iterable[int],
 
 def is_simple_path(nodes: Sequence[int],
                    edges: Sequence[tuple[int, int]]) -> bool:
-    """True for a path graph: connected, acyclic, max degree 2."""
-    if len(nodes) == 0:
+    """True for a path graph: connected, acyclic, max degree 2.  A connected
+    graph with one edge fewer than nodes is a tree, and a tree whose degrees
+    are at most 2 is a path."""
+    n = len(nodes)
+    if n == 0 or len(edges) != n - 1:
         return False
-    if len(nodes) == 1:
-        return len(edges) == 0
-    deg: dict[int, int] = {v: 0 for v in nodes}
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-        adj[a].append(b)
-        adj[b].append(a)
-    if len(edges) != len(nodes) - 1 or any(d > 2 for d in deg.values()):
-        return False
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(nodes)
+    index = {v: k for k, v in enumerate(nodes)}
+    a, b = np.array([(index[u], index[v]) for u, v in edges],
+                    dtype=np.int64).reshape(-1, 2).T
+    degree = np.bincount(np.concatenate([a, b]), minlength=n)
+    return bool((degree <= 2).all()) and _components(n, a, b)[0] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import ndimage
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 Cells = np.ndarray  # (N, 2) int64 array of (i, j) lattice coordinates
@@ -159,8 +161,10 @@ def _mask_of(cells: Cells) -> tuple[tuple[int, int], np.ndarray]:
     if len(cells) == 0:
         return (0, 0), np.zeros((0, 0), dtype=bool)
     i0, j0 = int(cells[:, 0].min()), int(cells[:, 1].min())
-    mask = np.zeros((int(cells[:, 1].max()) - j0 + 1,
-                     int(cells[:, 0].max()) - i0 + 1), dtype=bool)
+    h, w = int(cells[:, 1].max()) - j0 + 1, int(cells[:, 0].max()) - i0 + 1
+    if h * w > MAX_RASTER_CELLS:
+        raise GridError(f"cells span {h * w} cells, over the budget of {MAX_RASTER_CELLS}")
+    mask = np.zeros((h, w), dtype=bool)
     mask[cells[:, 1] - j0, cells[:, 0] - i0] = True
     return (i0, j0), mask
 
@@ -176,6 +180,20 @@ def _group(keys: np.ndarray, n: int, cells: Cells) -> tuple[Cells, np.ndarray]:
     the n + 1 bounds of the groups."""
     order = np.argsort(keys, kind="stable")
     return cells[order], np.searchsorted(keys[order], np.arange(n + 1))
+
+
+def _canonical(raw_ids: np.ndarray) -> tuple[np.ndarray, int]:
+    """Renumber group keys 0..n-1 in order of first occurrence."""
+    _, first, inverse = np.unique(raw_ids, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first, kind="stable")] = np.arange(len(first))
+    return rank[inverse.ravel()], len(first)
+
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of the undirected graph on 0..n-1 with edges a-b."""
+    graph = coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    return connected_components(graph, directed=False)
 
 
 def _cells_by_label(labels: np.ndarray, n: int,

@@ -8,7 +8,6 @@ polylines on an offset brick tiling and exact crossing paths in rectangles.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -17,10 +16,11 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .grid import (Box, Cells, ComponentLabeling, GridCompactum, GridError,
-                   Level, SetSpec, WindowError, _as_cells, _cells_by_label,
-                   _cells_of, _label_mask, _mask_of, _metas_from_labels, _slab,
-                   complement_components, hausdorff_distance,
-                   label_components, rasterize, sort_cells, window_cell_range)
+                   Level, SetSpec, WindowError, _as_cells, _canonical,
+                   _cells_by_label, _cells_of, _components, _group,
+                   _label_mask, _mask_of, _metas_from_labels, _slab,
+                   complement_components, label_components, rasterize,
+                   sort_cells, window_cell_range)
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,8 @@ Region = Strip | RectAnnulus
 
 @dataclass(frozen=True, eq=False)
 class Cluster:
-    """Crossing components glued by single-linkage at cut delta, plus the
-    cells supported by at least min(cluster size, n_min) members."""
+    """A connected component of the delta-graph on crossing components (ids
+    ascending), plus the cells supported by >= min(size, n_min) members."""
     ids: tuple[int, ...]
     limit: Cells
 
@@ -210,52 +210,34 @@ def _region_core(K: GridCompactum, region: Region, mode: str) -> _RegionData:
     raise GridError(f"unsupported region {type(region).__name__}")
 
 
-class _UnionFind:
-    """Union-find over 0..n-1; every root is the smallest member of its set."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = np.arange(n, dtype=np.int64)
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return int(x)
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def groups(self) -> list[list[int]]:
-        """Members of each set, ascending; sets ordered by smallest member."""
-        out: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            out.setdefault(self.find(x), []).append(x)
-        return list(out.values())
-
-
 def _single_linkage(cells_of: dict[int, Cells], delta: float,
                     s: float) -> list[list[int]]:
-    """Groups of ids whose cell sets chain together under symmetric Hausdorff
-    distance <= delta.  Box-gap prefilter: the gap between bounding boxes
-    lower-bounds the Hausdorff distance, so distant pairs are never measured."""
+    """Single linkage at cut delta: the connected components of the delta-graph
+    on the ids, which joins two cell sets when every cell of each has a cell
+    of the other within delta (symmetric Hausdorff distance <= delta).  One
+    pair query over all the cells finds those neighbours.  Groups are ordered
+    by their smallest id, members ascending."""
     ids = sorted(cells_of)
-    if not ids:
-        return []
-    lo = np.array([[cells_of[c][:, 0].min(), cells_of[c][:, 1].min()] for c in ids])
-    hi = np.array([[cells_of[c][:, 0].max(), cells_of[c][:, 1].max()] for c in ids])
-    uf = _UnionFind(len(ids))
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            gx = max(0, lo[b, 0] - hi[a, 0] - 1, lo[a, 0] - hi[b, 0] - 1)
-            gy = max(0, lo[b, 1] - hi[a, 1] - 1, lo[a, 1] - hi[b, 1] - 1)
-            if math.hypot(gx, gy) * s > delta + 1e-9 or uf.find(a) == uf.find(b):
-                continue
-            if hausdorff_distance(cells_of[ids[a]], cells_of[ids[b]], s) <= delta + 1e-9:
-                uf.union(a, b)
-    return [[ids[k] for k in group] for group in uf.groups()]
+    if len(ids) < 2:  # nothing to link: spares the pair query on fat pieces
+        return [ids] if ids else []
+    m = len(ids)
+    sizes = np.array([len(cells_of[c]) for c in ids])
+    owner = np.repeat(np.arange(m), sizes)
+    pts = (np.concatenate([cells_of[c] for c in ids]) + 0.5) * s
+    p, q = cKDTree(pts).query_pairs(delta + 1e-9, output_type="ndarray").T
+    p, q = np.concatenate([p, q]), owner[np.concatenate([q, p])]
+    cross = owner[p] != q
+    # each (cell, other set) that has a neighbour there, once
+    cell, other = np.divmod(np.unique(p[cross] * m + q[cross]), m)
+    # (set, other set) pairs in which every cell of the set has one, joined
+    # when that holds both ways
+    pair, hits = np.unique(owner[cell] * m + other, return_counts=True)
+    full = pair[hits == sizes[pair // m]]
+    a, b = np.divmod(full, m)
+    both = np.isin(b * m + a, full)
+    groups, n = _canonical(_components(m, a[both], b[both])[1])
+    members, bounds = _group(groups, n, np.asarray(ids))
+    return [members[bounds[k]:bounds[k + 1]].tolist() for k in range(n)]
 
 
 def _support(cells: Cells, s: float, members: Iterable[tuple[Cells, float]],
@@ -298,8 +280,8 @@ def crossing_components(K: GridCompactum, region: Region,
     mode "intersection" looks at K inside the region with 8-connectivity;
     mode "difference" at the region minus K with 4-connectivity.  A component
     touches a boundary line/rectangle exactly when one of its cell boxes
-    meets it.  Crossing components are then glued by single-linkage Hausdorff
-    clustering at cut delta (default 2 cells).
+    meets it.  Clusters are the connected components of the delta-graph
+    (single linkage at cut delta, default 2 cells), by smallest id.
     """
     s = K.level.cell_size
     if delta is None:

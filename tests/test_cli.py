@@ -233,6 +233,17 @@ def test_compare_rejects_overlapping_classes(tmp_path):
     assert run(["compare", "--a", str(bad), "--b", str(bad)]) == 3
 
 
+def test_compare_refuses_cells_spanning_over_budget(tmp_path, capsys):
+    doc = {"level": 2, "base": 2, "classes": [
+        {"cells": [[0, 0]]}, {"cells": [[10 ** 7, 10 ** 7]]}]}
+    far = tmp_path / "far.json"
+    far.write_text(json.dumps(doc))
+    assert run(["compare", "--a", str(far), "--b", str(far)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pcx: error:") and "budget" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_decompose_text_format(tmp_path):
     out = run_to_file(tmp_path, "d.txt",
                       ["decompose", "--gen", "bars", "--level", "3",

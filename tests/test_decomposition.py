@@ -488,12 +488,22 @@ def test_contract_degree_two_cases():
     assert len(n) == 4
 
 
-def test_is_simple_path_edge_cases():
-    assert is_simple_path([7], [])
-    assert not is_simple_path([], [])
-    assert is_simple_path([1, 2], [(1, 2)])
-    assert not is_simple_path([1, 2, 3], [(1, 2), (2, 3), (1, 3)])  # triangle
-    assert not is_simple_path([1, 2, 3, 4], [(1, 2), (3, 4)])  # disconnected
+@pytest.mark.parametrize("nodes,edges,expected", [
+    ([], [], False),
+    ([7], [], True),
+    ([7], [(7, 7)], False),
+    ([1, 2], [(1, 2)], True),
+    ([5, 9, 12], [(9, 12), (5, 9)], True),  # ids need not be contiguous
+    ([1, 2, 3], [(1, 2), (2, 3), (1, 3)], False),  # triangle
+    ([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (4, 1)], False),  # cycle
+    ([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)], False),  # star, degree 3
+    ([1, 2, 3, 4], [(1, 2), (3, 4)], False),  # too few edges
+    # n - 1 edges and every degree <= 2: only connectivity rejects it
+    ([1, 2, 3, 4], [(1, 2), (2, 3), (1, 3)], False),
+], ids=["empty", "node", "node-loop", "edge", "sparse-ids", "triangle", "cycle",
+        "star", "two-edges", "triangle-and-isolated"])
+def test_is_simple_path_cases(nodes, edges, expected):
+    assert is_simple_path(nodes, edges) is expected
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,14 @@ def test_from_cells_round_trip():
     assert K.contains_cell(3, 5) and not K.contains_cell(1, 1)
 
 
+@pytest.mark.parametrize("far", [(10 ** 7, 10 ** 7), (10 ** 12, 0), (-3, -10 ** 12)])
+def test_from_cells_refuses_spans_over_budget(far):
+    # two cells this far apart would need a mask of 10**12 cells or more
+    cells = np.array([[0, 0], far], dtype=np.int64)
+    with pytest.raises(GridError, match="budget"):
+        GridCompactum.from_cells(Level(4, 2), cells)
+
+
 def test_from_mask_trims_to_content():
     mask = np.zeros((5, 7), dtype=bool)
     mask[2, 3] = True

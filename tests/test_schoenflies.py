@@ -18,6 +18,7 @@ from pcx import (
     crossing_path,
     cut_wire,
     default_strip_family,
+    hausdorff_distance,
     make_spec,
     rasterize,
     schoenflies_scan,
@@ -27,6 +28,7 @@ from pcx import (
     transform_cells,
     label_components,
 )
+from pcx.schoenflies import _single_linkage
 
 from conftest import (
     HAND_PATTERNS,
@@ -144,6 +146,60 @@ def test_crossing_clusters_and_limit_cells():
     assert [c.limit.tolist() for c in rep.clusters] == [
         rows([-2, -1, 1]), rows([1, 3]), rows([3, 5, 6, 7, 8, 10]),
         rows([8, 10, 11, 12, 13, 15]), rows([13, 15, 16])]
+
+
+def _linkage_reference(cells_of, delta, s):
+    """Pairwise Hausdorff <= delta, then BFS from each smallest unvisited id."""
+    ids = sorted(cells_of)
+    near = {a: [b for b in ids if b != a and hausdorff_distance(
+        cells_of[a], cells_of[b], s) <= delta + 1e-9] for a in ids}
+    seen, groups = set(), []
+    for root in ids:
+        if root in seen:
+            continue
+        seen.add(root)
+        group, todo = [], [root]
+        while todo:
+            a = todo.pop()
+            group.append(a)
+            for b in near[a]:
+                if b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        groups.append(sorted(group))
+    return groups
+
+
+linkage_sets = st.dictionaries(
+    st.integers(0, 40),
+    st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+             min_size=1, max_size=8, unique=True),
+    max_size=6)
+
+
+@given(linkage_sets, st.sampled_from([2, 3]), st.integers(0, 5),
+       st.sampled_from([1.0, 2 ** 0.5, 2.0, 5 ** 0.5, 2.5]))
+@settings(max_examples=300, deadline=None)
+def test_single_linkage_matches_pairwise_hausdorff(sets, base, n, cells):
+    # delta on exact lattice distances (1, sqrt 2, 2, sqrt 5 cells) makes ties
+    s = Level(n, base).cell_size
+    cells_of = {cid: np.array(c, dtype=np.int64) for cid, c in sets.items()}
+    groups = _single_linkage(cells_of, cells * s, s)
+    assert groups == _linkage_reference(cells_of, cells * s, s)
+    assert [g[0] for g in groups] == sorted(g[0] for g in groups)
+    assert all(g == sorted(g) for g in groups)
+    assert all(type(c) is int for g in groups for c in g)
+
+
+def test_single_linkage_small_cases():
+    assert _single_linkage({}, 2 * S, S) == []
+    one = {4: np.array([[0, 0], [5, 5]], dtype=np.int64)}
+    assert _single_linkage(one, 2 * S, S) == [[4]]
+    # 7 and 3 lie within delta of each other cell for cell; every cell of 3
+    # has a cell of 1 within delta, but cell (9, 9) of 1 has none of 3
+    cells_of = {7: np.array([[0, 0], [0, 1]]), 3: np.array([[1, 0], [1, 1]]),
+                1: np.array([[2, 0], [2, 1], [9, 9]])}
+    assert _single_linkage(cells_of, S, S) == [[1], [3, 7]]
 
 
 def test_strip_window_must_contain_k():
