@@ -152,6 +152,11 @@ RELATION_CASES = (
     ("spiral_L5_flags", "spiral_disk", 5,
      {"annulus_family": "rect-annuli-sampled", "stride": 4, "deep_levels": 2,
       "deep_children": 2}),
+    # more deep factors for the fracture-locus kernel: 3 and 81 on the comb
+    # (one level deep only passes at deep_children 2), 4 on the sine
+    ("comb_L3_deep1", "cantor_comb", 3, {"deep_levels": 1, "deep_children": 2}),
+    ("comb_L3_deep4", "cantor_comb", 3, {"deep_levels": 4}),
+    ("sine_L6_deep2_delta3", "topologist_sine", 6, {"deep_levels": 2, "delta": 3}),
 )
 
 

@@ -23,17 +23,17 @@ partitions are byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .grid import (Box, Cells, GridCompactum, GridError, Level, SetSpec,
                    _as_cells, _canonical, _cells_by_label, _cells_of,
-                   _components, _group, _label_mask, _mask_of, _slab,
+                   _components, _group, _label_mask, _slab,
                    diameters, max_level, rasterize)
 from .schoenflies import (RectAnnulus, Region, Strip, _band_strips,
-                          _limit_cells, _near_cells, _RegionData,
+                          _limit_cells, _near_cells, _ranges, _RegionData,
                           _region_core, _single_linkage, _support,
                           _strictly_increasing_tail)
 
@@ -201,19 +201,13 @@ def _annulus_family(K: GridCompactum, stride: int) -> list[RectAnnulus]:
 # ---------------------------------------------------------------------------
 # relation seeding
 
-def _islands(cells: Cells) -> list[Cells]:
-    """8-connected pieces of a cell set, each row-major sorted."""
-    origin, mask = _mask_of(cells)
-    labels, n = _label_mask(mask, 8)
-    return _cells_by_label(labels, n, origin)
-
-
 def _deep_children(core: _RegionData, dcore: _RegionData, factor: int,
                    full: np.ndarray | None
-                   ) -> tuple[dict[int, list[int]], Callable[[], list[Cells]]]:
-    """Per coarse label id, the ascending ids of the deep units under it,
-    counted on the label images alone; and a function that builds the cells
-    of every unit (row-major), for when some piece passes the gate.
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (coarse label id, deep unit id) pairs of a deep unit under
+    a coarse piece, sorted and as two arrays, counted on the label images
+    alone; and the unit of every deep label id (-1 for the ids that do not
+    cross), which makes dcore.labels the unit image.
 
     An annulus ring cuts a curve threading its hole into two crossing pieces,
     but for fragment identity the curve is one object (else one arc vouches
@@ -238,20 +232,9 @@ def _deep_children(core: _RegionData, dcore: _RegionData, factor: int,
     ok = (0 <= ii) & (ii < ni) & (0 <= jj) & (jj < nj)
     cids, uids = core.labels[jj[ok], ii[ok]].astype(np.int64), unit[ok]
     pairs = np.unique(cids[cids >= 0] * len(ids) + uids[cids >= 0])
-    cid_of, uid_of = np.divmod(pairs, len(ids))
-    c, at = np.unique(cid_of, return_index=True)
-    children = dict(zip(c.tolist(), (u.tolist() for u in np.split(uid_of, at[1:]))))
-
-    def unit_cells() -> list[Cells]:
-        unit_of = np.full(dcore.n, -1, dtype=np.int64)
-        unit_of[ids] = unit
-        pix_unit = unit_of[lab]
-        n_units = int(unit.max()) + 1
-        at, bounds = _group(pix_unit[pix_unit >= 0], n_units, fg[pix_unit >= 0])
-        j, i = np.divmod(at, W)
-        cells = np.stack([i + oi, j + oj], axis=1)
-        return [cells[bounds[k]:bounds[k + 1]] for k in range(n_units)]
-    return children, unit_cells
+    unit_of = np.full(dcore.n, -1, dtype=np.int64)
+    unit_of[ids] = unit
+    return *np.divmod(pairs, len(ids)), unit_of
 
 
 def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
@@ -266,9 +249,10 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
     emits its fracture locus: the cells touched by at least two fragments
     within delta, one connected patch per merge set.  The deep split is
     gated in order: the region's deep crossing ids (>= deep_children), then
-    each coarse piece's deep units, counted on the label images; cell lists
-    are built only for the pieces that pass (and, for the same-level route,
-    only with >= n_min crossing ids).  Both routes need K.source when they
+    each coarse piece's deep units, counted on the label images; the locus of
+    all passing pieces is one support query on the deep unit image, labelled
+    once (cell lists are built only for the same-level route, with >= n_min
+    crossing ids).  Both routes need K.source when they
     refine; without a source the same-level route runs unfiltered and deep
     splitting is off.  Regions are seeded serially in family order; `jobs`
     is accepted and has no effect.
@@ -341,7 +325,7 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
                 members = [cells_of[c] for c in group]
                 if params.multi_level and not persists(region, members, len(group)):
                     continue
-                limit = _limit_cells(members, candidates, delta, s, params.n_min)
+                limit = _limit_cells(core, group, candidates, delta, s, params.n_min)
                 if len(limit):
                     out.append(limit)
 
@@ -356,25 +340,30 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
             return out
         full = _label_mask(_slab(deep, *region.snapped_rects(deep.level)[0]), 8)[0] \
             if isinstance(region, RectAnnulus) else None
-        children, unit_cells = _deep_children(core, dcore, factor, full)
-        passing = [cid for cid in core.crossing
-                   if len(children.get(cid, ())) >= params.deep_children]
+        cid_of, uid_of, unit_of = _deep_children(core, dcore, factor, full)
+        nk = np.bincount(cid_of, minlength=core.n)
+        passing = [cid for cid in core.crossing if nk[cid] >= params.deep_children]
         if not passing:
             return out
-        cells_of, units = cells_of or core.crossing_cells(), unit_cells()
-        sd = deep.level.cell_size
-        for cid in passing:
-            acc = _support(cells_of[cid], s,
-                           [(units[uid], sd) for uid in children[cid]], delta)
-            # >= deep_children pieces witness the split globally; a cell
-            # sits on the fracture locus when at least two of the fragments
-            # meet it within delta (a transversal through a split point only
-            # ever shows two local sides).  Each connected patch of that
-            # locus stands for its own limit continuum, so patches are
-            # related separately.
-            limit = cells_of[cid][acc >= 2]
-            if len(limit):
-                out.extend(_islands(limit))
+        # every cell of a passing piece, paired with each of the piece's units
+        js, is_ = np.nonzero(np.isin(core.labels, passing))
+        piece = core.labels[js, is_]
+        at, owner = _ranges(np.searchsorted(cid_of, piece), nk[piece])
+        # >= deep_children pieces witness the split globally; a cell sits on
+        # the fracture locus when at least two of the fragments meet it
+        # within delta (a transversal through a split point only ever shows
+        # two local sides).  Each connected patch of that locus stands for
+        # its own limit continuum, so patches are related separately.
+        ok = _support(np.stack([is_, js], axis=1) + np.array(core.origin), factor,
+                      dcore.labels, dcore.origin, unit_of, owner, uid_of[at],
+                      (delta + 1e-9) / deep.level.cell_size, 2)
+        locus = np.zeros(core.labels.shape, dtype=bool)
+        locus[js[ok], is_[ok]] = True
+        # distinct pieces are never 8-adjacent, so each patch lies in one
+        # piece; patches go by piece (ascending, as passing), then by first cell
+        oi, oj = core.origin
+        out.extend(sorted(_cells_by_label(*_label_mask(locus, 8), core.origin),
+                          key=lambda p: core.labels[p[0, 1] - oj, p[0, 0] - oi]))
         return out
 
     merge_sets = tuple(ms for region in regions for ms in seeds_for(region))

@@ -11,13 +11,12 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .grid import (Box, Cells, GridCompactum, GridError, Level, SetSpec,
-                   window_cell_range)
+from .grid import Box, GridError, Level, SetSpec, window_cell_range
 
 
 class ParseError(Exception):

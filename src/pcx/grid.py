@@ -8,7 +8,7 @@ dual pairing that keeps digital Jordan-curve arguments paradox-free.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -130,11 +130,6 @@ class SetSpec:
     def __post_init__(self) -> None:
         if self.base not in (2, 3):
             raise GridError(f"base must be 2 or 3, got {self.base}")
-
-
-def cell_box(i: int, j: int, level: Level) -> Box:
-    s = level.cell_size
-    return Box(i * s, j * s, (i + 1) * s, (j + 1) * s)
 
 
 def _as_cells(arr: np.ndarray) -> Cells:

@@ -8,8 +8,10 @@ polylines on an offset brick tiling and exact crossing paths in rectangles.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -215,15 +217,20 @@ def _single_linkage(cells_of: dict[int, Cells], delta: float,
     """Single linkage at cut delta: the connected components of the delta-graph
     on the ids, which joins two cell sets when every cell of each has a cell
     of the other within delta (symmetric Hausdorff distance <= delta).  One
-    pair query over all the cells finds those neighbours.  Groups are ordered
-    by their smallest id, members ascending."""
+    pair query over the cells that may link finds those neighbours.  Groups
+    are ordered by their smallest id, members ascending."""
     ids = sorted(cells_of)
     if len(ids) < 2:  # nothing to link: spares the pair query on fat pieces
         return [ids] if ids else []
     m = len(ids)
     sizes = np.array([len(cells_of[c]) for c in ids])
-    owner = np.repeat(np.arange(m), sizes)
-    pts = (np.concatenate([cells_of[c] for c in ids]) + 0.5) * s
+    cells, at = np.concatenate([cells_of[c] for c in ids]), np.cumsum(sizes) - sizes
+    # Hausdorff <= delta needs all four bounding-box sides within delta, so
+    # only the cells of sets with such a partner go to the pair query
+    box = np.hstack([np.minimum.reduceat(cells, at), np.maximum.reduceat(cells, at)])
+    near = (np.abs(box[:, None] - box[None]) * s <= delta + 1e-9).all(axis=2).sum(axis=1) > 1
+    owner, pts = np.repeat(np.arange(m), sizes), (cells + 0.5) * s
+    owner, pts = owner[near[owner]], pts[near[owner]]
     p, q = cKDTree(pts).query_pairs(delta + 1e-9, output_type="ndarray").T
     p, q = np.concatenate([p, q]), owner[np.concatenate([q, p])]
     cross = owner[p] != q
@@ -235,30 +242,89 @@ def _single_linkage(cells_of: dict[int, Cells], delta: float,
     full = pair[hits == sizes[pair // m]]
     a, b = np.divmod(full, m)
     both = np.isin(b * m + a, full)
+    if not both.any():  # spares the graph on the many regions with no join
+        return [[c] for c in ids]
     groups, n = _canonical(_components(m, a[both], b[both])[1])
     members, bounds = _group(groups, n, np.asarray(ids))
     return [members[bounds[k]:bounds[k + 1]].tolist() for k in range(n)]
 
 
-def _support(cells: Cells, s: float, members: Iterable[tuple[Cells, float]],
-             delta: float) -> np.ndarray:
-    """Per cell, how many member cell sets (each with its own cell size) have
-    a cell center within delta of its center."""
-    pts = (cells.astype(np.float64) + 0.5) * s
-    acc = np.zeros(len(cells), dtype=np.int32)
-    for mc, ms in members:
-        tree = cKDTree((mc.astype(np.float64) + 0.5) * ms)
-        acc += np.isfinite(tree.query(pts, distance_upper_bound=delta + 1e-9)[0])
-    return acc
+@lru_cache(maxsize=32)
+def _spans(f: int, lim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row offsets t and column offsets lo..hi, from a cell's first fine cell
+    (f per side), of the fine cells centred within sqrt(lim) half fine cells
+    of its centre: in half fine cells, centres sit at 2cf + f and 2q + 1."""
+    m = math.isqrt(lim)
+    t = np.arange(-((m - f + 1) // 2), (m + f - 1) // 2 + 1)
+    h = np.array([math.isqrt(lim - d * d) for d in (2 * t + 1 - f).tolist()])
+    return t, -((h - f + 1) // 2), (h + f - 1) // 2
 
 
-def _limit_cells(members: list[Cells], candidates: Cells, delta: float,
-                 s: float, n_min: int) -> Cells:
-    """Cells supported by at least min(len(members), n_min) member sets."""
-    if len(candidates) == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    acc = _support(candidates, s, [(mc, s) for mc in members], delta)
-    return sort_cells(candidates[acc >= min(len(members), n_min)])
+def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges start[k] .. start[k] + count[k] - 1 end to end, and the k of each entry."""
+    k = np.repeat(np.arange(len(count)), count)
+    return start[k] + np.arange(len(k)) - (np.cumsum(count) - count)[k], k
+
+
+def _support(cells: Cells, f: int, labels: np.ndarray, origin: tuple[int, int],
+             unit_of: np.ndarray, owner: np.ndarray, unit: np.ndarray,
+             reach: float, k: int) -> np.ndarray:
+    """Mask of the cells that at least k of their pairs reach: pair p counts
+    for cells[owner[p]] when unit unit[p] has a fine cell centred within
+    `reach` fine cells of its centre.  Units are the labels of a fine image
+    (lower-left cell `origin`, f fine cells per cell side) mapped by unit_of
+    (-1: none); each unit a pair asks about has a cell.  Exact in integers
+    (see _spans): a row in reach is one column span, one searchsorted in the
+    sorted keys unit*H*W + row*W + col."""
+    H, W = labels.shape
+    lim = int((2 * reach) ** 2)
+    t, lo, hi = _spans(f, lim)
+    # only the units some pair asks about (fewer fine cells to key), as 0..n-1
+    used, unit = np.unique(unit, return_inverse=True)
+    compact = np.full(int(unit_of.max()) + 2, -1)
+    compact[used] = np.arange(len(used))
+    pix = np.flatnonzero(labels.ravel() >= 0)
+    upix = compact[unit_of[labels.ravel()[pix]]]
+    keys = np.sort(upix[upix >= 0] * (H * W) + pix[upix >= 0])
+    ukey, (row, col) = keys // (H * W), np.divmod(keys % (H * W), W)
+    at = np.searchsorted(ukey, np.arange(len(used) + 1))
+    rmin, rmax = row[at[:-1]], row[at[1:] - 1]
+    cmin, cmax = np.minimum.reduceat(col, at[:-1]), np.maximum.reduceat(col, at[:-1])
+    oi, oj = origin
+    x0, y0 = cells[owner, 0] * f - oi, cells[owner, 1] * f - oj
+    live = (x0 + lo.min() <= cmax[unit]) & (x0 + hi.max() >= cmin[unit])
+    acc = np.zeros(len(cells), dtype=np.int64)
+    if (3 * f - 1) ** 2 + (f - 1) ** 2 <= lim:
+        # a unit with a fine cell in the cell's block or a 4-neighbour block
+        # reaches it; blocks are indexed with two spare ones on every side
+        bi, bj = (col + oi) // f - oi // f + 2, (row + oj) // f - oj // f + 2
+        nbw, nbh = (W - 1 + oi) // f - oi // f + 5, (H - 1 + oj) // f - oj // f + 5
+        ci, cj = cells[owner, 0] - oi // f + 2, cells[owner, 1] - oj // f + 2
+        sure = (ci >= 1) & (ci <= nbw - 2) & (cj >= 1) & (cj <= nbh - 2) & np.isin(
+            ((unit * nbh + cj) * nbw + ci)[:, None] + [0, 1, -1, nbw, -nbw],
+            (ukey * nbh + bj) * nbw + bi).any(axis=1)
+        acc += np.bincount(owner[sure], minlength=len(cells))
+        live &= ~sure & (acc[owner] < k)  # settled cells ask no more
+    r0 = np.maximum(y0 + t[0], rmin[unit])
+    r, p = _ranges(r0, np.where(live, np.minimum(y0 + t[-1], rmax[unit]) - r0 + 1, 0).clip(0))
+    u, x, ti = unit[p], x0[p], r - y0[p] - t[0]
+    key = u * (H * W) + r * W
+    first = np.append(keys, np.iinfo(np.int64).max)[
+        np.searchsorted(keys, key + np.maximum(x + lo[ti], cmin[u]))]
+    hit = np.unique(p[first <= key + np.minimum(x + hi[ti], cmax[u])])
+    return acc + np.bincount(owner[hit], minlength=len(cells)) >= k
+
+
+def _limit_cells(core: _RegionData, group: list[int], candidates: Cells,
+                 delta: float, s: float, n_min: int) -> Cells:
+    """The candidates that at least min(len(group), n_min) of the group's
+    crossing components reach within delta."""
+    unit_of = np.full(core.n, -1)
+    unit_of[group] = np.arange(len(group))
+    owner, unit = np.divmod(np.arange(len(candidates) * len(group)), len(group))
+    return sort_cells(candidates[_support(candidates, 1, core.labels, core.origin, unit_of,
+                                          owner, unit, (delta + 1e-9) / s,
+                                          min(len(group), n_min))])
 
 
 def _near_cells(kc: Cells, core: _RegionData, delta: float, s: float) -> Cells:
@@ -301,8 +367,7 @@ def crossing_components(K: GridCompactum, region: Region,
         candidates = _cells_of(core.labels >= 0, core.origin)
     cells_of = core.crossing_cells()
     clusters = tuple(
-        Cluster(tuple(group), _limit_cells([cells_of[c] for c in group],
-                                           candidates, delta, s, n_min))
+        Cluster(tuple(group), _limit_cells(core, group, candidates, delta, s, n_min))
         for group in _single_linkage(cells_of, delta, s))
     return CrossingReport(region, mode, K.level, core.snapped,
                           core.crossing, len(core.crossing), clusters, labeling)

@@ -30,7 +30,7 @@ from pcx import (
 )
 
 from pcx.decomposition import _annulus_family, _deep_children, _strip_family
-from pcx.grid import _label_mask, _slab
+from pcx.grid import _cells_by_label, _label_mask, _slab
 from pcx.schoenflies import RectAnnulus, _region_core
 
 from conftest import bfs_components, cells_from_art, grid_from_art
@@ -252,18 +252,21 @@ def test_deep_children_match_cell_list_count(family):
             if isinstance(region, RectAnnulus):
                 (i0, j0, i1, j1), _ = region.snapped_rects(deep.level)
                 full = _label_mask(_slab(deep, i0, j0, i1, j1), 8)[0]
-            children, unit_cells = _deep_children(core, dcore, factor, full)
+            cid_of, uid_of, unit_of = _deep_children(core, dcore, factor, full)
             groups, want_children = reference_deep_children(core, dcore, factor, full)
-            assert children == want_children
+            pairs = sorted((c, u) for c, us in want_children.items() for u in us)
+            assert list(zip(cid_of.tolist(), uid_of.tolist())) == pairs
             dcells = dcore.crossing_cells()
-            units = unit_cells()
+            # the units as the unit image holds them
+            units = _cells_by_label(np.append(unit_of, -1)[dcore.labels],
+                                    int(unit_of.max()) + 1, dcore.origin)
             assert len(units) == len(groups)
             for cells, g in zip(units, groups):
                 want = sort_cells(np.concatenate([dcells[d] for d in g]))
                 assert np.array_equal(cells, want)
             counted += 1
             fused += sum(len(g) > 1 for g in groups)
-            spread += sum(len(g) > 1 and sum(uid in us for us in children.values()) > 1
+            spread += sum(len(g) > 1 and (uid_of == uid).sum() > 1
                           for uid, g in enumerate(groups))
             # the count takes each piece by its first cell only: every parent
             # of a deep crossing piece lies in that cell's coarse piece

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from pcx import (
     Box,
@@ -28,7 +29,7 @@ from pcx import (
     transform_cells,
     label_components,
 )
-from pcx.schoenflies import _single_linkage
+from pcx.schoenflies import _single_linkage, _support
 
 from conftest import (
     HAND_PATTERNS,
@@ -200,6 +201,62 @@ def test_single_linkage_small_cases():
     cells_of = {7: np.array([[0, 0], [0, 1]]), 3: np.array([[1, 0], [1, 1]]),
                 1: np.array([[2, 0], [2, 1], [9, 9]])}
     assert _single_linkage(cells_of, S, S) == [[1], [3, 7]]
+
+
+def _support_reference(cells, s, members, delta):
+    """The per-member count the kernel replaced: one cKDTree per member cell
+    set (each with its own cell size), queried for every cell centre."""
+    pts = (cells.astype(np.float64) + 0.5) * s
+    acc = np.zeros(len(cells), dtype=np.int32)
+    for mc, ms in members:
+        tree = cKDTree((mc.astype(np.float64) + 0.5) * ms)
+        acc += np.isfinite(tree.query(pts, distance_upper_bound=delta + 1e-9)[0])
+    return acc
+
+
+@given(st.sampled_from([(2, 1), (3, 1), (2, 8), (3, 27)]), st.integers(0, 4),
+       st.sampled_from([1.0, 2 ** 0.5, 2.0, 5 ** 0.5, 3.0, "4/27"]),
+       st.integers(0, 2 ** 32 - 1))
+@example((3, 27), 2, 2.0, 0)  # 2 cells = 108 half fine cells: ties on the bound
+@example((3, 27), 3, "4/27", 1)  # a user delta of 4 * 3**-3
+@settings(max_examples=150, deadline=None)
+def test_support_matches_per_member_kdtrees(bf, n, d, seed):
+    # delta is d cells, or 4 * 3**-3 in scene units; f fine cells per cell side
+    base, f = bf
+    s = Level(n, base).cell_size
+    delta = 4 * 3.0 ** -3 if d == "4/27" else d * s
+    rng = np.random.default_rng(seed)
+    # a fine label image: labels 0..5, two of them fused into one unit and
+    # one left out, as the deep split's annulus units and stray pieces are
+    H, W = (int(v) for v in rng.integers(1, 3 * f + 3, size=2))
+    origin = tuple(int(v) for v in rng.integers(-2 * f, 2 * f, size=2))
+    labels = np.where(rng.random((H, W)) < rng.uniform(0.02, 0.4),
+                      rng.integers(0, 6, size=(H, W)), -1)
+    unit_of = np.array([0, 1, 2, 1, 3, -1])
+    js, is_ = np.nonzero(labels >= 0)
+    fine = np.stack([is_ + origin[0], js + origin[1]], axis=1)
+    unit_cells = [fine[unit_of[labels[js, is_]] == u] for u in range(4)]
+    present = [u for u in range(4) if len(unit_cells[u])]
+    assume(present)
+    # cells around the image and beyond reach, in two groups that each ask
+    # about their own units
+    lo = np.array(origin) // f - 4
+    cells = rng.integers(lo, lo + np.array([W, H]) // f + 9,
+                         size=(int(rng.integers(1, 40)), 2))
+    asked = [rng.choice(present, size=int(rng.integers(1, len(present) + 1)), replace=False)
+             for _ in range(2)]
+    group = rng.integers(0, 2, size=len(cells))
+    want = np.zeros(len(cells), dtype=np.int32)
+    for g in range(2):
+        want[group == g] = _support_reference(
+            cells[group == g], s, [(unit_cells[u], s / f) for u in asked[g]], delta)
+    owner = np.concatenate([np.repeat(np.flatnonzero(group == g), len(asked[g]))
+                            for g in range(2)])
+    unit = np.concatenate([np.tile(asked[g], int((group == g).sum())) for g in range(2)])
+    for k in range(1, 5):
+        got = _support(cells, f, labels, origin, unit_of, owner, unit,
+                       (delta + 1e-9) / (s / f), k)
+        assert np.array_equal(got, want >= k), (k, got, want)
 
 
 def test_strip_window_must_contain_k():
