@@ -11,13 +11,17 @@ the cluster limit cells for strips and square annuli in both modes,
 `schoenflies_relation` for a few parameter sets (a change in single linkage
 can show there while the closed classes hide it), and `close_equivalence` of
 seeded random merge sets on the carpet written as decompose JSON (which the
-CLI then compares).  Every output file and exit code is compared byte for byte.
+CLI then compares), and `schoenflies_scan` over windowed strips, including a
+window that does not contain K.  Every output file, exit code and stderr text
+is compared byte for byte.
 Prints one line per output and exits 0 when all are identical, 1 otherwise.
 Each checkout takes about 15 s on a 2-core machine.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -103,9 +107,17 @@ CASES += [
     ("error_nmin.json", ["decompose", "--gen", "bars", "--level", "3", "--nmin", "2"]),
     ("error_jobs.json", ["scan", "--gen", "bars", "--levels", "3", "--strip", "auto",
                          "--jobs", "0"]),
+    # a strip that collapses at the lowest level; then one that collapses only
+    # at level 3 ahead of it, which must still be the strip reported
+    ("error_scan_collapse.json", ["scan", "--gen", "bars", "--levels", "2..4",
+                                  "--strip", "h:0.3:0.7", "--strip", "v:0.2:0.22"]),
+    ("error_scan_collapse_order.json", ["scan", "--gen", "bars", "--levels", "2..4",
+                                        "--strip", "h:0.125:0.175",
+                                        "--strip", "v:0.2:0.22"]),
 ]
 LIBRARY_OUTPUTS = ("closure_a.json", "closure_b.json", "complement_scan_carpet.json",
-                   "crossing_components.json", "relation_seeds.json")
+                   "crossing_components.json", "relation_seeds.json",
+                   "scan_windowed.json")
 # rasters for the crossing_components dump: (generator, level)
 CROSSING_RASTERS = (("cantor_comb", 3), ("topologist_sine", 5), ("spiral_disk", 4),
                     ("sierpinski_carpet", 2), ("bars", 4), ("random_blobs", 5))
@@ -211,6 +223,25 @@ def _complement_scan(out: Path) -> None:
         json.dumps(report.to_dict(), sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _windowed_scan(out: Path) -> None:
+    """A library scan over windowed and plain strips of the comb, and the
+    error of a scan whose second strip's window does not contain K."""
+    from pcx import Box, GeneratorParams, GridError, Strip, make_spec, schoenflies_scan
+    spec = make_spec(GeneratorParams("cantor_comb"))
+    wide = Box(-0.25, -0.25, 1.25, 1.25)
+    strips = [Strip("h", 0.25, 0.75, wide), Strip("v", 1 / 9, 5 / 9, wide),
+              Strip("h", 0.4, 0.6), Strip("v", 0.3, 0.7, Box(-1.0, -0.5, 2.0, 1.5))]
+    doc = {"scan": schoenflies_scan(spec, strips, range(2, 5)).to_dict()}
+    try:
+        schoenflies_scan(spec, [Strip("h", 0.25, 0.75),
+                                Strip("v", 0.25, 0.75, Box(0.2, 0.2, 0.8, 0.8))],
+                         range(2, 4))
+    except GridError as exc:
+        doc["window_error"] = f"{type(exc).__name__}: {exc}"
+    (out / "scan_windowed.json").write_text(
+        json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _argv(argv: list[str], out: Path) -> list[str]:
     argv = [a.replace("{out}", str(out)) for a in argv]
     if "spiral_disk" in argv and "--t-max" not in argv:
@@ -223,14 +254,17 @@ def emit(out: Path) -> None:
     import pcx
     from pcx.cli import run
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {"pcx": str(Path(pcx.__file__).resolve().parent), "rc": {}}
+    manifest = {"pcx": str(Path(pcx.__file__).resolve().parent), "rc": {}, "stderr": {}}
     t0 = time.perf_counter()
     _closures(out)
     for name, argv in CASES:
-        manifest["rc"][name] = run(_argv(argv, out) + ["--out", str(out / name)])
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            manifest["rc"][name] = run(_argv(argv, out) + ["--out", str(out / name)])
+        manifest["stderr"][name] = err.getvalue()
     _complement_scan(out)
     _crossings(out)
     _relation_seeds(out)
+    _windowed_scan(out)
     manifest["seconds"] = round(time.perf_counter() - t0, 1)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -256,6 +290,7 @@ def compare(old: Path, new: Path, work: Path) -> int:
         a, b = work / "old" / name, work / "new" / name
         rc = (ma["rc"].get(name), mb["rc"].get(name))
         same = rc[0] == rc[1] and a.exists() == b.exists() and \
+            ma["stderr"].get(name) == mb["stderr"].get(name) and \
             (not a.exists() or a.read_bytes() == b.read_bytes())
         size = a.stat().st_size if a.exists() else 0
         print(f"{'same' if same else 'DIFF'}  rc={rc[0]}/{rc[1]}  {size:>9} B  {name}")

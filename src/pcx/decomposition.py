@@ -22,6 +22,7 @@ partitions are byte-identical.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,9 +34,10 @@ from .grid import (Box, Cells, GridCompactum, GridError, Level, SetSpec,
                    _components, _group, _label_mask, _slab,
                    diameters, max_level, rasterize)
 from .schoenflies import (RectAnnulus, Region, Strip, _band_strips,
-                          _limit_cells, _near_cells, _ranges, _RegionData,
-                          _region_core, _single_linkage, _support,
-                          _strictly_increasing_tail)
+                          _canvases, _crossing_counts, _limit_cells,
+                          _near_cells, _ranges, _RegionData, _region_core,
+                          _single_linkage, _support, _strictly_increasing_tail,
+                          _window)
 
 _FAMILIES = ("strips-all-offsets", "rect-annuli-sampled", "both")
 
@@ -218,9 +220,8 @@ def _deep_children(core: _RegionData, dcore: _RegionData, factor: int,
     its first cell; a fused unit, whose halves reconnect through the hole,
     can count under several.
     """
-    flat = dcore.labels.ravel()
-    fg = np.flatnonzero(flat >= 0)
-    lab = flat[fg]
+    fg = dcore.fg
+    lab = dcore.labels.ravel()[fg]
     # ids run in first-encounter order, so the running max of the foreground
     # labels first reaches id k at id k's first pixel
     ids = np.asarray(dcore.crossing, dtype=np.int64)
@@ -247,15 +248,19 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
     Additionally, any single crossing component that splits into >=
     deep_children distinct fragments of the same region deep_levels finer
     emits its fracture locus: the cells touched by at least two fragments
-    within delta, one connected patch per merge set.  The deep split is
-    gated in order: the region's deep crossing ids (>= deep_children), then
-    each coarse piece's deep units, counted on the label images; the locus of
-    all passing pieces is one support query on the deep unit image, labelled
-    once (cell lists are built only for the same-level route, with >= n_min
-    crossing ids).  Both routes need K.source when they
-    refine; without a source the same-level route runs unfiltered and deep
-    splitting is off.  Regions are seeded serially in family order; `jobs`
-    is accepted and has no effect.
+    within delta, one connected patch per merge set.
+
+    The regions are labelled in batches (schoenflies._canvases), and the
+    gates read crossing counts, in order: no coarse crossing, nothing; fewer
+    than n_min crossing ids and fewer than deep_children deep ones (deep
+    counts are taken only for regions with a coarse crossing), nothing.
+    Only a region that passes gets its labels renumbered as if labelled
+    alone.  The deep split then counts each coarse piece's deep units on the
+    label images; the locus of all passing pieces is one support query on
+    the deep unit image.  Both routes need K.source when they refine;
+    without a source the same-level route runs unfiltered and deep splitting
+    is off.  Merge sets come in family order, a region's same-level sets
+    before its deep ones; `jobs` is accepted and has no effect.
     """
     params = params or RelationParams()
     if K.is_empty:
@@ -308,43 +313,51 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
                     return True
         return False
 
-    def seeds_for(region: Region) -> list[Cells]:
-        out: list[Cells] = []
-        core = _region_core(K, region, "intersection")
-        if not core.crossing:
-            return out
-        cells_of = core.crossing_cells() if len(core.crossing) >= params.n_min else None
+    # crossing counts of every region; the canvas of a region with a
+    # crossing stays until no gate can ask for its labels
+    counts = np.zeros(len(regions), dtype=np.int64)
+    tiles = {}
+    for canvas in _canvases(K, [_window(K, r) for r in regions], "intersection"):
+        counts[canvas.index] = canvas.counts
+        tiles.update((int(canvas.index[t]), (canvas, t))
+                     for t in np.flatnonzero(canvas.counts).tolist())
 
-        # same-level accumulation: big clusters glue their limit cells; with
-        # fewer crossing ids than n_min no group can reach the gate
-        gated = [] if cells_of is None else \
-            [g for g in _single_linkage(cells_of, delta, s) if len(g) >= params.n_min]
+    @functools.cache
+    def core_of(k: int) -> _RegionData:
+        canvas, t = tiles[k]
+        return canvas.core(t)
+
+    # same-level accumulation: big clusters glue their limit cells; with
+    # fewer crossing ids than n_min no group can reach the gate
+    seeds: dict[int, list[Cells]] = {}
+    for k in np.flatnonzero(counts >= params.n_min).tolist():
+        core, out = core_of(k), seeds.setdefault(k, [])
+        cells_of = core.crossing_cells()
+        gated = [g for g in _single_linkage(cells_of, delta, s) if len(g) >= params.n_min]
         if gated:
             candidates = _near_cells(kcells, core, delta, s)
             for group in gated:
                 members = [cells_of[c] for c in group]
-                if params.multi_level and not persists(region, members, len(group)):
+                if params.multi_level and not persists(regions[k], members, len(group)):
                     continue
                 limit = _limit_cells(core, group, candidates, delta, s, params.n_min)
                 if len(limit):
                     out.append(limit)
 
-        # multi-level splitting: a member exploding into many deep crossing
-        # components is an accumulation witness.  Glue its approximate limit
-        # (coarse cells supported by enough deep pieces), not the whole coarse
-        # component, which can also hold well-resolved geometry that merely
-        # touches the blob at this resolution.  A piece counts a unit once and
-        # units never outnumber deep crossing ids: too few ids, no witness.
-        dcore = None if deep is None else _region_core(deep, region, "intersection")
-        if dcore is None or len(dcore.crossing) < params.deep_children:
-            return out
+    def deep_split(k: int, dcore: _RegionData) -> list[Cells]:
+        # a member exploding into many deep crossing components is an
+        # accumulation witness.  Glue its approximate limit (coarse cells
+        # supported by enough deep pieces), not the whole coarse component,
+        # which can also hold well-resolved geometry that merely touches the
+        # blob at this resolution.
+        core, region = core_of(k), regions[k]
         full = _label_mask(_slab(deep, *region.snapped_rects(deep.level)[0]), 8)[0] \
             if isinstance(region, RectAnnulus) else None
         cid_of, uid_of, unit_of = _deep_children(core, dcore, factor, full)
         nk = np.bincount(cid_of, minlength=core.n)
         passing = [cid for cid in core.crossing if nk[cid] >= params.deep_children]
         if not passing:
-            return out
+            return []
         # every cell of a passing piece, paired with each of the piece's units
         js, is_ = np.nonzero(np.isin(core.labels, passing))
         piece = core.labels[js, is_]
@@ -355,18 +368,27 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
         # two local sides).  Each connected patch of that locus stands for
         # its own limit continuum, so patches are related separately.
         ok = _support(np.stack([is_, js], axis=1) + np.array(core.origin), factor,
-                      dcore.labels, dcore.origin, unit_of, owner, uid_of[at],
+                      dcore, unit_of, owner, uid_of[at],
                       (delta + 1e-9) / deep.level.cell_size, 2)
         locus = np.zeros(core.labels.shape, dtype=bool)
         locus[js[ok], is_[ok]] = True
         # distinct pieces are never 8-adjacent, so each patch lies in one
         # piece; patches go by piece (ascending, as passing), then by first cell
         oi, oj = core.origin
-        out.extend(sorted(_cells_by_label(*_label_mask(locus, 8), core.origin),
-                          key=lambda p: core.labels[p[0, 1] - oj, p[0, 0] - oi]))
-        return out
+        return sorted(_cells_by_label(*_label_mask(locus, 8), core.origin),
+                      key=lambda p: core.labels[p[0, 1] - oj, p[0, 0] - oi])
 
-    merge_sets = tuple(ms for region in regions for ms in seeds_for(region))
+    if deep is not None:
+        # the deep split is taken for regions with a coarse crossing; a
+        # piece counts a unit once and units never outnumber deep crossing
+        # ids, so a region with too few ids has no witness
+        live = np.flatnonzero(counts > 0)
+        for canvas in _canvases(deep, [_window(deep, regions[k]) for k in live],
+                                "intersection"):
+            for t in np.flatnonzero(canvas.counts >= params.deep_children).tolist():
+                k = int(live[canvas.index[t]])
+                seeds.setdefault(k, []).extend(deep_split(k, canvas.core(t)))
+    merge_sets = tuple(ms for k in sorted(seeds) for ms in seeds[k])
     return RelationSeed(K.level, merge_sets)
 
 
@@ -616,16 +638,17 @@ def peano_check(graphs: Sequence[QuotientGraph],
     divergent = False
     reps = [GridCompactum.from_cells(g.level, g.representatives) for g in graphs]
     if not reps[0].is_empty:
-        for strip in _strip_family(reps[0]):
-            ms = []
-            for R in reps:
-                try:
-                    ms.append(len(_region_core(R, strip, "intersection").crossing))
-                except GridError:
-                    ms.append(0)
-            if _strictly_increasing_tail(ms, 3):
-                divergent = True
-                break
+        strips = _strip_family(reps[0])
+
+        def window(R: GridCompactum, strip: Strip):
+            try:
+                return _window(R, strip)
+            except GridError:
+                return None  # a strip that fails counts 0
+
+        ms = np.array([_crossing_counts(R, [window(R, st) for st in strips],
+                                        "intersection") for R in reps]).T
+        divergent = any(_strictly_increasing_tail(m.tolist(), 3) for m in ms)
     return PeanoReport(levels, tuple(float(c) for c in C_grid), counts,
                        stable, divergent)
 

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import ndimage
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
@@ -186,8 +186,11 @@ def _canonical(raw_ids: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
-    """Connected components of the undirected graph on 0..n-1 with edges a-b."""
-    graph = coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    """Connected components of the undirected graph on 0..n-1 with edges a-b,
+    as a CSR built directly: one row per node a, holding each edge once."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
+    graph = csr_matrix((np.ones(len(a)), b[np.argsort(a)], indptr), shape=(n, n))
     return connected_components(graph, directed=False)
 
 

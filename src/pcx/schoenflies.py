@@ -12,17 +12,18 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .grid import (Box, Cells, ComponentLabeling, GridCompactum, GridError,
-                   Level, SetSpec, WindowError, _as_cells, _canonical,
-                   _cells_by_label, _cells_of, _components, _group,
-                   _label_mask, _mask_of, _metas_from_labels, _slab,
-                   complement_components, label_components, rasterize,
-                   sort_cells, window_cell_range)
+from .grid import (_STRUCT_4, _STRUCT_8, Box, Cells, ComponentLabeling,
+                   GridCompactum, GridError, Level, SetSpec, WindowError,
+                   _as_cells, _canonical, _cells_by_label, _cells_of,
+                   _components, _group, _label_mask, _mask_of,
+                   _metas_from_labels, _slab, complement_components,
+                   label_components, rasterize, sort_cells, window_cell_range)
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,7 @@ class _RegionData:
     n: int
     crossing: tuple[int, ...]
     snapped: tuple[float, float] | tuple[Box, Box]
+    fg: np.ndarray  # flat indices of the labelled pixels, row-major
 
     def crossing_cells(self) -> dict[int, Cells]:
         """Cells of each crossing component, row-major."""
@@ -155,61 +157,150 @@ def _lateral_range(K: GridCompactum, strip: Strip, level: Level) -> tuple[int, i
     return (kb[0] - 2, kb[2] + 2) if horizontal else (kb[1] - 2, kb[3] + 2)
 
 
-def _strip_core(K: GridCompactum, strip: Strip, mode: str) -> _RegionData:
-    level = K.level
-    s = level.cell_size
-    r1, r2 = strip.snapped_lines(level)
-    lo, hi = _lateral_range(K, strip, level)
-    horizontal = strip.axis == "h"
-    if horizontal:
-        rect = (lo, r1, hi, r2 - 1)
-    else:
-        rect = (r1, lo, r2 - 1, hi)
-    slab = _slab(K, *rect)
-    occ = slab if mode == "intersection" else ~slab
-    labels, n = _label_mask(occ, 8 if mode == "intersection" else 4)
-    if horizontal:
-        a_ids, b_ids = labels[0, :], labels[-1, :]
-    else:
-        a_ids, b_ids = labels[:, 0], labels[:, -1]
-    crossing = np.intersect1d(a_ids[a_ids >= 0], b_ids[b_ids >= 0])
-    return _RegionData((rect[0], rect[1]), labels, n,
-                       tuple(int(c) for c in crossing), (r1 * s, r2 * s))
+@dataclass(frozen=True)
+class _Window:
+    """A region's cell rectangle at one raster, as a tile: `shape` rows by
+    columns, a v strip transposed (`turned`) so that every strip crosses
+    from its first row to its last; an annulus also has a `hole`, (row0,
+    col0, row1, col1) inclusive in the tile."""
+    origin: tuple[int, int]
+    shape: tuple[int, int]
+    turned: bool
+    hole: tuple[int, int, int, int] | None
+    snapped: tuple[float, float] | tuple[Box, Box]
 
 
-def _annulus_core(K: GridCompactum, ann: RectAnnulus, mode: str) -> _RegionData:
-    level = K.level
-    s = level.cell_size
-    (oi0, oj0, oi1, oj1), (ii0, ij0, ii1, ij1) = ann.snapped_rects(level)
-    region = np.ones((oj1 - oj0 + 1, oi1 - oi0 + 1), dtype=bool)
-    region[ij0 - oj0:ij1 - oj0 + 1, ii0 - oi0:ii1 - oi0 + 1] = False
-    slab = _slab(K, oi0, oj0, oi1, oj1)
-    occ = (slab if mode == "intersection" else ~slab) & region
-    labels, n = _label_mask(occ, 8 if mode == "intersection" else 4)
-    outer_touch = np.zeros_like(region)
-    outer_touch[0, :] = outer_touch[-1, :] = True
-    outer_touch[:, 0] = outer_touch[:, -1] = True
-    inner_touch = np.zeros_like(region)
-    inner_touch[max(ij0 - 1 - oj0, 0):ij1 + 2 - oj0,
-                max(ii0 - 1 - oi0, 0):ii1 + 2 - oi0] = True
-    inner_touch &= region
-    a = np.unique(labels[outer_touch])
-    b = np.unique(labels[inner_touch])
-    crossing = np.intersect1d(a[a >= 0], b[b >= 0])
-    snapped = (Box(oi0 * s, oj0 * s, (oi1 + 1) * s, (oj1 + 1) * s),
-               Box(ii0 * s, ij0 * s, (ii1 + 1) * s, (ij1 + 1) * s))
-    return _RegionData((oi0, oj0), labels, n,
-                       tuple(int(c) for c in crossing), snapped)
+def _window(K: GridCompactum, region: Region) -> _Window:
+    s = K.level.cell_size
+    if isinstance(region, Strip):
+        r1, r2 = region.snapped_lines(K.level)
+        lo, hi = _lateral_range(K, region, K.level)
+        turned = region.axis == "v"
+        return _Window((r1, lo) if turned else (lo, r1), (r2 - r1, hi - lo + 1),
+                       turned, None, (r1 * s, r2 * s))
+    if isinstance(region, RectAnnulus):
+        (oi0, oj0, oi1, oj1), (ii0, ij0, ii1, ij1) = region.snapped_rects(K.level)
+        snapped = (Box(oi0 * s, oj0 * s, (oi1 + 1) * s, (oj1 + 1) * s),
+                   Box(ii0 * s, ij0 * s, (ii1 + 1) * s, (ij1 + 1) * s))
+        return _Window((oi0, oj0), (oj1 - oj0 + 1, oi1 - oi0 + 1), False,
+                       (ij0 - oj0, ii0 - oi0, ij1 - oj0, ii1 - oi0), snapped)
+    raise GridError(f"unsupported region {type(region).__name__}")
+
+
+@lru_cache(maxsize=32)
+def _rings(shape: tuple[int, int], hole: tuple[int, int, int, int] | None
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The row-major tile positions on the two boundaries a crossing
+    component meets (a strip's first and last rows; an annulus' outer ring
+    and the ring around its hole), and the annulus mask (None for a strip)."""
+    (h, w), a = shape, np.arange(shape[1])
+    if hole is None:
+        return a, a + (h - 1) * w, None
+    j0, i0, j1, i1 = hole
+    region, outer = np.ones(shape, dtype=bool), np.ones(shape, dtype=bool)
+    region[j0:j1 + 1, i0:i1 + 1] = outer[1:-1, 1:-1] = False
+    inner = np.zeros(shape, dtype=bool)
+    inner[max(j0 - 1, 0):j1 + 2, max(i0 - 1, 0):i1 + 2] = True
+    return np.flatnonzero(outer), np.flatnonzero(inner & region), region
+
+
+# pixels of one canvas; a window larger than this is labelled alone
+_CANVAS_PIXELS = 1 << 18
+
+
+@dataclass(frozen=True, eq=False)
+class _Canvas:
+    """Same-shape windows of one raster stacked as tiles of one image, a
+    blank guard row under each, labelled once: no component spans two tiles
+    under 4- or 8-connectivity.  `index` holds each tile's position in the
+    window list, `counts` its crossing components; `cross[bounds[t]:bounds[t
+    + 1]]` are tile t's crossing labels."""
+    windows: list[_Window]
+    index: np.ndarray
+    counts: np.ndarray
+    labels: np.ndarray  # (tiles, rows, cols) raw labels, 0 background
+    cross: np.ndarray
+    bounds: np.ndarray
+
+    def core(self, t: int) -> _RegionData:
+        """Tile t as labelling its region alone gives it: transposed back,
+        ids renumbered by first pixel in row-major order."""
+        win, raw = self.windows[t], self.labels[t]
+        raw = raw.T if win.turned else raw
+        flat = raw.ravel()
+        fg = np.flatnonzero(flat)
+        lab = flat[fg]
+        lo = int(lab.min()) if len(lab) else 0
+        # first pixel of each raw label in the tile's range; a label of
+        # another tile keeps len(lab)
+        first = np.full(int(lab.max(initial=lo)) - lo + 1, len(lab))
+        np.minimum.at(first, lab - lo, np.arange(len(lab)))
+        ids = np.flatnonzero(first < len(lab))
+        rank = np.empty(len(first), dtype=np.int32)
+        rank[ids[np.argsort(first[ids])]] = np.arange(len(ids), dtype=np.int32)
+        labels = np.full(raw.shape, -1, dtype=np.int32)
+        labels.ravel()[fg] = rank[lab - lo]
+        crossing = np.sort(rank[self.cross[self.bounds[t]:self.bounds[t + 1]] - lo])
+        return _RegionData(win.origin, labels, len(ids), tuple(crossing.tolist()),
+                           win.snapped, fg)
+
+
+def _canvases(K: GridCompactum, windows: Sequence[_Window | None],
+              mode: str) -> Iterator[_Canvas]:
+    """The windows (None: skipped) of one raster in one mode, labelled a
+    canvas at a time, each canvas at most _CANVAS_PIXELS."""
+    if mode not in ("intersection", "difference"):
+        raise GridError(f"mode must be intersection or difference, got {mode!r}")
+    struct = _STRUCT_8 if mode == "intersection" else _STRUCT_4
+    groups: dict[tuple, list[int]] = {}
+    for k, win in enumerate(windows):
+        if win is not None:
+            groups.setdefault((win.shape, win.hole), []).append(k)
+    for (shape, hole), members in groups.items():
+        (h, w), (a, b, region) = shape, _rings(shape, hole)
+        per = max(1, _CANVAS_PIXELS // ((h + 1) * w))
+        for c in range(0, len(members), per):
+            index = np.array(members[c:c + per])
+            canvas = np.zeros((len(index), h + 1, w), dtype=bool)
+            for t, k in enumerate(index.tolist()):
+                (i0, j0), turned = windows[k].origin, windows[k].turned
+                ni, nj = (h, w) if turned else (w, h)
+                slab = _slab(K, i0, j0, i0 + ni - 1, j0 + nj - 1)
+                canvas[t, :h] = slab.T if turned else slab
+            if mode == "difference":
+                np.logical_not(canvas[:, :h], out=canvas[:, :h])
+            if region is not None:
+                canvas[:, :h] &= region
+            labels = np.empty(canvas.shape, dtype=np.int32)
+            n = ndimage.label(canvas.reshape(-1, w), structure=struct,
+                              output=labels.reshape(-1, w))
+            del canvas
+            # a label on both boundaries of its tile crosses; labels never
+            # span tiles, so the first boundary names each label's tile
+            flat = labels.reshape(len(index), -1)
+            ta, tb = flat[:, a], flat[:, b]
+            tile = np.zeros(n + 1, dtype=np.int64)
+            tile[ta] = np.arange(len(index))[:, None]
+            hit = np.zeros((2, n + 1), dtype=bool)
+            hit[0, ta] = hit[1, tb] = True
+            cross = np.flatnonzero(hit[0, 1:] & hit[1, 1:]) + 1
+            cross, bounds = _group(tile[cross], len(index), cross)
+            yield _Canvas([windows[k] for k in index.tolist()], index,
+                          np.diff(bounds), labels[:, :h], cross, bounds)
+
+
+def _crossing_counts(K: GridCompactum, windows: Sequence[_Window | None],
+                     mode: str) -> np.ndarray:
+    """Crossing components of each window (0 for None)."""
+    counts = np.zeros(len(windows), dtype=np.int64)
+    for canvas in _canvases(K, windows, mode):
+        counts[canvas.index] = canvas.counts
+    return counts
 
 
 def _region_core(K: GridCompactum, region: Region, mode: str) -> _RegionData:
-    if mode not in ("intersection", "difference"):
-        raise GridError(f"mode must be intersection or difference, got {mode!r}")
-    if isinstance(region, Strip):
-        return _strip_core(K, region, mode)
-    if isinstance(region, RectAnnulus):
-        return _annulus_core(K, region, mode)
-    raise GridError(f"unsupported region {type(region).__name__}")
+    (canvas,) = _canvases(K, [_window(K, region)], mode)
+    return canvas.core(0)
 
 
 def _single_linkage(cells_of: dict[int, Cells], delta: float,
@@ -266,16 +357,16 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return start[k] + np.arange(len(k)) - (np.cumsum(count) - count)[k], k
 
 
-def _support(cells: Cells, f: int, labels: np.ndarray, origin: tuple[int, int],
-             unit_of: np.ndarray, owner: np.ndarray, unit: np.ndarray,
-             reach: float, k: int) -> np.ndarray:
+def _support(cells: Cells, f: int, core: _RegionData, unit_of: np.ndarray,
+             owner: np.ndarray, unit: np.ndarray, reach: float, k: int) -> np.ndarray:
     """Mask of the cells that at least k of their pairs reach: pair p counts
     for cells[owner[p]] when unit unit[p] has a fine cell centred within
-    `reach` fine cells of its centre.  Units are the labels of a fine image
-    (lower-left cell `origin`, f fine cells per cell side) mapped by unit_of
-    (-1: none); each unit a pair asks about has a cell.  Exact in integers
-    (see _spans): a row in reach is one column span, one searchsorted in the
-    sorted keys unit*H*W + row*W + col."""
+    `reach` fine cells of its centre.  Units are the labels of a fine region
+    image (core: labels, foreground and lower-left cell; f fine cells per
+    cell side) mapped by unit_of (-1: none); each unit a pair asks about has
+    a cell.  Exact in integers (see _spans): a row in reach is one column
+    span, one searchsorted in the sorted keys unit*H*W + row*W + col."""
+    labels, pix, origin = core.labels, core.fg, core.origin
     H, W = labels.shape
     lim = int((2 * reach) ** 2)
     t, lo, hi = _spans(f, lim)
@@ -283,7 +374,6 @@ def _support(cells: Cells, f: int, labels: np.ndarray, origin: tuple[int, int],
     used, unit = np.unique(unit, return_inverse=True)
     compact = np.full(int(unit_of.max()) + 2, -1)
     compact[used] = np.arange(len(used))
-    pix = np.flatnonzero(labels.ravel() >= 0)
     upix = compact[unit_of[labels.ravel()[pix]]]
     keys = np.sort(upix[upix >= 0] * (H * W) + pix[upix >= 0])
     ukey, (row, col) = keys // (H * W), np.divmod(keys % (H * W), W)
@@ -322,9 +412,8 @@ def _limit_cells(core: _RegionData, group: list[int], candidates: Cells,
     unit_of = np.full(core.n, -1)
     unit_of[group] = np.arange(len(group))
     owner, unit = np.divmod(np.arange(len(candidates) * len(group)), len(group))
-    return sort_cells(candidates[_support(candidates, 1, core.labels, core.origin, unit_of,
-                                          owner, unit, (delta + 1e-9) / s,
-                                          min(len(group), n_min))])
+    return sort_cells(candidates[_support(candidates, 1, core, unit_of, owner, unit,
+                                          (delta + 1e-9) / s, min(len(group), n_min))])
 
 
 def _near_cells(kc: Cells, core: _RegionData, delta: float, s: float) -> Cells:
@@ -469,23 +558,23 @@ def schoenflies_scan(spec: SetSpec, strips: Sequence[Strip],
     the last `divergence_window` levels; any divergent strip yields the
     verdict "not locally connected", otherwise the verdict is "consistent
     with locally connected" (one-sided: finite resolution can never certify
-    local connectedness).  Pairs are counted serially; `jobs` is accepted
-    and has no effect.
+    local connectedness).  Every strip is placed at every level first, strip
+    by strip, so a strip that collapses or a window that misses K raises for
+    the first such pair in that order; then each (level, mode) is one batch
+    of crossing counts.  `jobs` is accepted and has no effect.
     """
     lvls = tuple(sorted(set(int(n) for n in levels)))
     if not lvls:
         raise GridError("scan needs at least one level")
-    rasters = {n: rasterize(spec, Level(n, spec.base)) for n in lvls}
-
-    per_strip = []
-    for strip in strips:
-        cores_i = [_region_core(rasters[n], strip, "intersection") for n in lvls]
-        m_int = tuple(len(c.crossing) for c in cores_i)
-        m_diff = tuple(len(_region_core(rasters[n], strip, "difference").crossing)
-                       for n in lvls)
-        snapped = tuple(c.snapped for c in cores_i)
-        per_strip.append(StripScan(strip, lvls, snapped, m_int, m_diff,
-                                   _strictly_increasing_tail(m_int, divergence_window)))
+    rasters = [rasterize(spec, Level(n, spec.base)) for n in lvls]
+    windows = [[_window(K, strip) for K in rasters] for strip in strips]
+    m_int, m_diff = (np.array([_crossing_counts(K, [w[x] for w in windows], mode)
+                               for x, K in enumerate(rasters)]).T
+                     for mode in ("intersection", "difference"))
+    per_strip = [StripScan(strip, lvls, tuple(w.snapped for w in wins),
+                           tuple(mi.tolist()), tuple(md.tolist()),
+                           _strictly_increasing_tail(mi.tolist(), divergence_window))
+                 for strip, wins, mi, md in zip(strips, windows, m_int, m_diff)]
     verdict = ("not locally connected"
                if any(s.divergent for s in per_strip)
                else "consistent with locally connected")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -29,7 +31,11 @@ from pcx import (
     transform_cells,
     label_components,
 )
-from pcx.schoenflies import _single_linkage, _support
+from pcx import schoenflies
+from pcx.grid import _label_mask, _slab
+from pcx.schoenflies import (_canvases, _crossing_counts, _lateral_range,
+                             _region_core, _RegionData, _single_linkage, _support,
+                             _window)
 
 from conftest import (
     HAND_PATTERNS,
@@ -253,10 +259,83 @@ def test_support_matches_per_member_kdtrees(bf, n, d, seed):
     owner = np.concatenate([np.repeat(np.flatnonzero(group == g), len(asked[g]))
                             for g in range(2)])
     unit = np.concatenate([np.tile(asked[g], int((group == g).sum())) for g in range(2)])
+    core = _RegionData(origin, labels, 6, (), (0.0, 0.0),
+                       np.flatnonzero(labels.ravel() >= 0))
     for k in range(1, 5):
-        got = _support(cells, f, labels, origin, unit_of, owner, unit,
-                       (delta + 1e-9) / (s / f), k)
+        got = _support(cells, f, core, unit_of, owner, unit, (delta + 1e-9) / (s / f), k)
         assert np.array_equal(got, want >= k), (k, got, want)
+
+
+def _reference_core(K, region, mode):
+    """The region labelled alone: its rectangle cut out with _slab, masked to
+    the ring for an annulus, labelled with _label_mask; crossing ids are the
+    labels on both boundaries."""
+    slab_of = (lambda m: m) if mode == "intersection" else np.logical_not
+    conn = 8 if mode == "intersection" else 4
+    if isinstance(region, Strip):
+        r1, r2 = region.snapped_lines(K.level)
+        lo, hi = _lateral_range(K, region, K.level)
+        rect = (lo, r1, hi, r2 - 1) if region.axis == "h" else (r1, lo, r2 - 1, hi)
+        labels, n = _label_mask(slab_of(_slab(K, *rect)), conn)
+        a, b = (labels[0], labels[-1]) if region.axis == "h" else (labels[:, 0], labels[:, -1])
+    else:
+        (oi0, oj0, oi1, oj1), (ii0, ij0, ii1, ij1) = region.snapped_rects(K.level)
+        rect = (oi0, oj0, oi1, oj1)
+        ring = np.ones((oj1 - oj0 + 1, oi1 - oi0 + 1), dtype=bool)
+        ring[ij0 - oj0:ij1 - oj0 + 1, ii0 - oi0:ii1 - oi0 + 1] = False
+        labels, n = _label_mask(slab_of(_slab(K, *rect)) & ring, conn)
+        inner = np.zeros_like(ring)
+        inner[max(ij0 - oj0 - 1, 0):ij1 - oj0 + 2, max(ii0 - oi0 - 1, 0):ii1 - oi0 + 2] = True
+        a = np.concatenate([labels[0], labels[-1], labels[:, 0], labels[:, -1]])
+        b = labels[inner & ring]
+    crossing = np.intersect1d(a[a >= 0], b[b >= 0])
+    return (rect[0], rect[1]), labels, n, tuple(crossing.tolist())
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 40, 200, 1 << 18]),
+       st.sampled_from(["intersection", "difference"]))
+@settings(max_examples=120, deadline=None)
+def test_batched_regions_match_per_region_labelling(seed, budget, mode):
+    """Counts and canonical slices of the batch engine against each window
+    labelled alone, with canvases small enough to split a family and to
+    leave windows larger than the budget alone."""
+    rng = np.random.default_rng(seed)
+    cells = rng.integers(0, 14, size=(int(rng.integers(1, 90)), 2))
+    K = GridCompactum.from_cells(LVL, np.unique(cells, axis=0))
+    i0, j0, i1, j1 = K.cell_bbox()
+    regions = []
+    for axis in "hv":
+        for r in rng.integers(-2, 15, size=4).tolist():
+            width = int(rng.integers(1, 4))
+            regions.append(Strip(axis, r * S, (r + width) * S))
+            pad = rng.integers(1, 4, size=2)
+            window = Box((i0 - pad[0]) * S, (j0 - pad[1]) * S,
+                         (i1 + 1 + pad[0]) * S, (j1 + 1 + pad[1]) * S)
+            regions.append(Strip(axis, r * S, (r + width) * S, window=window))
+    for (i, j), (o, h) in zip(rng.integers(-2, 15, size=(6, 2)).tolist(),
+                              [(3, 1), (6, 2)] * 3):
+        regions.append(RectAnnulus(Box((i - o) * S, (j - o) * S, (i + o + 1) * S, (j + o + 1) * S),
+                                   Box((i - h) * S, (j - h) * S, (i + h + 1) * S, (j + h + 1) * S)))
+    windows = [_window(K, r) for r in regions]
+    want = [_reference_core(K, r, mode) for r in regions]
+    with mock.patch.object(schoenflies, "_CANVAS_PIXELS", budget):
+        counts = _crossing_counts(K, windows, mode)
+        seen = []
+        for canvas in _canvases(K, windows, mode):
+            for t, k in enumerate(canvas.index.tolist()):
+                core = canvas.core(t)
+                origin, labels, n, crossing = want[k]
+                assert core.origin == origin and core.n == n and core.crossing == crossing
+                assert core.labels.dtype == labels.dtype and np.array_equal(core.labels, labels)
+                assert np.array_equal(core.fg, np.flatnonzero(labels.ravel() >= 0))
+                assert canvas.counts[t] == len(crossing)
+                seen.append(k)
+    assert sorted(seen) == list(range(len(regions)))
+    assert counts.tolist() == [len(w[3]) for w in want]
+    # a window left out counts 0; one region alone is the same engine
+    assert _crossing_counts(K, [None] + windows[:1], mode).tolist() == [0, len(want[0][3])]
+    core = _region_core(K, regions[-1], mode)
+    assert core.crossing == want[-1][3] and np.array_equal(core.labels, want[-1][1])
 
 
 def test_strip_window_must_contain_k():
