@@ -11,9 +11,10 @@ the cluster limit cells for strips and square annuli in both modes,
 `schoenflies_relation` for a few parameter sets (a change in single linkage
 can show there while the closed classes hide it), and `close_equivalence` of
 seeded random merge sets on the carpet written as decompose JSON (which the
-CLI then compares), and `schoenflies_scan` over windowed strips, including a
-window that does not contain K.  Every output file, exit code and stderr text
-is compared byte for byte.
+CLI then compares), `schoenflies_scan` over windowed strips, including a
+window that does not contain K, and the oracle route of `rasterize`: a
+fill-less box spec and its `transform_spec` images.  Every output file, exit
+code and stderr text is compared byte for byte.
 Prints one line per output and exits 0 when all are identical, 1 otherwise.
 Each checkout takes about 15 s on a 2-core machine.
 """
@@ -117,7 +118,7 @@ CASES += [
 ]
 LIBRARY_OUTPUTS = ("closure_a.json", "closure_b.json", "complement_scan_carpet.json",
                    "crossing_components.json", "relation_seeds.json",
-                   "scan_windowed.json")
+                   "scan_windowed.json", "oracle_route.json")
 # rasters for the crossing_components dump: (generator, level)
 CROSSING_RASTERS = (("cantor_comb", 3), ("topologist_sine", 5), ("spiral_disk", 4),
                     ("sierpinski_carpet", 2), ("bars", 4), ("random_blobs", 5))
@@ -159,6 +160,8 @@ RELATION_CASES = (
     ("comb_L3_nmin3", "cantor_comb", 3,
      {"n_min": 3, "delta": 3, "annulus_family": "strips-all-offsets"}),
     ("comb_L3_delta4", "cantor_comb", 3, {"delta": 4}),
+    # the persistence check decides these merge sets (they vanish if it fails)
+    ("comb_L3_nmin3_delta4", "cantor_comb", 3, {"n_min": 3, "delta": 4}),
     ("sine_L6", "topologist_sine", 6, {}),
     ("spiral_L5", "spiral_disk", 5, {}),
     ("spiral_L5_flags", "spiral_disk", 5,
@@ -242,6 +245,22 @@ def _windowed_scan(out: Path) -> None:
         json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _oracle_route(out: Path) -> None:
+    """Cells of `rasterize` through a closed-box oracle (no fill), on both
+    bases, and of the spec under each of the 8 isometries."""
+    from pcx import Box, Level, SetSpec, rasterize, transform_spec
+    target = Box(0.25, -0.3, 0.7, 0.5)  # two edges on dyadic grid lines
+    spec = SetSpec("box", target, lambda box: box.intersects(target))
+    doc = {}
+    for base, n in ((2, 3), (3, 2)):
+        level = Level(n, base)
+        for t in range(8):
+            K = rasterize(transform_spec(spec, t), level)
+            doc[f"base{base}_L{n}_t{t}"] = K.cells().tolist()
+    (out / "oracle_route.json").write_text(
+        json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _argv(argv: list[str], out: Path) -> list[str]:
     argv = [a.replace("{out}", str(out)) for a in argv]
     if "spiral_disk" in argv and "--t-max" not in argv:
@@ -265,6 +284,7 @@ def emit(out: Path) -> None:
     _crossings(out)
     _relation_seeds(out)
     _windowed_scan(out)
+    _oracle_route(out)
     manifest["seconds"] = round(time.perf_counter() - t0, 1)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import zlib
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,39 +28,6 @@ from .grid import (DepthExceeded, GridCompactum, GridError, Level, SetSpec,
 from .schoenflies import Strip, default_strip_family, schoenflies_scan
 
 SCHEMA = "pcx/1"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, resolved from argv."""
-    command: str
-    generator: str | None = None
-    input_path: str | None = None
-    level: int | None = None
-    levels: tuple[int, ...] = ()
-    strips: tuple[str, ...] = ()
-    nmin: int = 4
-    delta: float | None = None
-    family: str = "both"
-    stride: int = 8
-    multi_level: bool = True
-    deep_levels: int = 3
-    deep_children: int = 3
-    jobs: int = 1
-    format: str = "json"
-    seed: int = 0
-    dust_dim: int = 2
-    t_max: float = 40.0
-    out: str | None = None
-    ascii_pbm: bool = False
-    contract: bool = False
-    tol: float = 0.0
-    path_a: str | None = None
-    path_b: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise GridError("jobs must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -91,27 +57,26 @@ def _parse_strip(text: str) -> Strip:
     return Strip(parts[0], float(parts[1]), float(parts[2]))
 
 
-def _spec_for(cfg: RunConfig) -> SetSpec:
-    if cfg.input_path is not None:
-        return from_pbm(cfg.input_path)
-    params = GeneratorParams(name=cfg.generator, seed=cfg.seed,
-                             dust_dim=cfg.dust_dim, t_max=cfg.t_max)
-    return make_spec(params)
+def _spec_for(args: argparse.Namespace) -> SetSpec:
+    if args.input_path is not None:
+        return from_pbm(args.input_path)
+    return make_spec(GeneratorParams(name=args.gen, seed=args.seed,
+                                     dust_dim=args.dust_dim, t_max=args.t_max))
 
 
-def _raster_for(cfg: RunConfig, n: int) -> GridCompactum:
-    spec = _spec_for(cfg)
-    return rasterize(spec, Level(n, spec.base))
+def _raster_for(args: argparse.Namespace) -> GridCompactum:
+    spec = _spec_for(args)
+    return rasterize(spec, Level(args.level, spec.base))
 
 
-def _decompose(cfg: RunConfig) -> tuple[GridCompactum, Decomposition]:
-    """The raster at cfg.level and its decomposition, rasterized once."""
-    params = RelationParams(n_min=cfg.nmin, delta=cfg.delta,
-                            annulus_family=cfg.family, stride=cfg.stride,
-                            multi_level=cfg.multi_level,
-                            deep_levels=cfg.deep_levels,
-                            deep_children=cfg.deep_children)
-    K = _raster_for(cfg, cfg.level)
+def _decompose(args: argparse.Namespace) -> tuple[GridCompactum, Decomposition]:
+    """The raster at args.level and its decomposition, rasterized once."""
+    params = RelationParams(n_min=args.nmin, delta=args.delta,
+                            annulus_family=args.family, stride=args.stride,
+                            multi_level=args.multi_level,
+                            deep_levels=args.deep_levels,
+                            deep_children=args.deep_children)
+    K = _raster_for(args)
     return K, close_equivalence(K, schoenflies_relation(K, params))
 
 
@@ -216,19 +181,19 @@ def render_svg(K: GridCompactum, D: Decomposition | None = None) -> str:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _cmd_gen(cfg: RunConfig) -> int:
-    K = _raster_for(cfg, cfg.level)
+def _cmd_gen(args: argparse.Namespace) -> int:
+    K = _raster_for(args)
     mask = K.mask if not K.is_empty else np.zeros((1, 1), dtype=bool)
-    data = emit_pbm(np.flipud(mask), "P1" if cfg.ascii_pbm else "P4")
+    data = emit_pbm(np.flipud(mask), "P1" if args.ascii_pbm else "P4")
     comment = (f"# pcx origin={K.origin[0]},{K.origin[1]} level={K.level.n} "
                f"base={K.level.base}\n").encode("ascii")
     magic, rest = data.split(b"\n", 1)
-    _emit_bytes(magic + b"\n" + comment + rest, cfg.out)
+    _emit_bytes(magic + b"\n" + comment + rest, args.out)
     return 0
 
 
-def _cmd_components(cfg: RunConfig) -> int:
-    K = _raster_for(cfg, cfg.level)
+def _cmd_components(args: argparse.Namespace) -> int:
+    K = _raster_for(args)
     lab = label_components(K, connectivity=8)
     payload = {
         "schema": SCHEMA,
@@ -245,85 +210,85 @@ def _cmd_components(cfg: RunConfig) -> int:
             "touches_frame": m.touches_frame,
         } for m in lab.metas],
     }
-    _dump_json(payload, cfg.out)
+    _dump_json(payload, args.out)
     return 0
 
 
-def _resolve_strips(cfg: RunConfig, spec: SetSpec) -> list[Strip]:
-    if len(cfg.strips) == 1 and cfg.strips[0] == "auto":
-        return default_strip_family(spec, Level(min(cfg.levels), spec.base))
-    return [_parse_strip(t) for t in cfg.strips]
+def _resolve_strips(args: argparse.Namespace, spec: SetSpec) -> list[Strip]:
+    if args.strip == ["auto"]:
+        return default_strip_family(spec, Level(min(args.levels), spec.base))
+    return [_parse_strip(t) for t in args.strip]
 
 
-def _cmd_scan(cfg: RunConfig) -> int:
-    spec = _spec_for(cfg)
-    strips = _resolve_strips(cfg, spec)
-    report = schoenflies_scan(spec, strips, cfg.levels)
+def _cmd_scan(args: argparse.Namespace) -> int:
+    spec = _spec_for(args)
+    strips = _resolve_strips(args, spec)
+    report = schoenflies_scan(spec, strips, args.levels)
     payload = {"schema": SCHEMA, "command": "scan", **report.to_dict()}
-    _dump_json(payload, cfg.out)
+    _dump_json(payload, args.out)
     return 0
 
 
-def _cmd_decompose(cfg: RunConfig) -> int:
-    K, D = _decompose(cfg)
-    if cfg.format == "svg":
-        _emit_text(render_svg(K, D), cfg.out)
-    elif cfg.format == "text":
+def _cmd_decompose(args: argparse.Namespace) -> int:
+    K, D = _decompose(args)
+    if args.format == "svg":
+        _emit_text(render_svg(K, D), args.out)
+    elif args.format == "text":
         lines = [f"{len(D.classes)} classes at level {K.level.n} "
                  f"(cell_size {K.level.cell_size:.8g})"]
         for c in D.classes:
             lines.append(f"  class {c.id}: size={c.size} "
                          f"diameter={c.diameter:.8g} "
                          f"rep=({c.representative[0]},{c.representative[1]})")
-        _emit_text("\n".join(lines) + "\n", cfg.out)
+        _emit_text("\n".join(lines) + "\n", args.out)
     else:
-        _dump_json(decomposition_to_payload(D), cfg.out)
+        _dump_json(decomposition_to_payload(D), args.out)
     return 0
 
 
-def _cmd_quotient(cfg: RunConfig) -> int:
-    K, D = _decompose(cfg)
+def _cmd_quotient(args: argparse.Namespace) -> int:
+    K, D = _decompose(args)
     G = quotient_graph(K, D)
     payload = {"schema": SCHEMA, "command": "quotient", **G.to_dict()}
     payload["monotone"] = monotone_check(K, D).to_dict()
-    if cfg.contract:
+    if args.contract:
         nodes, edges = contract_degree_two(G.nodes, G.edges)
         payload["contracted"] = {
             "nodes": list(nodes),
             "edges": [list(e) for e in edges],
             "is_simple_path": is_simple_path(nodes, edges),
         }
-    _dump_json(payload, cfg.out)
+    _dump_json(payload, args.out)
     return 0
 
 
-def _cmd_compare(cfg: RunConfig) -> int:
+def _cmd_compare(args: argparse.Namespace) -> int:
     from .decomposition import common_refinement, refines
-    A = load_decomposition(cfg.path_a)
-    B = load_decomposition(cfg.path_b)
-    a_ref_b = refines(A, B, tol=cfg.tol)
-    b_ref_a = refines(B, A, tol=cfg.tol)
+    A = load_decomposition(args.path_a)
+    B = load_decomposition(args.path_b)
+    a_ref_b = refines(A, B, tol=args.tol)
+    b_ref_a = refines(B, A, tol=args.tol)
     payload = {
         "schema": SCHEMA,
         "command": "compare",
         "a_refines_b": a_ref_b,
         "b_refines_a": b_ref_a,
-        "equal": a_ref_b and b_ref_a and cfg.tol == 0.0,
+        "equal": a_ref_b and b_ref_a and args.tol == 0.0,
         "class_count_a": len(A.classes),
         "class_count_b": len(B.classes),
         "common_refinement_classes": len(common_refinement(A, B).classes),
-        "tol": cfg.tol,
+        "tol": args.tol,
     }
-    _dump_json(payload, cfg.out)
+    _dump_json(payload, args.out)
     return 0
 
 
-def _cmd_render(cfg: RunConfig) -> int:
-    if cfg.format == "classes":
-        K, D = _decompose(cfg)
+def _cmd_render(args: argparse.Namespace) -> int:
+    if args.format == "classes":
+        K, D = _decompose(args)
     else:
-        K, D = _raster_for(cfg, cfg.level), None
-    _emit_text(render_svg(K, D), cfg.out)
+        K, D = _raster_for(args), None
+    _emit_text(render_svg(K, D), args.out)
     return 0
 
 
@@ -429,23 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {}
-    for name in ("command", "input_path", "level", "nmin", "delta", "family",
-                 "stride", "multi_level", "deep_levels", "deep_children",
-                 "jobs", "format", "seed", "dust_dim", "t_max", "out",
-                 "ascii_pbm", "contract", "tol", "path_a", "path_b"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    if getattr(args, "gen", None) is not None:
-        fields["generator"] = args.gen
-    if hasattr(args, "levels"):
-        fields["levels"] = _parse_levels(args.levels)
-    if hasattr(args, "strip"):
-        fields["strips"] = tuple(args.strip)
-    return RunConfig(**fields)
-
-
 def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -453,8 +401,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[cfg.command](cfg)
+        if args.command == "scan":  # the level list first, then the jobs check
+            args.levels = _parse_levels(args.levels)
+        if getattr(args, "jobs", 1) < 1:
+            raise GridError("jobs must be >= 1")
+        return _HANDLERS[args.command](args)
     except ParseError as exc:
         print(f"pcx: input error: {exc}", file=sys.stderr)
         return 3

@@ -295,23 +295,27 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
 
     kcells = K.cells()
 
-    def persists(region: Region, members: list[Cells], size: int) -> bool:
+    def persists(region: Region, core: _RegionData, group: list[int]) -> bool:
+        """Does a group of at least len(group) crossing components one level
+        finer have a cell whose parent lies in the group's members?"""
         K2 = next_level_raster()
         if K2 is None:
             return True  # nothing to refine against: accept as-is
         core2 = _region_core(K2, region, "intersection")
-        if len(core2.crossing) < size:
+        if len(core2.crossing) < len(group):
             return False  # no group can reach the gate
         cells2 = core2.crossing_cells()
-        union = set(map(tuple, np.concatenate(members)))
-        for group in _single_linkage(cells2, delta, K2.level.cell_size):
-            if len(group) < size:
-                continue
-            for cid in group:
-                parents = cells2[cid] // base
-                if any(tuple(p) in union for p in parents):
-                    return True
-        return False
+        big = [cid for g in _single_linkage(cells2, delta, K2.level.cell_size)
+               if len(g) >= len(group) for cid in g]
+        if not big:
+            return False
+        # a parent is a member cell iff it lies in the coarse window and its
+        # coarse label is in the group
+        parents = np.concatenate([cells2[cid] for cid in big]) // base
+        (nj, ni), (oi, oj) = core.labels.shape, core.origin
+        ii, jj = parents[:, 0] - oi, parents[:, 1] - oj
+        ok = (0 <= ii) & (ii < ni) & (0 <= jj) & (jj < nj)
+        return bool(np.isin(core.labels[jj[ok], ii[ok]], group).any())
 
     # crossing counts of every region; the canvas of a region with a
     # crossing stays until no gate can ask for its labels
@@ -337,8 +341,7 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
         if gated:
             candidates = _near_cells(kcells, core, delta, s)
             for group in gated:
-                members = [cells_of[c] for c in group]
-                if params.multi_level and not persists(regions[k], members, len(group)):
+                if params.multi_level and not persists(regions[k], core, group):
                     continue
                 limit = _limit_cells(core, group, candidates, delta, s, params.n_min)
                 if len(limit):

@@ -1,10 +1,10 @@
-"""Built-in planar compacta with exact rasterizers and conservative box oracles.
+"""Built-in planar compacta, each rasterized by an exact fill.
 
-Each generator returns a SetSpec whose `fill` is the authoritative raster
-(outer cover under positive-overlap semantics; measure-zero features such as
-curves and segments use half-open cells with the scene-box top/right edge
-folded into the last row/column) and whose `oracle` answers conservative
-closed-box membership questions about the true set.
+Each generator and the PBM loader return a SetSpec whose `fill` is the only
+raster of the set.  A cell is marked when it overlaps an area of the set in
+positive measure; measure-zero features such as curves and segments mark
+the half-open cells they meet, with the scene-box top/right edge folded into
+the last row/column.  No built-in spec carries a box oracle.
 """
 from __future__ import annotations
 
@@ -117,18 +117,9 @@ def _rect_fill_cells(rects: list[tuple[float, float, float, float]],
     return (gi0, gj0), mask
 
 
-def _rects_oracle(rects: list[tuple[float, float, float, float]]):
-    def oracle(box: Box) -> bool:
-        for (x0, y0, x1, y1) in rects:
-            if box.x0 <= x1 and x0 <= box.x1 and box.y0 <= y1 and y0 <= box.y1:
-                return True
-        return False
-    return oracle
-
-
 def unit_square() -> SetSpec:
     rects = [(0.0, 0.0, 1.0, 1.0)]
-    return SetSpec("unit_square", Box(0, 0, 1, 1), _rects_oracle(rects),
+    return SetSpec("unit_square", Box(0, 0, 1, 1),
                    fill=lambda level: _rect_fill_cells(rects, level))
 
 
@@ -137,7 +128,7 @@ def bars() -> SetSpec:
     rects = [(0.0, 0.375, 0.25, 0.625),
              (0.375, 0.375, 0.625, 0.625),
              (0.75, 0.375, 1.0, 0.625)]
-    return SetSpec("bars", Box(0, 0.375, 1, 0.625), _rects_oracle(rects),
+    return SetSpec("bars", Box(0, 0.375, 1, 0.625),
                    fill=lambda level: _rect_fill_cells(rects, level))
 
 
@@ -177,11 +168,8 @@ def random_compactum(seed: int, params: RandomParams | None = None) -> SetSpec:
     for _ in range(p.n_bars):
         try_place(False)
 
-    name = f"random_blobs[{seed}]"
-    if not rects:
-        return SetSpec(name, Box(0, 0, 1, 1), lambda box: False,
-                       fill=lambda level: ((0, 0), np.zeros((0, 0), dtype=bool)))
-    return SetSpec(name, Box(0, 0, 1, 1), _rects_oracle(rects),
+    # no rectangle placed: the fill yields the empty raster
+    return SetSpec(f"random_blobs[{seed}]", Box(0, 0, 1, 1),
                    fill=lambda level: _rect_fill_cells(rects, level))
 
 
@@ -199,19 +187,6 @@ def _cantor_indices(n: int) -> np.ndarray:
     return idx
 
 
-def _cantor_meets(a: float, b: float, depth: int = 48) -> bool:
-    """Conservative: does [a, b] meet the middle-thirds set in [0, 1]?"""
-    if b < 0.0 or a > 1.0:
-        return False
-    if a <= 0.0 or b >= 1.0:
-        return True  # endpoints 0 and 1 survive every stage
-    if depth == 0:
-        return True
-    if a <= 1.0 / 3.0 and _cantor_meets(3 * a, 3 * b, depth - 1):
-        return True
-    return b >= 2.0 / 3.0 and _cantor_meets(3 * a - 2, 3 * b - 2, depth - 1)
-
-
 def cantor_comb() -> SetSpec:
     """Vertical teeth over the middle-thirds set plus the joining top bar."""
     def fill(level: Level) -> tuple[tuple[int, int], np.ndarray]:
@@ -222,15 +197,7 @@ def cantor_comb() -> SetSpec:
         mask[side - 1, :] = True  # segment at y = 1, folded into the top row
         return (0, 0), mask
 
-    def oracle(box: Box) -> bool:
-        x_hits = box.x0 <= 1.0 and box.x1 >= 0.0
-        if x_hits and box.y0 <= 1.0 <= box.y1:
-            return True  # top bar
-        if box.y1 < 0.0 or box.y0 > 1.0 or not x_hits:
-            return False
-        return _cantor_meets(box.x0, box.x1)
-
-    return SetSpec("cantor_comb", Box(0, 0, 1, 1), oracle, fill=fill, base=3)
+    return SetSpec("cantor_comb", Box(0, 0, 1, 1), fill=fill, base=3)
 
 
 def cantor_dust(dim: int = 2) -> SetSpec:
@@ -250,14 +217,7 @@ def cantor_dust(dim: int = 2) -> SetSpec:
             mask[np.ix_(idx, idx)] = True
         return (0, 0), mask
 
-    def oracle(box: Box) -> bool:
-        if not _cantor_meets(box.x0, box.x1):
-            return False
-        if dim == 1:
-            return box.y0 <= 0.0 <= box.y1
-        return _cantor_meets(box.y0, box.y1)
-
-    return SetSpec(f"cantor_dust{dim}d", Box(0, 0, 1, 1), oracle, fill=fill, base=3)
+    return SetSpec(f"cantor_dust{dim}d", Box(0, 0, 1, 1), fill=fill, base=3)
 
 
 def sierpinski_carpet() -> SetSpec:
@@ -272,26 +232,7 @@ def sierpinski_carpet() -> SetSpec:
             removed |= np.outer(mid, mid)
         return (0, 0), ~removed
 
-    def meets(x0: float, y0: float, x1: float, y1: float, depth: int) -> bool:
-        if x1 < 0 or x0 > 1 or y1 < 0 or y0 > 1:
-            return False
-        if depth == 0:
-            return True
-        # survives unless it only meets the open middle square
-        if not (x0 > 1 / 3 and x1 < 2 / 3 and y0 > 1 / 3 and y1 < 2 / 3):
-            for bi in range(3):
-                for bj in range(3):
-                    if bi == 1 and bj == 1:
-                        continue
-                    if meets(3 * x0 - bi, 3 * y0 - bj, 3 * x1 - bi, 3 * y1 - bj,
-                             depth - 1):
-                        return True
-        return False
-
-    def oracle(box: Box) -> bool:
-        return meets(box.x0, box.y0, box.x1, box.y1, 24)
-
-    return SetSpec("sierpinski_carpet", Box(0, 0, 1, 1), oracle, fill=fill, base=3)
+    return SetSpec("sierpinski_carpet", Box(0, 0, 1, 1), fill=fill, base=3)
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +274,7 @@ def topologist_sine() -> SetSpec:
             mask[jlo[col]:jhi[col] + 1, col] = True
         return (0, -rows // 2), mask
 
-    def oracle(box: Box) -> bool:
-        if box.x0 <= 0.0 <= box.x1 and box.y0 <= 1.0 and box.y1 >= -1.0:
-            return True  # limit bar
-        a = max(box.x0, 1e-12)
-        b = min(box.x1, 1.0)
-        if a > b:
-            return False
-        lo, hi = _sine_range(np.array([a]), np.array([b]))
-        return bool(box.y0 <= hi[0] and box.y1 >= lo[0])
-
-    return SetSpec("topologist_sine", Box(0, -1, 1, 1), oracle, fill=fill)
+    return SetSpec("topologist_sine", Box(0, -1, 1, 1), fill=fill)
 
 
 # ---------------------------------------------------------------------------
@@ -401,45 +332,7 @@ def spiral_disk(t_max: float = 40.0) -> SetSpec:
         mask[idx[:, 1] - j0, idx[:, 0] - i0] = True
         return (i0, j0), mask
 
-    def oracle(box: Box) -> bool:
-        nx = min(max(0.0, box.x0), box.x1)
-        ny = min(max(0.0, box.y0), box.y1)
-        r_near = math.hypot(nx, ny)
-        if r_near <= 1.0:
-            return True  # meets the closed disk
-        corners = [(box.x0, box.y0), (box.x1, box.y0), (box.x0, box.y1),
-                   (box.x1, box.y1)]
-        r_far = max(math.hypot(x, y) for (x, y) in corners)
-        lo_r = max(r_near, 1.0 + math.exp(-t_max))
-        hi_r = min(r_far, 2.0)
-        if lo_r > hi_r:
-            return False
-        t_lo = max(0.0, -math.log(hi_r - 1.0))
-        t_hi = min(t_max, -math.log(lo_r - 1.0))
-        if t_hi < t_lo:
-            return False
-        if t_hi - t_lo >= 1.0:
-            return True  # a full turn sweeps every direction
-        cx, cy = (box.x0 + box.x1) / 2, (box.y0 + box.y1) / 2
-        ref = math.atan2(cy, cx)
-        rel = []
-        for (x, y) in corners:
-            d = math.atan2(y, x) - ref
-            while d <= -math.pi:
-                d += 2 * math.pi
-            while d > math.pi:
-                d -= 2 * math.pi
-            rel.append(d)
-        th0, th1 = ref + min(rel) - 1e-9, ref + max(rel) + 1e-9
-        a0, a1 = 2 * math.pi * t_lo, 2 * math.pi * t_hi
-        k0 = math.floor((th0 - a1) / (2 * math.pi))
-        k1 = math.ceil((th1 - a0) / (2 * math.pi))
-        for k in range(k0, k1 + 1):
-            if a0 + 2 * math.pi * k <= th1 and th0 <= a1 + 2 * math.pi * k:
-                return True
-        return False
-
-    return SetSpec("spiral_disk", bbox, oracle, fill=fill)
+    return SetSpec("spiral_disk", bbox, fill=fill)
 
 
 # ---------------------------------------------------------------------------
@@ -535,14 +428,5 @@ def from_pbm(path: str) -> SetSpec:
             mask[cells[:, 1], cells[:, 0]] = True
         return (0, 0), mask
 
-    def oracle(box: Box) -> bool:
-        i0 = max(int(np.floor(box.x0 / s_native)), 0)
-        j0 = max(int(np.floor(box.y0 / s_native)), 0)
-        i1 = min(int(np.ceil(box.x1 / s_native)), w)
-        j1 = min(int(np.ceil(box.y1 / s_native)), h)
-        if i0 >= i1 or j0 >= j1:
-            return False
-        return bool(native[j0:j1, i0:i1].any())
-
     name = os.path.splitext(os.path.basename(path))[0]
-    return SetSpec(f"pbm:{name}", bbox, oracle, fill=fill)
+    return SetSpec(f"pbm:{name}", bbox, fill=fill)

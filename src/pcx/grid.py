@@ -113,23 +113,30 @@ class Box:
 
 # An oracle maps a closed box to True (meets the set), False (definitely
 # disjoint) or None (unknown at tolerance).  It must be conservative: never
-# False for a box that meets the true set.
+# False for a box that meets the true set.  Only a user spec without a fill
+# needs one; its raster then marks every cell whose closed box meets the set.
 BoxOracle = Callable[[Box], Optional[bool]]
 # An exact fill maps a Level to ((i0, j0), bool mask indexed [j - j0, i - i0]).
+# The built-in sets mark the cells that overlap an area of the set in positive
+# measure, and the half-open cells that a curve or segment meets.
 ExactFill = Callable[[Level], tuple[tuple[int, int], np.ndarray]]
 
 
 @dataclass(frozen=True)
 class SetSpec:
+    """A planar set as a scene box plus a rasterizer: an exact fill, which
+    rasterize prefers, or else a box oracle."""
     name: str
     bbox: Box
-    oracle: BoxOracle
+    oracle: BoxOracle | None = None
     fill: ExactFill | None = None
     base: int = 2  # grid base the set is aligned with
 
     def __post_init__(self) -> None:
         if self.base not in (2, 3):
             raise GridError(f"base must be 2 or 3, got {self.base}")
+        if self.fill is None and self.oracle is None:
+            raise GridError(f"{self.name} has neither a fill nor an oracle")
 
 
 def _as_cells(arr: np.ndarray) -> Cells:
@@ -251,11 +258,6 @@ class GridCompactum:
                 self.origin[0] + self.mask.shape[1] - 1,
                 self.origin[1] + self.mask.shape[0] - 1)
 
-    def scene_bbox(self) -> Box:
-        i0, j0, i1, j1 = self.cell_bbox()
-        s = self.level.cell_size
-        return Box(i0 * s, j0 * s, (i1 + 1) * s, (j1 + 1) * s)
-
     def contains_cell(self, i: int, j: int) -> bool:
         ii, jj = i - self.origin[0], j - self.origin[1]
         if 0 <= jj < self.mask.shape[0] and 0 <= ii < self.mask.shape[1]:
@@ -292,9 +294,10 @@ def _slab(K: GridCompactum, i0: int, j0: int, i1: int, j1: int) -> np.ndarray:
 def rasterize(spec: SetSpec, level: Level) -> GridCompactum:
     """Outer cover of spec at the given level.
 
-    Exact fills take priority; otherwise the conservative oracle drives a
-    subdivision search over the spec bounding box (boxes reported disjoint are
-    pruned, unknowns are refined down to single cells and kept).
+    An exact fill, which every built-in set has, gives the raster directly.
+    Otherwise the conservative oracle drives a subdivision search over the
+    spec bounding box (boxes reported disjoint are pruned, unknowns are
+    refined down to single cells and kept): closed-box semantics.
     """
     if level.n > max_level():
         raise DepthExceeded(f"level {level.n} exceeds cap {max_level()}")
@@ -581,16 +584,14 @@ def transform_spec(spec: SetSpec, t: int) -> SetSpec:
     if t == 0:
         return spec
     inv = inverse_transform(t)
-    fill = None
-    if spec.fill is not None:
-        base_fill = spec.fill
 
-        def fill(level: Level, _f: ExactFill = base_fill) -> tuple[tuple[int, int], np.ndarray]:
-            origin, mask = _f(level)
-            return _mask_of(transform_cells(_cells_of(mask, origin), t))
+    def fill(level: Level) -> tuple[tuple[int, int], np.ndarray]:
+        origin, mask = spec.fill(level)
+        return _mask_of(transform_cells(_cells_of(mask, origin), t))
 
     def oracle(box: Box) -> Optional[bool]:
         return spec.oracle(transform_box(box, inv))
 
     return SetSpec(name=f"{spec.name}~t{t}", bbox=transform_box(spec.bbox, t),
-                   oracle=oracle, fill=fill, base=spec.base)
+                   oracle=oracle if spec.oracle is not None else None,
+                   fill=fill if spec.fill is not None else None, base=spec.base)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pcx import (
+    Box,
     Decomposition,
     GeneratorParams,
     GridCompactum,
@@ -12,6 +13,7 @@ from pcx import (
     Level,
     RelationParams,
     RelationSeed,
+    SetSpec,
     close_equivalence,
     common_refinement,
     contract_degree_two,
@@ -310,6 +312,32 @@ def test_packed_wires_glue_only_where_enough_pile_up():
     # at the default delta (two cells) the pile-up is too sparse to fire
     D0 = close_equivalence(K, schoenflies_relation(K))
     assert all(c.size == 1 for c in D0.classes)
+
+
+@pytest.mark.parametrize("fine_cols, persists", [
+    ((0, 4, 8), True),      # parents 0, 2, 4: the coarse teeth
+    ((9, 13, 17), True),    # parents 4, 6, 8: one coarse tooth
+    ((20, 24, 28), False),  # parents 10, 12, 14: off the coarse teeth
+])
+def test_same_level_cluster_must_persist_over_its_members(fine_cols, persists):
+    """Three teeth two cells apart at level 4; a fill that puts the level-5
+    teeth elsewhere.  The same-level cluster glues only when a cluster of
+    at least as many crossing components one level finer has a cell whose
+    parent is a member of the coarse cluster."""
+    def fill(level):
+        cols = (0, 2, 4) if level.n == 4 else [c * 2 ** (level.n - 5) + k
+                                                for c in fine_cols
+                                                for k in range(2 ** (level.n - 5))]
+        mask = np.zeros((2 ** level.n, 2 ** level.n), dtype=bool)
+        mask[:, cols] = True
+        return (0, 0), mask
+
+    K = rasterize(SetSpec("teeth", Box(0, 0, 1, 1), fill=fill), Level(4, 2))
+    same_level = dict(n_min=3, delta=2 / 16, annulus_family="strips-all-offsets")
+    seed = schoenflies_relation(K, RelationParams(**same_level, deep_children=99))
+    assert bool(seed.merge_sets) == persists
+    flat = schoenflies_relation(K, RelationParams(**same_level, multi_level=False))
+    assert flat.merge_sets  # without the persistence check the cluster glues
 
 
 def test_comb_small_scale_structure():

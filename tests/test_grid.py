@@ -33,6 +33,7 @@ from pcx import (
     transform_cells,
     transform_grid,
     transform_point,
+    transform_spec,
     window_cell_range,
 )
 
@@ -175,6 +176,11 @@ def test_rasterize_covers_box(params, n):
                 assert (i, j) in got
     for (i, j) in got:
         assert target.intersects(Box(i * s, j * s, (i + 1) * s, (j + 1) * s))
+
+
+def test_spec_needs_a_fill_or_an_oracle():
+    with pytest.raises(GridError, match="neither a fill nor an oracle"):
+        SetSpec("x", Box(0, 0, 1, 1))
 
 
 def test_rasterize_depth_cap(monkeypatch):
@@ -439,3 +445,22 @@ def test_transform_grid_matches_cell_map():
         moved = transform_grid(K, t)
         assert np.array_equal(moved.cells(),
                               sort_cells(transform_cells(K.cells(), t)))
+
+
+@pytest.mark.parametrize("base, n, target", [
+    (2, 3, Box(0.25, 0.3, 0.7, 0.5)),         # two edges on grid lines
+    (2, 4, Box(-0.4, 0.05, 0.15, 0.9)),
+    (3, 2, Box(1 / 3, 0.2, 0.5, 2 / 3)),
+    (3, 3, Box(-0.3, -0.6, 0.25, 0.1)),
+])
+def test_transform_spec_oracle_route_matches_transform_grid(base, n, target):
+    """A fill-less spec moved by transform_spec rasterizes, through its
+    wrapped oracle, to the moved raster of the original."""
+    spec = replace(box_spec(target), base=base)
+    level = Level(n, base)
+    K = rasterize(spec, level)
+    assert not K.is_empty
+    for t in TRANSFORM_IDS:
+        moved = transform_spec(spec, t)
+        assert moved.fill is None
+        assert rasterize(moved, level) == transform_grid(K, t)
