@@ -12,8 +12,9 @@ the cluster limit cells for strips and square annuli in both modes,
 can show there while the closed classes hide it), and `close_equivalence` of
 seeded random merge sets on the carpet written as decompose JSON (which the
 CLI then compares), `schoenflies_scan` over windowed strips, including a
-window that does not contain K, and the oracle route of `rasterize`: a
-fill-less box spec and its `transform_spec` images.  Every output file, exit
+window that does not contain K, the oracle route of `rasterize`: a
+fill-less box spec and its `transform_spec` images, and the loops and errors
+of `separating_curve` with the results and errors of `cut_wire`.  Every output file, exit
 code and stderr text is compared byte for byte.
 Prints one line per output and exits 0 when all are identical, 1 otherwise.
 Each checkout takes about 15 s on a 2-core machine.
@@ -118,7 +119,7 @@ CASES += [
 ]
 LIBRARY_OUTPUTS = ("closure_a.json", "closure_b.json", "complement_scan_carpet.json",
                    "crossing_components.json", "relation_seeds.json",
-                   "scan_windowed.json", "oracle_route.json")
+                   "scan_windowed.json", "oracle_route.json", "separation.json")
 # rasters for the crossing_components dump: (generator, level)
 CROSSING_RASTERS = (("cantor_comb", 3), ("topologist_sine", 5), ("spiral_disk", 4),
                     ("sierpinski_carpet", 2), ("bars", 4), ("random_blobs", 5))
@@ -261,6 +262,72 @@ def _oracle_route(out: Path) -> None:
         json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _walk(rng, start: tuple[int, int], size: int, lo: int, hi: int) -> set:
+    """4-connected random walk clipped to [lo, hi]^2."""
+    cells = {start}
+    i, j = start
+    for _ in range(4 * size):
+        if len(cells) >= size:
+            break
+        di, dj = ((1, 0), (-1, 0), (0, 1), (0, -1))[int(rng.integers(0, 4))]
+        i, j = min(hi, max(lo, i + di)), min(hi, max(lo, j + dj))
+        cells.add((i, j))
+    return cells
+
+
+def _separations(out: Path) -> None:
+    """Loops of `separating_curve` between two seeded random walks (bricks of
+    2 and 4 cells), its two geometric errors, and `cut_wire` on a few
+    triples, including A or B off X's bounding box and on an empty cell."""
+    import numpy as np
+    from pcx import (GridCompactum, GridError, Level, cut_wire, label_components,
+                     separating_curve)
+    lvl = Level(7, 2)
+    rng = np.random.default_rng(3)
+
+    def grid(cells) -> GridCompactum:
+        return GridCompactum.from_cells(lvl, np.array(sorted(cells), dtype=np.int64))
+
+    def attempt(fn, *args):
+        try:
+            return fn(*args)
+        except GridError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    loops = []
+    for _ in range(24):
+        rc = int(rng.choice((2, 4)))
+        P = _walk(rng, (int(rng.integers(0, 6)), int(rng.integers(0, 6))),
+                  int(rng.integers(4, 40)), -2, 12)
+        off = 14 + 6 * rc
+        Q = {(i + off, j) for i, j in _walk(rng, (int(rng.integers(0, 6)),
+                                                  int(rng.integers(-4, 8))),
+                                            int(rng.integers(4, 40)), -6, 12)}
+        lab = label_components(grid(P | Q), 8)
+        pid, qid = lab.id_at(*min(P)), lab.id_at(*min(Q))
+        loop = separating_curve(grid(P | Q), pid, qid, rc * lvl.cell_size)
+        loops.append([loop.r_cells, loop.corner_cells.tolist()])
+    ring = {(i, j) for i in range(12) for j in range(12)} - \
+        {(i, j) for i in range(1, 11) for j in range(1, 11)}
+    doc = {"loops": loops,
+           "r_too_large": attempt(separating_curve, grid({(0, 0), (5, 0)}), 0, 1,
+                                  8 * lvl.cell_size),
+           "q_enclosed": attempt(separating_curve, grid(ring | {(5, 5)}), 0, 1,
+                                 2 * lvl.cell_size)}
+    X = np.array(sorted(ring | {(5, 5), (6, 5), (20, 3)}), dtype=np.int64)
+    wires = []
+    for A, B in (([[0, 0]], [[11, 11]]), ([[5, 5]], [[0, 3]]), ([[20, 3]], [[6, 5]]),
+                 ([[0, 0], [5, 5]], [[20, 3]]), ([[40, 0]], [[0, 0]]),
+                 ([[0, 0]], [[3, 3]])):
+        res = attempt(cut_wire, X, np.array(A), np.array(B))
+        wires.append(res if isinstance(res, str) else
+                     [res.connected] + [None if c is None else c.tolist()
+                                        for c in (res.component, res.side_a, res.side_b)])
+    doc["cut_wire"] = wires
+    (out / "separation.json").write_text(
+        json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _argv(argv: list[str], out: Path) -> list[str]:
     argv = [a.replace("{out}", str(out)) for a in argv]
     if "spiral_disk" in argv and "--t-max" not in argv:
@@ -285,6 +352,7 @@ def emit(out: Path) -> None:
     _relation_seeds(out)
     _windowed_scan(out)
     _oracle_route(out)
+    _separations(out)
     manifest["seconds"] = round(time.perf_counter() - t0, 1)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 

@@ -13,7 +13,7 @@ from .decomposition import (ClassInfo, Decomposition, MonotoneReport,
                             is_simple_path, monotone_check, peano_check,
                             quotient_graph, refines, schoenflies_relation)
 from .generators import (GENERATOR_BASES, GENERATOR_NAMES, GeneratorParams,
-                         ParseError, RandomParams, emit_pbm, from_pbm,
+                         ParseError, emit_pbm, from_pbm,
                          generator_base, make_spec, parse_pbm,
                          random_compactum)
 from .grid import (DEFAULT_MAX_LEVEL, Box, BoxOracle, Cells,
@@ -38,7 +38,7 @@ __all__ = [
     "DepthExceeded", "DEFAULT_MAX_LEVEL", "ExactFill", "GENERATOR_BASES",
     "GENERATOR_NAMES", "GeneratorParams", "GridCompactum", "GridError",
     "Level", "MonotoneReport", "ParseError", "PeanoReport", "QuotientGraph",
-    "RandomParams", "RectAnnulus", "RelationParams", "RelationSeed",
+    "RectAnnulus", "RelationParams", "RelationSeed",
     "ScanReport", "SeparatingLoop", "SetSpec", "Strip", "StripScan",
     "WindowError", "close_equivalence", "coarsen", "common_refinement",
     "complement_components", "complement_diameter_scan",

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .grid import (Box, Cells, GridCompactum, GridError, Level, SetSpec,
-                   _as_cells, _canonical, _cells_by_label, _cells_of,
+                   _as_cells, _at, _canonical, _cells_by_label, _cells_of,
                    _components, _group, _label_mask, _slab,
                    diameters, max_level, rasterize)
 from .schoenflies import (RectAnnulus, Region, Strip, _band_strips,
@@ -108,10 +108,7 @@ class Decomposition:
         return sum(c.size for c in self.classes)
 
     def class_of(self, i: int, j: int) -> int:
-        ii, jj = i - self.origin[0], j - self.origin[1]
-        if 0 <= jj < self.class_map.shape[0] and 0 <= ii < self.class_map.shape[1]:
-            return int(self.class_map[jj, ii])
-        return -1
+        return int(_at(self.class_map, self.origin, i, j))
 
     def cells(self) -> Cells:
         return _cells_of(self.class_map >= 0, self.origin)
@@ -227,12 +224,10 @@ def _deep_children(core: _RegionData, dcore: _RegionData, factor: int,
     ids = np.asarray(dcore.crossing, dtype=np.int64)
     first = fg[np.searchsorted(np.maximum.accumulate(lab), ids)]
     unit = np.arange(len(ids)) if full is None else _canonical(full.ravel()[first])[0]
-    W, (nj, ni), (oi, oj) = dcore.labels.shape[1], core.labels.shape, dcore.origin
-    ii = (first % W + oi) // factor - core.origin[0]
-    jj = (first // W + oj) // factor - core.origin[1]
-    ok = (0 <= ii) & (ii < ni) & (0 <= jj) & (jj < nj)
-    cids, uids = core.labels[jj[ok], ii[ok]].astype(np.int64), unit[ok]
-    pairs = np.unique(cids[cids >= 0] * len(ids) + uids[cids >= 0])
+    W, (oi, oj) = dcore.labels.shape[1], dcore.origin
+    cids = _at(core.labels, core.origin, (first % W + oi) // factor,
+               (first // W + oj) // factor).astype(np.int64)
+    pairs = np.unique(cids[cids >= 0] * len(ids) + unit[cids >= 0])
     unit_of = np.full(dcore.n, -1, dtype=np.int64)
     unit_of[ids] = unit
     return *np.divmod(pairs, len(ids)), unit_of
@@ -312,10 +307,8 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
         # a parent is a member cell iff it lies in the coarse window and its
         # coarse label is in the group
         parents = np.concatenate([cells2[cid] for cid in big]) // base
-        (nj, ni), (oi, oj) = core.labels.shape, core.origin
-        ii, jj = parents[:, 0] - oi, parents[:, 1] - oj
-        ok = (0 <= ii) & (ii < ni) & (0 <= jj) & (jj < nj)
-        return bool(np.isin(core.labels[jj[ok], ii[ok]], group).any())
+        return bool(np.isin(_at(core.labels, core.origin, parents[:, 0], parents[:, 1]),
+                            group).any())
 
     # crossing counts of every region; the canvas of a region with a
     # crossing stays until no gate can ask for its labels
@@ -419,27 +412,23 @@ def close_equivalence(K: GridCompactum, seed: RelationSeed) -> Decomposition:
     numbered by their smallest row-major cell."""
     if seed.level != K.level:
         raise GridError("seed level does not match the raster")
-    cells = K.cells()
-    n = len(cells)
+    n = K.count
     sets = [_as_cells(ms) for ms in seed.merge_sets]
     sizes = np.array([len(ms) for ms in sets], dtype=np.int64)
     if (sizes == 0).any():
         raise GridError("empty merge set")
     ms = np.concatenate([np.zeros((0, 2), dtype=np.int64)] + sets)
-    (oi, oj), (H, W) = K.origin, K.mask.shape
-    ii, jj = ms[:, 0] - oi, ms[:, 1] - oj
-    ok = (ii >= 0) & (ii < W) & (jj >= 0) & (jj < H)
-    index = np.full((H, W), -1, dtype=np.int64)
-    index[cells[:, 1] - oj, cells[:, 0] - oi] = np.arange(n)
-    idxs = index[jj[ok], ii[ok]]
-    if not ok.all() or (idxs < 0).any():
+    index = np.full(K.mask.shape, -1, dtype=np.int64)
+    index[K.mask] = np.arange(n)
+    idxs = _at(index, K.origin, ms[:, 0], ms[:, 1])
+    if (idxs < 0).any():
         raise GridError("merge set cell outside K")
     if n == 0:
         return Decomposition(K.level, K.origin,
                              np.full(K.mask.shape, -1, dtype=np.int32), ())
     # a star per merge set: its first cell joined to each of its cells
     hubs = np.repeat(idxs[np.cumsum(sizes) - sizes], sizes)
-    return _partition_from_ids(K, cells, _components(n, hubs, idxs)[1])
+    return _partition_from_ids(K, K.cells(), _components(n, hubs, idxs)[1])
 
 
 def decompose(spec: SetSpec, level: Level, params: RelationParams | None = None,
@@ -651,7 +640,7 @@ def peano_check(graphs: Sequence[QuotientGraph],
 
         ms = np.array([_crossing_counts(R, [window(R, st) for st in strips],
                                         "intersection") for R in reps]).T
-        divergent = any(_strictly_increasing_tail(m.tolist(), 3) for m in ms)
+        divergent = any(_strictly_increasing_tail(m.tolist()) for m in ms)
     return PeanoReport(levels, tuple(float(c) for c in C_grid), counts,
                        stable, divergent)
 

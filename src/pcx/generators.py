@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,22 +34,11 @@ GENERATOR_BASES = {"cantor_comb": 3, "sierpinski_carpet": 3, "cantor_dust": 3,
 
 
 @dataclass(frozen=True)
-class RandomParams:
-    n_bars: int = 6
-    full_height: int = 0
-    min_cells: int = 2
-    max_cells: int = 8
-    gap_cells: int = 3
-    lattice: int = 32
-
-
-@dataclass(frozen=True)
 class GeneratorParams:
     name: str
     seed: int = 0
     dust_dim: int = 2
     t_max: float = 40.0
-    blobs: RandomParams = field(default_factory=RandomParams)
 
     def __post_init__(self) -> None:
         if self.name not in GENERATOR_NAMES:
@@ -75,7 +64,7 @@ def make_spec(params: GeneratorParams) -> SetSpec:
         return unit_square()
     if params.name == "bars":
         return bars()
-    return random_compactum(params.seed, params.blobs)
+    return random_compactum(params.seed)
 
 
 def generator_base(name: str) -> int:
@@ -132,41 +121,25 @@ def bars() -> SetSpec:
                    fill=lambda level: _rect_fill_cells(rects, level))
 
 
-def random_compactum(seed: int, params: RandomParams | None = None) -> SetSpec:
-    """Deterministic union of axis-aligned lattice bars with enforced gaps.
+def random_compactum(seed: int) -> SetSpec:
+    """Deterministic union of six axis-aligned lattice bars with enforced gaps.
 
-    Rectangles sit on a 1/lattice grid with pairwise separation of at least
-    gap_cells lattice steps, so components never kiss diagonally and stay
-    apart under any rasterization at least as fine as the lattice.
+    Rectangles with sides of 2..8 steps sit on a 1/32 lattice with pairwise
+    separation of at least 3 lattice steps, so components never kiss
+    diagonally and stay apart under any rasterization at least as fine as the
+    lattice.  A bar that finds no place in 200 draws is dropped.
     """
-    p = params or RandomParams()
     rng = np.random.default_rng(np.uint64(seed))
-    unit = 1.0 / p.lattice
-    rects: list[tuple[float, float, float, float]] = []
     boxes: list[tuple[int, int, int, int]] = []
-
-    def try_place(full_height: bool) -> None:
+    for _ in range(6):
         for _ in range(200):
-            w = int(rng.integers(p.min_cells, p.max_cells + 1))
-            h = p.lattice if full_height else int(rng.integers(p.min_cells, p.max_cells + 1))
-            x = int(rng.integers(0, p.lattice - w + 1))
-            y = 0 if full_height else int(rng.integers(0, p.lattice - h + 1))
-            ok = True
-            for (qx0, qy0, qx1, qy1) in boxes:
-                gap_x = max(qx0 - (x + w), x - qx1)
-                gap_y = max(qy0 - (y + h), y - qy1)
-                if max(gap_x, gap_y) < p.gap_cells:
-                    ok = False
-                    break
-            if ok:
+            w, h = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+            x, y = int(rng.integers(0, 33 - w)), int(rng.integers(0, 33 - h))
+            if all(max(qx0 - (x + w), x - qx1, qy0 - (y + h), y - qy1) >= 3
+                   for (qx0, qy0, qx1, qy1) in boxes):
                 boxes.append((x, y, x + w, y + h))
-                rects.append((x * unit, y * unit, (x + w) * unit, (y + h) * unit))
-                return
-
-    for _ in range(p.full_height):
-        try_place(True)
-    for _ in range(p.n_bars):
-        try_place(False)
+                break
+    rects = [tuple(v / 32 for v in box) for box in boxes]
 
     # no rectangle placed: the fill yields the empty raster
     return SetSpec(f"random_blobs[{seed}]", Box(0, 0, 1, 1),

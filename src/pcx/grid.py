@@ -90,14 +90,6 @@ class Box:
         if self.x1 < self.x0 or self.y1 < self.y0:
             raise GridError(f"degenerate box {self}")
 
-    @property
-    def width(self) -> float:
-        return self.x1 - self.x0
-
-    @property
-    def height(self) -> float:
-        return self.y1 - self.y0
-
     def intersects(self, other: "Box") -> bool:
         return (self.x0 <= other.x1 and other.x0 <= self.x1
                 and self.y0 <= other.y1 and other.y0 <= self.y1)
@@ -175,6 +167,16 @@ def _cells_of(mask: np.ndarray, origin: tuple[int, int]) -> Cells:
     """The True cells of an origin-anchored mask, in row-major order."""
     js, is_ = np.nonzero(mask)
     return np.stack([is_ + origin[0], js + origin[1]], axis=1).astype(np.int64)
+
+
+def _at(image: np.ndarray, origin: tuple[int, int], i, j, outside=-1) -> np.ndarray:
+    """image[j - origin[1], i - origin[0]] at cells (i, j), scalars or arrays
+    alike, and `outside` (cast to the image dtype) at cells off the image."""
+    ii, jj = np.asarray(i) - origin[0], np.asarray(j) - origin[1]
+    ok = (0 <= ii) & (ii < image.shape[1]) & (0 <= jj) & (jj < image.shape[0])
+    out = np.full(ok.shape, outside, dtype=image.dtype)
+    out[ok] = image[jj[ok], ii[ok]]
+    return out
 
 
 def _group(keys: np.ndarray, n: int, cells: Cells) -> tuple[Cells, np.ndarray]:
@@ -259,10 +261,7 @@ class GridCompactum:
                 self.origin[1] + self.mask.shape[0] - 1)
 
     def contains_cell(self, i: int, j: int) -> bool:
-        ii, jj = i - self.origin[0], j - self.origin[1]
-        if 0 <= jj < self.mask.shape[0] and 0 <= ii < self.mask.shape[1]:
-            return bool(self.mask[jj, ii])
-        return False
+        return bool(_at(self.mask, self.origin, i, j, False))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GridCompactum):
@@ -378,10 +377,7 @@ class ComponentLabeling:
         return _cells_of(self.labels == cid, self.origin)
 
     def id_at(self, i: int, j: int) -> int:
-        ii, jj = i - self.origin[0], j - self.origin[1]
-        if 0 <= jj < self.labels.shape[0] and 0 <= ii < self.labels.shape[1]:
-            return int(self.labels[jj, ii])
-        return -1
+        return int(_at(self.labels, self.origin, i, j))
 
 
 def _label_mask(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, int]:

@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 
 from .grid import (_STRUCT_4, _STRUCT_8, Box, Cells, ComponentLabeling,
                    GridCompactum, GridError, Level, SetSpec, WindowError,
-                   _as_cells, _canonical, _cells_by_label, _cells_of,
+                   _as_cells, _at, _canonical, _cells_by_label, _cells_of,
                    _components, _group, _label_mask, _mask_of,
                    _metas_from_labels, _slab, complement_components,
                    label_components, rasterize, sort_cells, window_cell_range)
@@ -505,7 +505,6 @@ class ScanReport:
     levels: tuple[int, ...]
     strips: tuple[StripScan, ...] = ()
     verdict: str | None = None
-    divergence_window: int = 3
     diameters: tuple[LevelDiameters, ...] = ()
     diameter_flag: bool | None = None
 
@@ -514,7 +513,7 @@ class ScanReport:
             "spec": self.spec_name,
             "base": self.base,
             "levels": list(self.levels),
-            "divergence_window": self.divergence_window,
+            "divergence_window": _DIVERGENCE_WINDOW,
             "strips": [s.to_dict() for s in self.strips],
             "verdict": self.verdict,
         }
@@ -542,20 +541,23 @@ def default_strip_family(spec: SetSpec, level: Level) -> list[Strip]:
     return _band_strips(level, i0, j0, i1 - 1, j1 - 1)
 
 
-def _strictly_increasing_tail(counts: Sequence[int], k: int) -> bool:
-    if len(counts) < k:
+# Levels over which a crossing count must strictly increase to diverge.
+_DIVERGENCE_WINDOW = 3
+
+
+def _strictly_increasing_tail(counts: Sequence[int]) -> bool:
+    if len(counts) < _DIVERGENCE_WINDOW:
         return False
-    tail = counts[-k:]
+    tail = counts[-_DIVERGENCE_WINDOW:]
     return all(tail[t] < tail[t + 1] for t in range(len(tail) - 1))
 
 
 def schoenflies_scan(spec: SetSpec, strips: Sequence[Strip],
-                     levels: Iterable[int], *, divergence_window: int = 3,
-                     jobs: int = 1) -> ScanReport:
+                     levels: Iterable[int], *, jobs: int = 1) -> ScanReport:
     """Crossing counts for every (strip, level) pair with a divergence flag.
 
     A strip diverges when its intersection-mode counts strictly increase over
-    the last `divergence_window` levels; any divergent strip yields the
+    the last _DIVERGENCE_WINDOW levels; any divergent strip yields the
     verdict "not locally connected", otherwise the verdict is "consistent
     with locally connected" (one-sided: finite resolution can never certify
     local connectedness).  Every strip is placed at every level first, strip
@@ -573,13 +575,12 @@ def schoenflies_scan(spec: SetSpec, strips: Sequence[Strip],
                      for mode in ("intersection", "difference"))
     per_strip = [StripScan(strip, lvls, tuple(w.snapped for w in wins),
                            tuple(mi.tolist()), tuple(md.tolist()),
-                           _strictly_increasing_tail(mi.tolist(), divergence_window))
+                           _strictly_increasing_tail(mi.tolist()))
                  for strip, wins, mi, md in zip(strips, windows, m_int, m_diff)]
     verdict = ("not locally connected"
                if any(s.divergent for s in per_strip)
                else "consistent with locally connected")
-    return ScanReport(spec.name, spec.base, lvls, tuple(per_strip), verdict,
-                      divergence_window)
+    return ScanReport(spec.name, spec.base, lvls, tuple(per_strip), verdict)
 
 
 def complement_diameter_scan(spec: SetSpec, levels: Iterable[int],
@@ -607,8 +608,7 @@ def complement_diameter_scan(spec: SetSpec, levels: Iterable[int],
         if len(prev.diameters) >= k and len(cur.diameters) >= k:
             if cur.diameters[k - 1] >= prev.diameters[k - 1] - 1e-12:
                 flag = True
-    return ScanReport(spec.name, spec.base, lvls, (), None, 3,
-                      tuple(per_level), flag)
+    return ScanReport(spec.name, spec.base, lvls, (), None, tuple(per_level), flag)
 
 
 # ---------------------------------------------------------------------------
@@ -623,16 +623,11 @@ class CutWireResult:
 
 
 def _lookup_labels(labels: np.ndarray, origin: tuple[int, int],
-                   occupied: np.ndarray, cells: Cells, tag: str) -> np.ndarray:
-    ii = cells[:, 0] - origin[0]
-    jj = cells[:, 1] - origin[1]
-    inside = ((ii >= 0) & (ii < labels.shape[1])
-              & (jj >= 0) & (jj < labels.shape[0]))
-    if not inside.all():
+                   cells: Cells, tag: str) -> np.ndarray:
+    ids = _at(labels, origin, cells[:, 0], cells[:, 1])
+    if (ids < 0).any():
         raise GridError(f"{tag} is not contained in X")
-    if not occupied[jj, ii].all():
-        raise GridError(f"{tag} is not contained in X")
-    return labels[jj, ii]
+    return ids
 
 
 def cut_wire(X: Cells, A: Cells, B: Cells) -> CutWireResult:
@@ -645,8 +640,8 @@ def cut_wire(X: Cells, A: Cells, B: Cells) -> CutWireResult:
         raise GridError("cut_wire needs nonempty A and B")
     origin, mask = _mask_of(X)
     labels, n = _label_mask(mask, 8)
-    a_ids = set(_lookup_labels(labels, origin, mask, A, "A").tolist())
-    b_ids = set(_lookup_labels(labels, origin, mask, B, "B").tolist())
+    a_ids = set(_lookup_labels(labels, origin, A, "A").tolist())
+    b_ids = set(_lookup_labels(labels, origin, B, "B").tolist())
     common = a_ids & b_ids
     all_cells = _cells_of(mask, origin)
     cell_labels = labels[mask]
@@ -740,19 +735,6 @@ class SeparatingLoop:
     def vertices(self) -> np.ndarray:
         return self.corner_cells.astype(np.float64) * self.level.cell_size
 
-    def winding(self, x: float, y: float) -> int:
-        """Winding number about a scene point not on the loop."""
-        s = self.level.cell_size
-        px, py = x / s, y / s
-        c = self.corner_cells
-        nxt = np.roll(c, -1, axis=0)
-        vert = c[:, 0] == nxt[:, 0]
-        w = 0
-        for (x0, y0), (_, y1) in zip(c[vert], nxt[vert]):
-            if min(y0, y1) <= py < max(y0, y1) and x0 > px:
-                w += 1 if y1 > y0 else -1
-        return w
-
     def to_dict(self) -> dict:
         return {
             "level": self.level.n,
@@ -764,30 +746,24 @@ class SeparatingLoop:
 
 _BRICK_DILATE = np.array([(di, dj) for dj in (-1, 0, 1) for di in (-1, 0, 1)],
                          dtype=np.int64)
+# The six neighbours of brick (m, n) on an image indexed [n, m]: rows n-1..n+1,
+# columns m-1..m+1.  Centrally symmetric, as ndimage.label requires.
+_HEX = np.array([[0, 1, 1], [1, 1, 1], [1, 1, 0]], dtype=bool)
 
 
-def _bricks_of(cells: Cells, rc: int, dilate: bool) -> set[tuple[int, int]]:
-    """Bricks whose closed boxes meet the closed boxes of the given cells.
+def _bricks_of(cells: Cells, rc: int, dilate: bool) -> np.ndarray:
+    """The distinct bricks (m, n) whose closed boxes meet the closed boxes of
+    the given cells, as an (N, 2) array.
 
     dilate=True uses closed contact (a brick merely touching a cell's
     boundary counts); dilate=False is plain containment.
     """
-    if len(cells) == 0:
-        return set()
     pts = cells
     if dilate:
         pts = (cells[None, :, :] + _BRICK_DILATE[:, None, :]).reshape(-1, 2)
-    w = rc // 2
     n = pts[:, 1] // rc
-    m = (pts[:, 0] - n * w) // rc
-    bricks = np.unique(np.stack([m, n], axis=1), axis=0)
-    return {(int(a), int(b)) for a, b in bricks}
-
-
-def _hex_neighbors(b: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-    m, n = b
-    return ((m - 1, n), (m + 1, n), (m - 1, n + 1), (m, n + 1),
-            (m, n - 1), (m + 1, n - 1))
+    m = (pts[:, 0] - n * (rc // 2)) // rc
+    return np.unique(np.stack([m, n], axis=1), axis=0)
 
 
 def separating_curve(K: GridCompactum, P: int, Q: int, r: float) -> SeparatingLoop:
@@ -797,7 +773,8 @@ def separating_curve(K: GridCompactum, P: int, Q: int, r: float) -> SeparatingLo
     bricks share a corner), takes the brick-component hull of P among bricks
     meeting P's cells, and traces the boundary of its unbounded complement.
     The offset rows guarantee the trace is a single cycle; r snaps to an even
-    number of cells so every corner stays on the cell lattice.
+    number of cells so every corner stays on the cell lattice.  Brick
+    components are labellings with the six-neighbour structure _HEX.
     """
     labeling = label_components(K, 8)
     if not (0 <= P < labeling.count and 0 <= Q < labeling.count) or P == Q:
@@ -814,51 +791,23 @@ def separating_curve(K: GridCompactum, P: int, Q: int, r: float) -> SeparatingLo
     E = labeling.component_cells(P)
     F = _cells_of((labeling.labels >= 0) & (labeling.labels != P),
                   labeling.origin)
-    Eb = _bricks_of(E, rc, dilate=True)
-    Fb = _bricks_of(F, rc, dilate=True)
-    if Eb & Fb:
+    eb_origin, eb = _mask_of(_bricks_of(E, rc, dilate=True))
+    if _at(eb, eb_origin, *_bricks_of(F, rc, dilate=True).T, False).any():
         raise GridError("r too large: a brick meets both sides of the separation")
 
-    seeds = _bricks_of(E, rc, dilate=False)
-    A: set[tuple[int, int]] = set()
-    q: deque[tuple[int, int]] = deque(sorted(seeds))
-    while q:
-        b = q.popleft()
-        if b in A or b not in Eb:
-            continue
-        A.add(b)
-        for nb in _hex_neighbors(b):
-            if nb in Eb and nb not in A:
-                q.append(nb)
+    # the hull A: the components of Eb holding a brick that contains a P cell
+    lab = ndimage.label(eb, _HEX)[0]
+    hull = np.isin(lab, _at(lab, eb_origin, *_bricks_of(E, rc, dilate=False).T))
+    ns, ms = np.nonzero(hull)
+    A = np.pad(hull[ns.min():ns.max() + 1, ms.min():ms.max() + 1], 2)
+    m_lo, n_lo = eb_origin[0] + ms.min() - 2, eb_origin[1] + ns.min() - 2
+    # W: the bricks of A's padded bounding box joined to its rim outside A
+    rest = ndimage.label(~A, _HEX)[0]
+    W = np.isin(rest, np.concatenate([rest[0], rest[-1], rest[:, 0], rest[:, -1]]))
 
-    ms = [b[0] for b in A]
-    ns = [b[1] for b in A]
-    m_lo, m_hi = min(ms) - 2, max(ms) + 2
-    n_lo, n_hi = min(ns) - 2, max(ns) + 2
-    W: set[tuple[int, int]] = set()
-    q = deque()
-    for m in range(m_lo, m_hi + 1):
-        for n in (n_lo, n_hi):
-            q.append((m, n))
-    for n in range(n_lo, n_hi + 1):
-        for m in (m_lo, m_hi):
-            q.append((m, n))
-    while q:
-        b = q.popleft()
-        if b in W or b in A:
-            continue
-        if not (m_lo <= b[0] <= m_hi and n_lo <= b[1] <= n_hi):
-            continue
-        W.add(b)
-        for nb in _hex_neighbors(b):
-            if nb not in W and nb not in A:
-                q.append(nb)
-
-    Qb = _bricks_of(labeling.component_cells(Q), rc, dilate=False)
-    # bricks beyond the flood frame are unbounded-side by construction
-    if not all(b in W
-               or not (m_lo <= b[0] <= m_hi and n_lo <= b[1] <= n_hi)
-               for b in Qb):
+    # bricks beyond the frame are unbounded-side by construction
+    if not _at(W, (m_lo, n_lo), *_bricks_of(labeling.component_cells(Q), rc,
+                                            dilate=False).T, True).all():
         raise GridError("Q is not in the unbounded complement of P's brick "
                         "hull; swap P and Q or decrease r")
 
@@ -870,21 +819,22 @@ def separating_curve(K: GridCompactum, P: int, Q: int, r: float) -> SeparatingLo
             raise GridError("boundary trace is not a simple cycle")
         succ[a] = b
 
-    for (m, n) in A:
+    for fn, fm in zip(*np.nonzero(A)):  # frame indices of brick (m, n)
+        m, n = int(fm + m_lo), int(fn + n_lo)
         x0, y0 = m * rc + n * w, n * rc
         x1, y1 = x0 + rc, y0 + rc
-        if (m - 1, n) in W:      # left edge, walk down
+        if W[fn, fm - 1]:        # left edge, walk down
             for y in range(y1, y0, -1):
                 emit((x0, y), (x0, y - 1))
-        if (m + 1, n) in W:      # right edge, walk up
+        if W[fn, fm + 1]:        # right edge, walk up
             for y in range(y0, y1):
                 emit((x1, y), (x1, y + 1))
-        for nb, xa, xb in (((m - 1, n + 1), x0, x0 + w), ((m, n + 1), x0 + w, x1)):
-            if nb in W:          # top edge, walk right-to-left
+        for out, xa, xb in ((W[fn + 1, fm - 1], x0, x0 + w), (W[fn + 1, fm], x0 + w, x1)):
+            if out:          # top edge, walk right-to-left
                 for x in range(xb, xa, -1):
                     emit((x, y1), (x - 1, y1))
-        for nb, xa, xb in (((m, n - 1), x0, x0 + w), ((m + 1, n - 1), x0 + w, x1)):
-            if nb in W:          # bottom edge, walk left-to-right
+        for out, xa, xb in ((W[fn - 1, fm], x0, x0 + w), (W[fn - 1, fm + 1], x0 + w, x1)):
+            if out:          # bottom edge, walk left-to-right
                 for x in range(xa, xb):
                     emit((x, y0), (x + 1, y0))
 

@@ -90,7 +90,6 @@ def test_box_validation_and_queries():
     with pytest.raises(GridError):
         Box(1.0, 0.0, 0.0, 1.0)
     b = Box(0.0, 0.0, 1.0, 2.0)
-    assert b.width == 1.0 and b.height == 2.0
     assert b.intersects(Box(1.0, 0.0, 3.0, 1.0))  # shared edge counts
     assert not b.intersects(Box(1.5, 0.0, 3.0, 1.0))
     assert b.pad(0.5).contains_box(b)
@@ -304,6 +303,27 @@ def test_label_mask_renumbers_permuted_ids(monkeypatch, connectivity):
     labels, got_n = pcx_grid._label_mask(mask, connectivity)
     assert got_n == n
     assert np.array_equal(labels, want)
+
+
+@given(hnp.arrays(np.int32, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0,
+                                             max_side=6),
+                  elements=st.integers(-1, 50)),
+       st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+       st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=20),
+       st.integers(-3, 3))
+def test_at_matches_per_cell_loop(image, origin, cells, outside):
+    def one(i, j):
+        ii, jj = i - origin[0], j - origin[1]
+        if 0 <= jj < image.shape[0] and 0 <= ii < image.shape[1]:
+            return int(image[jj, ii])
+        return outside
+
+    want = [one(i, j) for i, j in cells]
+    arr = np.array(cells, dtype=np.int64).reshape(-1, 2)
+    got = pcx_grid._at(image, origin, arr[:, 0], arr[:, 1], outside)
+    assert got.dtype == image.dtype and got.tolist() == want
+    assert [int(pcx_grid._at(image, origin, i, j, outside)) for i, j in cells] == want
+    assert pcx_grid._at(image, origin, 0, 0).shape == ()
 
 
 def test_component_metas_are_consistent():
