@@ -10,6 +10,7 @@ regardless of worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import zlib
@@ -97,9 +98,40 @@ def _emit_bytes(data: bytes, out: str | None) -> None:
             fh.write(data)
 
 
+_JSON_KIND = np.zeros(256, dtype=np.int8)  # per byte: 1 opens, 2 closes, 3 comma, 4 colon
+_JSON_KIND[list(b"[{]},:")] = [1, 1, 2, 2, 3, 4]
+
+
+def json_text(obj) -> str:
+    """json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\\n",
+    byte for byte: the C encoder's compact text, re-indented in one
+    vectorised pass over its UTF-8 bytes."""
+    text = json.dumps(obj, sort_keys=True, ensure_ascii=False,
+                      separators=(",", ":")).encode()
+    b = np.frombuffer(text, dtype=np.uint8)
+    quote = b == ord('"')
+    if b"\\" in text:  # a quote is escaped when an odd run of backslashes ends before it
+        idx = np.arange(len(b))
+        run = idx - np.maximum.accumulate(np.where(b == ord("\\"), -1, idx))
+        quote &= np.r_[0, run[:-1]] % 2 == 0
+    kind = _JSON_KIND.take(b)
+    kind[np.logical_xor.accumulate(quote)] = 0  # bytes inside strings
+    opens, closes = kind == 1, kind == 2
+    depth = np.cumsum(opens.view(np.int8) - closes.view(np.int8), dtype=np.int32)
+    shut = np.r_[closes[1:], False]  # a close follows: "[]" and "{}" stay shut
+    at = np.flatnonzero((opens ^ shut) | (kind == 3))  # a newline and indent after these
+    gap = (kind == 4).astype(np.int32)  # one space after a colon
+    gap[at] = 1 + 2 * np.minimum(depth[at], depth[at + 1])
+    pos = np.arange(len(b))
+    pos[1:] += np.cumsum(gap[:-1])
+    out = np.full(int(pos[-1]) + 2, ord(" "), dtype=np.uint8)
+    out[pos] = b
+    out[pos[at] + 1] = out[-1] = ord("\n")
+    return out.tobytes().decode()
+
+
 def _dump_json(payload: dict, out: str | None) -> None:
-    _emit_text(json.dumps(payload, sort_keys=True, ensure_ascii=False,
-                          indent=2) + "\n", out)
+    _emit_text(json_text(payload), out)
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +154,16 @@ def load_decomposition(path: str) -> Decomposition:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     try:
-        level = Level(int(data["level"]), int(data["base"]))
-        chunks = [np.asarray(cls["cells"], dtype=np.int64).reshape(-1, 2)
-                  for cls in data["classes"]]
+        n, base = data["level"], data["base"]
+        if type(n) is not int or type(base) is not int:
+            raise ParseError(f"{path}: level and base must be JSON integers")
+        level = Level(n, base)
+        chunks = [np.asarray(cls["cells"]).reshape(-1, 2) for cls in data["classes"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path} is not a decomposition document: {exc}") from exc
+    for k, c in enumerate(chunks):  # no float, bool or over-int64 cells, no empty class
+        if c.dtype.kind != "i" or len(c) == 0:
+            raise ParseError(f"{path}: class {k} is not a non-empty list of integer cells")
     cells = np.concatenate([np.zeros((0, 2), dtype=np.int64)] + chunks)
     raw = np.repeat(np.arange(len(chunks)), [len(c) for c in chunks])
     if len(np.unique(cells, axis=0)) != len(cells):
@@ -331,6 +368,7 @@ def _add_relation_args(p: argparse.ArgumentParser) -> None:
 _JOBS_HELP = "accepted, no effect: every command runs serially (must be >= 1)"
 
 
+@functools.cache  # one parser per process, shared by every caller: do not modify it
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pcx",

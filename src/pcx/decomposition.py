@@ -126,12 +126,12 @@ class Decomposition:
         for c in self.classes:
             row = {
                 "id": c.id,
-                "representative": [int(c.representative[0]), int(c.representative[1])],
+                "representative": list(c.representative),
                 "size": c.size,
                 "diameter": c.diameter,
             }
             if include_cells:
-                row["cells"] = [[int(i), int(j)] for i, j in c.cells]
+                row["cells"] = c.cells.tolist()
             classes.append(row)
         return {
             "level": self.level.n,
@@ -158,11 +158,10 @@ class QuotientGraph:
         return {
             "level": self.level.n,
             "base": self.level.base,
-            "nodes": [{"id": n, "size": s, "diameter": d,
-                       "representative": [int(r[0]), int(r[1])]}
-                      for n, s, d, r in zip(self.nodes, self.sizes,
-                                            self.diameters, self.representatives)],
-            "edges": [[a, b] for a, b in self.edges],
+            "nodes": [{"id": n, "size": s, "diameter": d, "representative": r}
+                      for n, s, d, r in zip(self.nodes, self.sizes, self.diameters,
+                                            self.representatives.tolist())],
+            "edges": [list(e) for e in self.edges],
             "components": [list(c) for c in self.components],
             "component_diameters": list(self.component_diameters),
         }

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial import ConvexHull, cKDTree
 
 Cells = np.ndarray  # (N, 2) int64 array of (i, j) lattice coordinates
 
@@ -466,66 +466,68 @@ def hausdorff_distance(a: Cells, b: Cells, cell_size: float) -> float:
 
 
 def diameter(a: Cells, cell_size: float) -> float:
-    """Max pairwise distance over cell-box corner extremes, scene units.
-    Agrees bit for bit with `diameters`, which batches it over many groups."""
+    """Max pairwise distance over cell-box corner extremes, scene units."""
     a = _as_cells(a)
-    if len(a) == 0:
-        raise GridError("diameter of an empty cell set")
-    if len(a) > 256:
-        # only each row's extreme cells can carry hull corners; the corners
-        # of interior cells are collinear with them.  Keeps the corner cloud
-        # small for huge components.
-        order = np.lexsort((a[:, 0], a[:, 1]))
-        si, sj = a[order, 0], a[order, 1]
-        starts = np.flatnonzero(np.r_[True, sj[1:] != sj[:-1]])
-        rows = sj[starts]
-        a = np.unique(np.concatenate([
-            np.stack([np.minimum.reduceat(si, starts), rows], axis=1),
-            np.stack([np.maximum.reduceat(si, starts), rows], axis=1)]), axis=0)
-    base = a.astype(np.float64)
-    corners = np.concatenate([base + off for off in
-                              ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))])
-    corners = np.unique(corners, axis=0) * cell_size
-    if len(corners) > 4:
-        try:
-            corners = corners[ConvexHull(corners).vertices]
-        except QhullError:
-            pass  # collinear clouds: brute force below is still exact
-    diff = corners[:, None, :] - corners[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+    return float(diameters(a, [0, len(a)], cell_size)[0])
 
 
 _PAIR_CELLS = 64  # largest group `diameters` measures pairwise
 _PAIR_CHUNK = 1 << 16  # cell pairs per batch of such groups
 
 
-def diameters(cells: Cells, bounds: np.ndarray, cell_size: float) -> np.ndarray:
-    """diameter() of every group cells[bounds[k]:bounds[k+1]], bit for bit.
+def _row_extremes(cells: Cells, sizes: np.ndarray) -> tuple[Cells, np.ndarray]:
+    """The leftmost and rightmost cell of each row of consecutive groups of
+    the given sizes, grouped alike, and the new group sizes."""
+    key = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.lexsort((cells[:, 0], cells[:, 1], key))
+    cells, key = cells[order], key[order]
+    cut = (key[1:] != key[:-1]) | (cells[1:, 1] != cells[:-1, 1])
+    keep = np.r_[True, cut] | np.r_[cut, True]
+    return cells[keep], np.bincount(key[keep], minlength=len(sizes))
 
-    Small groups are bucketed by size and measured together: per axis, the
-    farthest corners of cells a and b lie max(|hi_a - lo_b|, |hi_b - lo_a|)
-    apart, with lo = c*s and hi = (c+1.0)*s the floats diameter() builds.
-    Subtraction, squaring and sqrt are monotone, so the largest pair is the
-    same number.  Larger groups go through diameter() itself."""
+
+def diameters(cells: Cells, bounds: np.ndarray, cell_size: float) -> np.ndarray:
+    """Max pairwise corner distance of every group cells[bounds[k]:bounds[k+1]].
+
+    Per axis, the farthest corners of cells a and b lie max(|hi_a - lo_b|,
+    |hi_b - lo_a|) apart, with lo = c*s and hi = (c+1.0)*s.  Both terms are
+    monotone in a's column, as are squaring, summing and sqrt, so a row's
+    two extreme cells reach every float distance its inner cells reach:
+    groups over _PAIR_CELLS cells are first cut to those.  Groups still
+    over it are measured on the convex hull of their corners, which holds
+    the farthest pair; the rest are bucketed by size and measured pairwise."""
     cells = _as_cells(cells)
-    bounds = np.asarray(bounds, dtype=np.int64)
-    sizes = np.diff(bounds)
+    sizes = np.diff(np.asarray(bounds, dtype=np.int64))
     if (sizes <= 0).any():
         raise GridError("diameter of an empty cell set")
-    lo, hi = cells * cell_size, (cells + 1.0) * cell_size
+    big = sizes > _PAIR_CELLS
+    ids = np.r_[np.flatnonzero(~big), np.flatnonzero(big)]  # output slot per group
+    if big.any():
+        cut, cut_sizes = _row_extremes(cells[np.repeat(big, sizes)], sizes[big])
+        cells = np.concatenate([cells[np.repeat(~big, sizes)], cut])
+        sizes = np.r_[sizes[~big], cut_sizes]
+    bounds = np.r_[0, np.cumsum(sizes)]
+    lo, hi = cells.T * cell_size, (cells.T + 1.0) * cell_size  # (2, N)
     out = np.empty(len(sizes))
     for m in np.unique(sizes).tolist():
         ks = np.flatnonzero(sizes == m)
         if m > _PAIR_CELLS:
-            out[ks] = [diameter(cells[bounds[k]:bounds[k + 1]], cell_size) for k in ks]
+            for k in ks.tolist():
+                l, h = lo[:, bounds[k]:bounds[k + 1]], hi[:, bounds[k]:bounds[k + 1]]
+                corners = np.concatenate([np.stack([x, y], axis=1)
+                                          for x in (l[0], h[0]) for y in (l[1], h[1])])
+                v = corners[ConvexHull(corners).vertices]
+                out[ids[k]] = np.sqrt(((v[:, None] - v[None]) ** 2).sum(axis=2)).max()
             continue
         step = max(1, _PAIR_CHUNK // (m * m))
         for c in range(0, len(ks), step):
             idx = bounds[ks[c:c + step]][:, None] + np.arange(m)
-            l, h = lo[idx], hi[idx]  # (g, m, 2); pairs broadcast to (g, m, m, 2)
-            d = np.maximum(np.abs(h[:, :, None] - l[:, None]),
-                           np.abs(h[:, None] - l[:, :, None]))
-            out[ks[c:c + step]] = np.sqrt((d ** 2).sum(axis=3)).max(axis=(1, 2))
+            # per axis (g, m) -> pairs (g, m, m)
+            dx, dy = (np.maximum(np.abs(h[:, :, None] - l[:, None]),
+                                 np.abs(h[:, None] - l[:, :, None]))
+                      for l, h in zip(lo[:, idx], hi[:, idx]))
+            far = np.sqrt(dx * dx + dy * dy).reshape(len(idx), -1).max(axis=1)
+            out[ids[ks[c:c + step]]] = far
     return out
 
 

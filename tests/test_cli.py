@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -10,10 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import pcx
 from pcx import GridCompactum, Level, parse_pbm, rasterize, from_pbm
-from pcx.cli import build_parser, load_decomposition, render_svg, run
+from pcx.cli import build_parser, json_text, load_decomposition, render_svg, run
 
 
 def run_to_file(tmp_path, name, argv):
@@ -120,6 +123,41 @@ def test_stdout_matches_file_output(tmp_path, capsys):
     streamed = capsys.readouterr().out
     out = run_to_file(tmp_path, "dust.json", argv)
     assert streamed == out.read_text()
+
+
+def _stdout_payload(argv):
+    """The JSON document a CLI command prints, parsed back."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert run(argv) == 0
+    return json.loads(buf.getvalue())
+
+
+_JSON_STRINGS = st.text(st.sampled_from('ab"\\{}[],: \n\x01éü中🙂'), max_size=8)
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10 ** 12, 10 ** 12)
+                 | st.floats() | _JSON_STRINGS)
+
+
+def _json_values(depth):
+    """Scalars, and lists and dicts of values nested up to `depth` deep."""
+    if depth == 0:
+        return _JSON_SCALARS
+    kids = _json_values(depth - 1)
+    return (_JSON_SCALARS | st.lists(kids, max_size=4)
+            | st.dictionaries(_JSON_STRINGS, kids, max_size=4))
+
+
+@given(_json_values(4))
+@example({"\\\\\"": ["\\\"[", "\\\\", {}], "": [[], {"a": []}]})
+@example([float("nan"), float("inf"), -float("inf"), -7, 1.5e-300, 2e+300, True, None])
+@example(_stdout_payload(["decompose", "--gen", "bars", "--level", "3"]))
+@example(_stdout_payload(["quotient", "--gen", "bars", "--level", "3", "--contract"]))
+@example(_stdout_payload(["scan", "--gen", "unit_square", "--levels", "2..3",
+                          "--strip", "auto"]))
+@example(_stdout_payload(["components", "--gen", "sierpinski_carpet", "--level", "2"]))
+def test_json_text_is_json_dumps_with_indent(payload):
+    assert json_text(payload) == json.dumps(payload, sort_keys=True,
+                                            ensure_ascii=False, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +280,28 @@ def test_compare_refuses_cells_spanning_over_budget(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("pcx: error:") and "budget" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["classes"][0]["cells"][0].__setitem__(0, 2 ** 70),
+    lambda doc: doc["classes"][0]["cells"].__setitem__(0, [0.5, 0]),
+    lambda doc: doc["classes"][0]["cells"].__setitem__(0, [True, False]),
+    lambda doc: doc.__setitem__("level", 1.7),
+    lambda doc: doc.__setitem__("base", 2.0),
+    lambda doc: doc["classes"].append({"cells": []}),
+], ids=["huge-cell", "float-cell", "bool-cell", "float-level", "float-base",
+        "empty-class"])
+def test_compare_refuses_documents_it_cannot_round_trip(tmp_path, capsys, edit):
+    good = run_to_file(tmp_path, "good.json",
+                       ["decompose", "--gen", "bars", "--level", "2"])
+    doc = load_json(good)
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["compare", "--a", str(bad), "--b", str(good)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"pcx: input error: {bad}") and len(err.splitlines()) == 1
 
 
 def test_decompose_text_format(tmp_path):

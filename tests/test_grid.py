@@ -379,22 +379,44 @@ def test_diameter_matches_brute_force(cells):
     assert diameter(cells, s) == pytest.approx(brute_diameter(cells, s), abs=1e-12)
 
 
-_PAIR_CELLS = pcx_grid._PAIR_CELLS  # groups above it take diameter()'s hull
+_PAIR_CELLS = pcx_grid._PAIR_CELLS  # groups above it are cut to row extremes
+
+
+def _square(side, ring=None):
+    """A filled side x side square, or only its outer `ring` cells wide."""
+    return [(i, j) for i in range(side) for j in range(side)
+            if ring is None or min(i, j, side - 1 - i, side - 1 - j) < ring]
+
+
+# row extremes of the first: exactly _PAIR_CELLS cells; of the second, one more
+_CUT_TO_PAIR_CELLS = [(i, j) for j in range(_PAIR_CELLS // 2) for i in range(3)]
+_CUT_PAST_PAIR_CELLS = _CUT_TO_PAIR_CELLS + [(5, -4)]
 
 
 @given(st.lists(st.lists(st.tuples(st.integers(-90, 90), st.integers(-90, 90)),
-                         min_size=1, max_size=2 * _PAIR_CELLS + 8, unique=True),
+                         min_size=1, max_size=300, unique=True),
                 min_size=1, max_size=6),
        st.sampled_from([Level(1, 2), Level(5, 2), Level(9, 2),
                         Level(1, 3), Level(4, 3), Level(7, 3)]))
 @example([[(0, 0)], [(i, -i // 3) for i in range(-40, _PAIR_CELLS - 40)],
           [(i, 7) for i in range(-60, _PAIR_CELLS - 59)]], Level(4, 3))
+@example([_square(9), _square(27), [(i, 3) for i in range(300)],
+          [(-2, j) for j in range(300)]], Level(7, 3))
+@example([[(0, j) for j in range(80)] + [(i, 0) for i in range(1, 50)],
+          _square(20, ring=4), _CUT_TO_PAIR_CELLS, _CUT_PAST_PAIR_CELLS], Level(5, 2))
 def test_diameters_equal_diameter_bit_for_bit(groups, level):
     s = level.cell_size
     cells = np.concatenate([np.array(g, dtype=np.int64) for g in groups])
     bounds = np.cumsum([0] + [len(g) for g in groups])
     want = [diameter(np.array(g, dtype=np.int64), s) for g in groups]
     assert diameters(cells, bounds, s).tolist() == want  # ==, not approx
+    # oracle: every cell pair, the farthest corners per axis
+    far = []
+    for g in groups:
+        lo, hi = np.array(g) * s, (np.array(g) + 1.0) * s
+        d = np.maximum(np.abs(hi[:, None] - lo[None]), np.abs(hi[None] - lo[:, None]))
+        far.append(float(np.sqrt((d ** 2).sum(axis=2)).max()))
+    assert want == far
 
 
 def test_diameters_of_no_groups_and_empty_groups():
