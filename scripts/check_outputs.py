@@ -14,8 +14,9 @@ seeded random merge sets on the carpet written as decompose JSON (which the
 CLI then compares), `schoenflies_scan` over windowed strips, including a
 window that does not contain K, the oracle route of `rasterize`: a
 fill-less box spec and its `transform_spec` images, and the loops and errors
-of `separating_curve` with the results and errors of `cut_wire`.  Every output file, exit
-code and stderr text is compared byte for byte.
+of `separating_curve` with the results and errors of `cut_wire`, and
+`peano_check` over same-base quotient graphs of four sets.  Every output
+file, exit code and stderr text is compared byte for byte.
 Prints one line per output and exits 0 when all are identical, 1 otherwise.
 Each checkout takes about 15 s on a 2-core machine.
 """
@@ -119,7 +120,8 @@ CASES += [
 ]
 LIBRARY_OUTPUTS = ("closure_a.json", "closure_b.json", "complement_scan_carpet.json",
                    "crossing_components.json", "relation_seeds.json",
-                   "scan_windowed.json", "oracle_route.json", "separation.json")
+                   "scan_windowed.json", "oracle_route.json", "separation.json",
+                   "peano.json")
 # rasters for the crossing_components dump: (generator, level)
 CROSSING_RASTERS = (("cantor_comb", 3), ("topologist_sine", 5), ("spiral_disk", 4),
                     ("sierpinski_carpet", 2), ("bars", 4), ("random_blobs", 5))
@@ -328,6 +330,25 @@ def _separations(out: Path) -> None:
         json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
 
 
+# peano_check inputs: (generator, levels), one base per list
+PEANO_CASES = (("cantor_comb", (2, 3, 4)), ("topologist_sine", (3, 4, 5, 6)),
+               ("sierpinski_carpet", (1, 2, 3)), ("bars", (2, 3, 4, 5)))
+
+
+def _peano(out: Path) -> None:
+    """The peano_check report of each set's quotient graphs over its levels."""
+    from pcx import (GeneratorParams, Level, decompose, make_spec, peano_check,
+                     quotient_graph, rasterize)
+    doc = {}
+    for gen, levels in PEANO_CASES:
+        spec = make_spec(GeneratorParams(gen))
+        graphs = [quotient_graph(rasterize(spec, lvl), decompose(spec, lvl))
+                  for lvl in (Level(n, spec.base) for n in levels)]
+        doc[gen] = peano_check(graphs, (0.5, 0.25, 0.1, 0.01)).to_dict()
+    (out / "peano.json").write_text(
+        json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _argv(argv: list[str], out: Path) -> list[str]:
     argv = [a.replace("{out}", str(out)) for a in argv]
     if "spiral_disk" in argv and "--t-max" not in argv:
@@ -353,6 +374,7 @@ def emit(out: Path) -> None:
     _windowed_scan(out)
     _oracle_route(out)
     _separations(out)
+    _peano(out)
     manifest["seconds"] = round(time.perf_counter() - t0, 1)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 

@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .decomposition import (Decomposition, RelationParams, _partition_from_ids,
-                            close_equivalence, contract_degree_two,
+from .decomposition import (Decomposition, RelationParams, _check_partition,
+                            _partition_from_ids, close_equivalence, contract_degree_two,
                             is_simple_path, monotone_check, quotient_graph,
                             schoenflies_relation)
 from .generators import (GENERATOR_NAMES, GeneratorParams, ParseError,
@@ -186,9 +186,7 @@ def render_svg(K: GridCompactum, D: Decomposition | None = None) -> str:
     """One unit rect per cell, y flipped so the scene's up is up.  With a
     decomposition, cells are colored by a stable hash of their class id."""
     if D is not None:
-        if D.level != K.level or D.origin != K.origin \
-                or D.class_map.shape != K.mask.shape or D.cell_count != K.count:
-            raise GridError("decomposition does not partition this raster")
+        _check_partition(K, D)
     head = '<svg xmlns="http://www.w3.org/2000/svg" version="1.1"'
     if K.is_empty:
         return (f'{head} width="16" height="16" viewBox="0 0 1 1">\n'
@@ -301,6 +299,8 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from .decomposition import common_refinement, refines
+    if not 0 <= args.tol < np.inf:
+        raise GridError(f"tol must be finite and >= 0, got {args.tol}")
     A = load_decomposition(args.path_a)
     B = load_decomposition(args.path_b)
     a_ref_b = refines(A, B, tol=args.tol)

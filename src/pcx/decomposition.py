@@ -61,8 +61,8 @@ class RelationParams:
     def __post_init__(self) -> None:
         if self.n_min < 3:
             raise GridError(f"n_min must be >= 3, got {self.n_min}")
-        if self.delta is not None and self.delta <= 0:
-            raise GridError("delta must be positive")
+        if self.delta is not None and not 0 < self.delta < np.inf:
+            raise GridError(f"delta must be positive and finite, got {self.delta}")
         if self.annulus_family not in _FAMILIES:
             raise GridError(f"annulus_family must be one of {_FAMILIES}")
         if self.stride < 1:
@@ -445,13 +445,18 @@ def decompose(spec: SetSpec, level: Level, params: RelationParams | None = None,
 _ADJ_SHIFTS = ((1, 0), (0, 1), (1, 1), (1, -1))
 
 
+def _check_partition(K: GridCompactum, D: Decomposition) -> None:
+    """Raise unless D partitions K: same level and origin, and D's occupied
+    cells are exactly K's."""
+    if D.level != K.level or D.origin != K.origin \
+            or not np.array_equal(D.class_map >= 0, K.mask):
+        raise GridError("decomposition does not partition this raster")
+
+
 def _adjacencies(K: GridCompactum, D: Decomposition
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every 8-adjacent pair of cells as row-major cell indices (p, q), and
-    the class id of each cell; raises unless D partitions K."""
-    if D.level != K.level or D.class_map.shape != K.mask.shape \
-            or D.origin != K.origin or D.cell_count != K.count:
-        raise GridError("decomposition does not partition this raster")
+    """Every 8-adjacent pair of cells of a partition D of K as row-major cell
+    indices (p, q), and the class id of each cell."""
     cm = D.class_map
     H, W = cm.shape
     fg = cm >= 0
@@ -468,6 +473,7 @@ def _adjacencies(K: GridCompactum, D: Decomposition
 
 
 def quotient_graph(K: GridCompactum, D: Decomposition) -> QuotientGraph:
+    _check_partition(K, D)
     p, q, ids = _adjacencies(K, D)
     a, b = ids[p], ids[q]
     n = len(D.classes)
@@ -572,6 +578,7 @@ def monotone_check(K: GridCompactum, D: Decomposition) -> MonotoneReport:
     """Connectivity audit: every class should be one 8-connected piece and
     the quotient should have exactly as many components as K.  A violation is
     reported, never repaired — it signals bad relation parameters."""
+    _check_partition(K, D)
     p, q, ids = _adjacencies(K, D)
     same = ids[p] == ids[q]
     pieces = _components(len(ids), p[same], q[same])[1]
@@ -613,10 +620,12 @@ def peano_check(graphs: Sequence[QuotientGraph],
     Property (2): for each threshold C, the number of quotient components of
     diameter >= C should stabilize (flagged when the last two levels differ).
     Property (1) surrogate: crossing counts on rasters of class
-    representatives must not diverge.
+    representatives must not diverge.  The graphs must share one base.
     """
     if not graphs:
         raise GridError("peano_check needs at least one quotient graph")
+    if len({g.level.base for g in graphs}) > 1:
+        raise GridError("peano_check needs quotient graphs of one base")
     graphs = sorted(graphs, key=lambda g: g.level.n)
     levels = tuple(g.level.n for g in graphs)
     counts = tuple(
@@ -630,14 +639,7 @@ def peano_check(graphs: Sequence[QuotientGraph],
     reps = [GridCompactum.from_cells(g.level, g.representatives) for g in graphs]
     if not reps[0].is_empty:
         strips = _strip_family(reps[0])
-
-        def window(R: GridCompactum, strip: Strip):
-            try:
-                return _window(R, strip)
-            except GridError:
-                return None  # a strip that fails counts 0
-
-        ms = np.array([_crossing_counts(R, [window(R, st) for st in strips],
+        ms = np.array([_crossing_counts(R, [_window(R, st) for st in strips],
                                         "intersection") for R in reps]).T
         divergent = any(_strictly_increasing_tail(m.tolist()) for m in ms)
     return PeanoReport(levels, tuple(float(c) for c in C_grid), counts,

@@ -16,7 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Box, GridError, Level, SetSpec, window_cell_range
+from .grid import (Box, GridError, Level, SetSpec, _cell_span, _mask_of,
+                   window_cell_range)
 
 
 class ParseError(Exception):
@@ -45,8 +46,10 @@ class GeneratorParams:
             raise GridError(f"unknown generator {self.name!r}")
         if self.dust_dim not in (1, 2):
             raise GridError("dust_dim must be 1 or 2")
-        if self.t_max <= 1.0:
-            raise GridError("t_max must exceed 1")
+        if not 1.0 < self.t_max <= 100.0:  # about 77 k spiral samples per unit of t
+            raise GridError(f"t_max must lie in (1, 100], got {self.t_max}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise GridError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 def make_spec(params: GeneratorParams) -> SetSpec:
@@ -87,13 +90,9 @@ def _rect_fill_cells(rects: list[tuple[float, float, float, float]],
     s = level.cell_size
     cols: list[tuple[int, int, int, int]] = []
     for (x0, y0, x1, y1) in rects:
-        i0 = int(np.floor(x0 / s + 1e-9))
-        j0 = int(np.floor(y0 / s + 1e-9))
-        i1 = int(np.ceil(x1 / s - 1e-9)) - 1
-        j1 = int(np.ceil(y1 / s - 1e-9)) - 1
-        if i1 < i0 or j1 < j0:
-            continue
-        cols.append((i0, j0, i1, j1))
+        (i0, i1), (j0, j1) = _cell_span(x0, x1, s), _cell_span(y0, y1, s)
+        if i1 >= i0 and j1 >= j0:
+            cols.append((i0, j0, i1, j1))
     if not cols:
         return (0, 0), np.zeros((0, 0), dtype=bool)
     gi0 = min(c[0] for c in cols)
@@ -393,13 +392,7 @@ def from_pbm(path: str) -> SetSpec:
             return (0, 0), np.kron(native, np.ones((f, f), dtype=bool))
         f = 2 ** (n_native - level.n)
         js, is_ = np.nonzero(native)
-        cells = np.unique(np.stack([is_ // f, js // f], axis=1), axis=0)
-        side_w = (w + f - 1) // f
-        side_h = (h + f - 1) // f
-        mask = np.zeros((side_h, side_w), dtype=bool)
-        if len(cells):
-            mask[cells[:, 1], cells[:, 0]] = True
-        return (0, 0), mask
+        return _mask_of(np.stack([is_ // f, js // f], axis=1))
 
     name = os.path.splitext(os.path.basename(path))[0]
     return SetSpec(f"pbm:{name}", bbox, fill=fill)

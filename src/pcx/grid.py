@@ -425,13 +425,16 @@ def label_components(K: GridCompactum, connectivity: int = 8) -> ComponentLabeli
                              _metas_from_labels(labels, n, K.origin, K.level))
 
 
+def _cell_span(lo: float, hi: float, s: float) -> tuple[int, int]:
+    """First and last index of the cells of side s that cover [lo, hi] on
+    one axis, with 1e-9 cell of slack so an end on a grid line stays put."""
+    return int(np.floor(lo / s + 1e-9)), int(np.ceil(hi / s - 1e-9)) - 1
+
+
 def window_cell_range(window: Box, level: Level) -> tuple[int, int, int, int]:
     """Cells whose boxes cover the window: (i0, j0, i1, j1) inclusive."""
     s = level.cell_size
-    i0 = int(np.floor(window.x0 / s + 1e-9))
-    j0 = int(np.floor(window.y0 / s + 1e-9))
-    i1 = int(np.ceil(window.x1 / s - 1e-9)) - 1
-    j1 = int(np.ceil(window.y1 / s - 1e-9)) - 1
+    (i0, i1), (j0, j1) = _cell_span(window.x0, window.x1, s), _cell_span(window.y0, window.y1, s)
     if i1 < i0 or j1 < j0:
         raise WindowError(f"window {window} collapses at level {level.n}")
     return i0, j0, i1, j1

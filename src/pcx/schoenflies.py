@@ -18,12 +18,11 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .grid import (_STRUCT_4, _STRUCT_8, Box, Cells, ComponentLabeling,
-                   GridCompactum, GridError, Level, SetSpec, WindowError,
-                   _as_cells, _at, _canonical, _cells_by_label, _cells_of,
-                   _components, _group, _label_mask, _mask_of,
-                   _metas_from_labels, _slab, complement_components,
-                   label_components, rasterize, sort_cells, window_cell_range)
+from .grid import (_STRUCT_4, _STRUCT_8, Box, Cells, GridCompactum, GridError,
+                   Level, SetSpec, WindowError, _as_cells, _at, _canonical,
+                   _cell_span, _cells_by_label, _cells_of, _components, _group,
+                   _label_mask, _mask_of, _slab, complement_components,
+                   rasterize, sort_cells, window_cell_range)
 
 
 @dataclass(frozen=True)
@@ -45,6 +44,8 @@ class Strip:
         if axis is None:
             raise GridError(f"strip axis must be h or v, got {self.axis!r}")
         object.__setattr__(self, "axis", axis)
+        if not (math.isfinite(self.c1) and math.isfinite(self.c2)):
+            raise GridError(f"strip lines must be finite, got {self.c1} and {self.c2}")
         if not self.c1 < self.c2:
             raise GridError(f"strip needs c1 < c2, got {self.c1} >= {self.c2}")
 
@@ -104,7 +105,6 @@ class CrossingReport:
     crossing_ids: tuple[int, ...]
     m: int
     clusters: tuple[Cluster, ...]
-    labeling: ComponentLabeling
 
     def to_dict(self) -> dict:
         return {
@@ -135,15 +135,9 @@ class _RegionData:
 
 def _lateral_range(K: GridCompactum, strip: Strip, level: Level) -> tuple[int, int]:
     horizontal = strip.axis == "h"
-    s = level.cell_size
     if strip.window is not None:
         w = strip.window
-        if horizontal:
-            lo = int(np.floor(w.x0 / s + 1e-9))
-            hi = int(np.ceil(w.x1 / s - 1e-9)) - 1
-        else:
-            lo = int(np.floor(w.y0 / s + 1e-9))
-            hi = int(np.ceil(w.y1 / s - 1e-9)) - 1
+        lo, hi = _cell_span(*((w.x0, w.x1) if horizontal else (w.y0, w.y1)), level.cell_size)
         if not K.is_empty:
             kb = K.cell_bbox()
             k_lo, k_hi = (kb[0], kb[2]) if horizontal else (kb[1], kb[3])
@@ -245,17 +239,16 @@ class _Canvas:
                            win.snapped, fg)
 
 
-def _canvases(K: GridCompactum, windows: Sequence[_Window | None],
+def _canvases(K: GridCompactum, windows: Sequence[_Window],
               mode: str) -> Iterator[_Canvas]:
-    """The windows (None: skipped) of one raster in one mode, labelled a
-    canvas at a time, each canvas at most _CANVAS_PIXELS."""
+    """The windows of one raster in one mode, labelled a canvas at a time,
+    each canvas at most _CANVAS_PIXELS."""
     if mode not in ("intersection", "difference"):
         raise GridError(f"mode must be intersection or difference, got {mode!r}")
     struct = _STRUCT_8 if mode == "intersection" else _STRUCT_4
     groups: dict[tuple, list[int]] = {}
     for k, win in enumerate(windows):
-        if win is not None:
-            groups.setdefault((win.shape, win.hole), []).append(k)
+        groups.setdefault((win.shape, win.hole), []).append(k)
     for (shape, hole), members in groups.items():
         (h, w), (a, b, region) = shape, _rings(shape, hole)
         per = max(1, _CANVAS_PIXELS // ((h + 1) * w))
@@ -289,9 +282,9 @@ def _canvases(K: GridCompactum, windows: Sequence[_Window | None],
                           np.diff(bounds), labels[:, :h], cross, bounds)
 
 
-def _crossing_counts(K: GridCompactum, windows: Sequence[_Window | None],
+def _crossing_counts(K: GridCompactum, windows: Sequence[_Window],
                      mode: str) -> np.ndarray:
-    """Crossing components of each window (0 for None)."""
+    """Crossing components of each window."""
     counts = np.zeros(len(windows), dtype=np.int64)
     for canvas in _canvases(K, windows, mode):
         counts[canvas.index] = canvas.counts
@@ -444,9 +437,6 @@ def crossing_components(K: GridCompactum, region: Region,
     if delta < s - 1e-12:
         raise GridError(f"delta {delta} is below one cell ({s})")
     core = _region_core(K, region, mode)
-    labeling = ComponentLabeling(K.level, core.origin, core.labels,
-                                 _metas_from_labels(core.labels, core.n,
-                                                    core.origin, K.level))
     # candidate universe for approximate limits: occupied cells near the
     # region (intersection mode reaches into K outside the region by delta;
     # difference mode stays inside the labeled window)
@@ -459,7 +449,7 @@ def crossing_components(K: GridCompactum, region: Region,
         Cluster(tuple(group), _limit_cells(core, group, candidates, delta, s, n_min))
         for group in _single_linkage(cells_of, delta, s))
     return CrossingReport(region, mode, K.level, core.snapped,
-                          core.crossing, len(core.crossing), clusters, labeling)
+                          core.crossing, len(core.crossing), clusters)
 
 
 # ---------------------------------------------------------------------------
@@ -776,10 +766,9 @@ def separating_curve(K: GridCompactum, P: int, Q: int, r: float) -> SeparatingLo
     number of cells so every corner stays on the cell lattice.  Brick
     components are labellings with the six-neighbour structure _HEX.
     """
-    labeling = label_components(K, 8)
-    if not (0 <= P < labeling.count and 0 <= Q < labeling.count) or P == Q:
-        raise GridError(f"P and Q must be distinct component ids below "
-                        f"{labeling.count}")
+    labels, count = _label_mask(K.mask, 8)
+    if not (0 <= P < count and 0 <= Q < count) or P == Q:
+        raise GridError(f"P and Q must be distinct component ids below {count}")
     s = K.level.cell_size
     rc = int(np.rint(r / s))
     if rc < 2:
@@ -788,9 +777,8 @@ def separating_curve(K: GridCompactum, P: int, Q: int, r: float) -> SeparatingLo
         rc += 1
     w = rc // 2
 
-    E = labeling.component_cells(P)
-    F = _cells_of((labeling.labels >= 0) & (labeling.labels != P),
-                  labeling.origin)
+    E = _cells_of(labels == P, K.origin)
+    F = _cells_of((labels >= 0) & (labels != P), K.origin)
     eb_origin, eb = _mask_of(_bricks_of(E, rc, dilate=True))
     if _at(eb, eb_origin, *_bricks_of(F, rc, dilate=True).T, False).any():
         raise GridError("r too large: a brick meets both sides of the separation")
@@ -806,7 +794,7 @@ def separating_curve(K: GridCompactum, P: int, Q: int, r: float) -> SeparatingLo
     W = np.isin(rest, np.concatenate([rest[0], rest[-1], rest[:, 0], rest[:, -1]]))
 
     # bricks beyond the frame are unbounded-side by construction
-    if not _at(W, (m_lo, n_lo), *_bricks_of(labeling.component_cells(Q), rc,
+    if not _at(W, (m_lo, n_lo), *_bricks_of(_cells_of(labels == Q, K.origin), rc,
                                             dilate=False).T, True).all():
         raise GridError("Q is not in the unbounded complement of P's brick "
                         "hull; swap P and Q or decrease r")

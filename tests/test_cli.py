@@ -84,6 +84,22 @@ def test_readme_commands_parse():
             pytest.fail(f"README command `pcx {' '.join(argv)}` exits {exc.code}")
 
 
+# out-of-range numbers that parse: each exits 2 with one `pcx: error:` line
+_RANGE_ERRORS = [
+    ["decompose", "--gen", "bars", "--level", "3", "--delta", "inf"],
+    ["decompose", "--gen", "bars", "--level", "3", "--delta", "nan"],
+    ["scan", "--gen", "bars", "--levels", "3", "--strip", "h:0:inf"],
+    ["compare", "--a", "a.json", "--b", "b.json", "--tol", "nan"],
+    ["compare", "--a", "a.json", "--b", "b.json", "--tol", "inf"],
+    ["compare", "--a", "a.json", "--b", "b.json", "--tol", "-0.5"],
+    ["gen", "--gen", "spiral_disk", "--level", "2", "--t-max", "nan"],
+    ["gen", "--gen", "spiral_disk", "--level", "2", "--t-max", "inf"],
+    ["gen", "--gen", "spiral_disk", "--level", "2", "--t-max", "2000"],
+    ["gen", "--gen", "random_blobs", "--level", "2", "--seed", "-1"],
+    ["gen", "--gen", "random_blobs", "--level", "2", "--seed", str(10 ** 23)],
+]
+
+
 @pytest.mark.parametrize("argv,code", [
     (["gen", "--gen", "nope", "--level", "2"], 2),            # bad choice
     (["gen", "--gen", "unit_square"], 2),                     # missing --level
@@ -97,9 +113,17 @@ def test_readme_commands_parse():
     (["decompose", "--gen", "bars", "--level", "3",
       "--jobs", "0"], 2),                                     # jobs < 1
     (["components", "--in", "/no/such/file.pbm", "--level", "3"], 3),
-])
+] + [(argv, 2) for argv in _RANGE_ERRORS])
 def test_exit_codes(argv, code):
     assert run(argv) == code
+
+
+@pytest.mark.parametrize("argv", _RANGE_ERRORS)
+def test_out_of_range_numbers_give_one_error_line(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"pcx: error: [^\n]+\n", captured.err), captured.err
 
 
 def test_parse_error_on_garbage_pbm(tmp_path):

@@ -56,8 +56,9 @@ def test_relation_params_validation():
     RelationParams()  # defaults are fine
     with pytest.raises(GridError):
         RelationParams(n_min=2)
-    with pytest.raises(GridError):
-        RelationParams(delta=0.0)
+    for delta in (0.0, float("inf"), float("nan")):
+        with pytest.raises(GridError):
+            RelationParams(delta=delta)
     with pytest.raises(GridError):
         RelationParams(annulus_family="nope")
     with pytest.raises(GridError):
@@ -360,6 +361,35 @@ def test_sine_contracts_to_a_path():
     assert is_simple_path(nodes, edges)
 
 
+def _translated(spec: SetSpec, n: int, di: int, dj: int) -> SetSpec:
+    """spec moved by (di, dj) cells of level n: its fill at level m is
+    shifted by (di, dj) * base**(m - n) cells."""
+    def fill(level):
+        (i0, j0), mask = spec.fill(level)
+        k = spec.base ** (level.n - n)
+        return (i0 + di * k, j0 + dj * k), mask
+
+    s, b = Level(n, spec.base).cell_size, spec.bbox
+    return SetSpec(f"{spec.name}+{di},{dj}", Box(b.x0 + di * s, b.y0 + dj * s,
+                                                  b.x1 + di * s, b.y1 + dj * s),
+                   fill=fill, base=spec.base)
+
+
+@pytest.mark.parametrize("gen,n", [("cantor_comb", 4), ("topologist_sine", 6),
+                                   ("spiral_disk", 4)])
+def test_translation_by_multiples_of_the_stride_keeps_the_partition(gen, n):
+    """The annulus centres repeat with period `stride` (8) and strips sit at
+    every offset, so moving K by 8 cells across and 16 up moves each class
+    alike.  One translation covers both multiples and keeps the test cheap."""
+    spec = make_spec(GeneratorParams(gen, t_max=6.0))
+    lvl = Level(n, spec.base)
+    D = decompose(spec, lvl)
+    moved = decompose(_translated(spec, n, 8, 16), lvl)
+    assert len(moved.classes) == len(D.classes)
+    assert all(np.array_equal(a.cells, b.cells - [8, 16])
+               for a, b in zip(D.classes, moved.classes))
+
+
 def test_jobs_do_not_change_the_relation():
     spec = make_spec(GeneratorParams("topologist_sine"))
     lvl = Level(4, 2)
@@ -485,6 +515,20 @@ def test_quotient_graph_edges_and_validation():
     other = grid_from_art("###", level=LVL)
     with pytest.raises(GridError):
         quotient_graph(other, D)
+
+
+def test_partition_check_compares_the_occupied_cells():
+    """Two rasters of one level, frame and cell count but different cells:
+    a decomposition of one does not partition the other."""
+    from pcx.cli import render_svg
+    K1 = GridCompactum.from_cells(LVL, np.array([[0, 0], [1, 1], [2, 0]]))
+    K2 = GridCompactum.from_cells(LVL, np.array([[0, 1], [1, 0], [2, 1]]))
+    D2 = close_equivalence(K2, all_singleton_seed(K2))
+    assert (K1.origin, K1.mask.shape, K1.count) == (K2.origin, K2.mask.shape, K2.count)
+    for check in (quotient_graph, monotone_check, render_svg):
+        check(K2, D2)
+        with pytest.raises(GridError, match="does not partition"):
+            check(K1, D2)
 
 
 def test_quotient_of_a_ring_is_a_cycle():
@@ -618,3 +662,13 @@ def test_peano_check_on_comb():
     assert isinstance(rep.ok, bool)
     d = rep.to_dict()
     assert set(d) >= {"levels", "thresholds", "counts", "stable", "ok"}
+
+
+def test_peano_check_refuses_mixed_bases():
+    graphs = []
+    for gen, n in (("cantor_comb", 3), ("bars", 4)):
+        spec = make_spec(GeneratorParams(gen))
+        K = rasterize(spec, Level(n, spec.base))
+        graphs.append(quotient_graph(K, close_equivalence(K, all_singleton_seed(K))))
+    with pytest.raises(GridError, match="one base"):
+        peano_check(graphs, C_grid=(0.1,))

@@ -332,8 +332,8 @@ def test_batched_regions_match_per_region_labelling(seed, budget, mode):
                 seen.append(k)
     assert sorted(seen) == list(range(len(regions)))
     assert counts.tolist() == [len(w[3]) for w in want]
-    # a window left out counts 0; one region alone is the same engine
-    assert _crossing_counts(K, [None] + windows[:1], mode).tolist() == [0, len(want[0][3])]
+    # one region alone is the same engine
+    assert _crossing_counts(K, windows[:1], mode).tolist() == [len(want[0][3])]
     core = _region_core(K, regions[-1], mode)
     assert core.crossing == want[-1][3] and np.array_equal(core.labels, want[-1][1])
 
