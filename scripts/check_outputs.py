@@ -175,6 +175,11 @@ RELATION_CASES = (
     ("comb_L3_deep1", "cantor_comb", 3, {"deep_levels": 1, "deep_children": 2}),
     ("comb_L3_deep4", "cantor_comb", 3, {"deep_levels": 4}),
     ("sine_L6_deep2_delta3", "topologist_sine", 6, {"deep_levels": 2, "delta": 3}),
+    # block shapes of the deep labelling met nowhere else: f = 2 on the sine
+    # (at most one label per block), and f = 8 over the many small pieces
+    # and empty blocks of the random blobs (seed 0)
+    ("sine_L6_deep1", "topologist_sine", 6, {"deep_levels": 1, "deep_children": 2}),
+    ("blobs_L6", "random_blobs", 6, {"deep_children": 2}),
 )
 
 

@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Wall time, peak memory and labelling volume of `decompose`, per row.
+
+    python scripts/decompose_rows.py [--rows sierpinski_carpet:5 cantor_comb:5 ...]
+
+Each row (generator and level) runs twice, in fresh processes with the
+default RelationParams:
+
+* a timed run: the wall time of `decompose(spec, Level(n))` and the peak
+  resident memory (`ru_maxrss`) of that process, imports included;
+* a counting run, with `scipy.ndimage.label` wrapped to sum the pixels and
+  foreground pixels it is given, its calls and the seconds spent in it.
+
+The pixels are reported as multiples of the deep raster, the raster
+`deep_levels` (3) finer that the deep split refines to.  The default rows
+are the decompose rows of the ROADMAP baseline; each run of one takes 3 to
+7 s on a 2-core machine.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import subprocess
+import sys
+import time
+
+DEFAULT_ROWS = ("sierpinski_carpet:5", "cantor_comb:5", "spiral_disk:7")
+
+
+def _child(name: str, level: int, count: bool) -> dict:
+    """One run in this process: the timed decompose, or the counted one."""
+    from scipy import ndimage
+
+    from pcx import GeneratorParams, Level, RelationParams, decompose, make_spec, rasterize
+    tally = {"calls": 0, "px": 0, "fg": 0, "label_s": 0.0}
+    if count:
+        label = ndimage.label
+
+        def counted(input, *args, **kwargs):
+            t0 = time.perf_counter()
+            out = label(input, *args, **kwargs)
+            tally["label_s"] += time.perf_counter() - t0
+            tally["calls"] += 1
+            tally["px"] += int(input.size)
+            tally["fg"] += int((input != 0).sum())
+            return out
+
+        ndimage.label = counted
+    spec = make_spec(GeneratorParams(name))
+    t0 = time.perf_counter()
+    D = decompose(spec, Level(level, spec.base))
+    row = {"wall_s": time.perf_counter() - t0, "classes": len(D.classes),
+           "peak_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+    if count:
+        deep = rasterize(spec, Level(level + RelationParams().deep_levels, spec.base))
+        row.update(tally, deep_px=int(deep.mask.size), deep_fg=deep.count)
+    return row
+
+
+def _run(name: str, level: int, count: bool) -> dict:
+    argv = [sys.executable, __file__, "--child", name, str(level)]
+    argv += ["--count"] if count else []
+    p = subprocess.run(argv, capture_output=True, text=True, check=True)
+    return json.loads(p.stdout.splitlines()[-1])
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--rows", nargs="+", default=list(DEFAULT_ROWS), metavar="GEN:LEVEL")
+    ap.add_argument("--child", nargs=2, help=argparse.SUPPRESS)
+    ap.add_argument("--count", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.child:
+        print(json.dumps(_child(args.child[0], int(args.child[1]), args.count)))
+        return 0
+    print(f"{'row':<22} {'wall s':>7} {'peak MiB':>9} {'classes':>8} {'label calls':>12} "
+          f"{'label s':>8} {'deep Mpx':>9} {'px x deep':>10} {'fg x deep':>10}")
+    for row in args.rows:
+        name, level = row.rsplit(":", 1)
+        timed, counted = _run(name, int(level), False), _run(name, int(level), True)
+        print(f"{name + ' L' + level:<22} {timed['wall_s']:7.2f} {timed['peak_mib']:9.1f} "
+              f"{timed['classes']:8d} {counted['calls']:12d} {counted['label_s']:8.2f} "
+              f"{counted['deep_px'] / 1e6:9.2f} {counted['px'] / counted['deep_px']:10.2f} "
+              f"{counted['fg'] / max(counted['deep_fg'], 1):10.2f}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

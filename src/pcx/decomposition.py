@@ -31,9 +31,9 @@ from scipy.spatial import cKDTree
 
 from .grid import (Box, Cells, GridCompactum, GridError, Level, SetSpec,
                    _as_cells, _at, _canonical, _cells_by_label, _cells_of,
-                   _components, _group, _label_mask, _slab,
+                   _components, _group, _label_mask,
                    diameters, max_level, rasterize)
-from .schoenflies import (RectAnnulus, Region, Strip, _band_strips,
+from .schoenflies import (RectAnnulus, Region, Strip, _band_strips, _BlockRegions,
                           _canvases, _crossing_counts, _limit_cells,
                           _near_cells, _ranges, _RegionData, _region_core,
                           _single_linkage, _support, _strictly_increasing_tail,
@@ -200,7 +200,7 @@ def _annulus_family(K: GridCompactum, stride: int) -> list[RectAnnulus]:
 # relation seeding
 
 def _deep_children(core: _RegionData, dcore: _RegionData, factor: int,
-                   full: np.ndarray | None
+                   fused: np.ndarray | None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct (coarse label id, deep unit id) pairs of a deep unit under
     a coarse piece, sorted and as two arrays, counted on the label images
@@ -209,12 +209,12 @@ def _deep_children(core: _RegionData, dcore: _RegionData, factor: int,
 
     An annulus ring cuts a curve threading its hole into two crossing pieces,
     but for fragment identity the curve is one object (else one arc vouches
-    for itself twice), so pieces whose first cells share a label of `full`,
-    the whole deep window, fuse into one unit; strips pass None.  A piece's
-    parents stay 8-connected inside the region, hence in one coarse piece, so
-    each piece counts its unit under the coarse piece holding the parent of
-    its first cell; a fused unit, whose halves reconnect through the hole,
-    can count under several.
+    for itself twice), so pieces that share a `fused` key, their component
+    in the whole deep window (hole included), fuse into one unit; strips
+    pass None.  A piece's parents stay 8-connected inside the region, hence
+    in one coarse piece, so each piece counts its unit under the coarse
+    piece holding the parent of its first cell; a fused unit, whose halves
+    reconnect through the hole, can count under several.
     """
     fg = dcore.fg
     lab = dcore.labels.ravel()[fg]
@@ -222,7 +222,7 @@ def _deep_children(core: _RegionData, dcore: _RegionData, factor: int,
     # labels first reaches id k at id k's first pixel
     ids = np.asarray(dcore.crossing, dtype=np.int64)
     first = fg[np.searchsorted(np.maximum.accumulate(lab), ids)]
-    unit = np.arange(len(ids)) if full is None else _canonical(full.ravel()[first])[0]
+    unit = np.arange(len(ids)) if fused is None else _canonical(fused[ids])[0]
     W, (oi, oj) = dcore.labels.shape[1], dcore.origin
     cids = _at(core.labels, core.origin, (first % W + oi) // factor,
                (first // W + oj) // factor).astype(np.int64)
@@ -244,17 +244,19 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
     emits its fracture locus: the cells touched by at least two fragments
     within delta, one connected patch per merge set.
 
-    The regions are labelled in batches (schoenflies._canvases), and the
-    gates read crossing counts, in order: no coarse crossing, nothing; fewer
-    than n_min crossing ids and fewer than deep_children deep ones (deep
-    counts are taken only for regions with a coarse crossing), nothing.
-    Only a region that passes gets its labels renumbered as if labelled
-    alone.  The deep split then counts each coarse piece's deep units on the
-    label images; the locus of all passing pieces is one support query on
-    the deep unit image.  Both routes need K.source when they refine;
-    without a source the same-level route runs unfiltered and deep splitting
-    is off.  Merge sets come in family order, a region's same-level sets
-    before its deep ones; `jobs` is accepted and has no effect.
+    The regions are labelled in batches at the working level
+    (schoenflies._canvases) and from one block labelling of the deep raster
+    (schoenflies._BlockRegions), and the gates read crossing counts, in
+    order: no coarse crossing, nothing; fewer than n_min crossing ids and
+    fewer than deep_children deep ones (deep counts are taken only for
+    regions with a coarse crossing), nothing.  Only a region that passes
+    gets its labels renumbered as if labelled alone.  The deep split then
+    counts each coarse piece's deep units on the label images; the locus of
+    all passing pieces is one support query on the deep unit image.  Both
+    routes need K.source when they refine; without a source the same-level
+    route runs unfiltered and deep splitting is off.  Merge sets come in
+    family order, a region's same-level sets before its deep ones; `jobs` is
+    accepted and has no effect.
     """
     params = params or RelationParams()
     if K.is_empty:
@@ -271,12 +273,14 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
     if params.annulus_family in ("rect-annuli-sampled", "both"):
         regions.extend(_annulus_family(K, params.stride))
 
-    deep: GridCompactum | None = None
+    # the deep raster, in a list so that the block labelling can take it over
+    # and free it once labelled
+    deep: list[GridCompactum] = []
     factor = 1
     if params.multi_level and K.source is not None:
         deep_n = min(K.level.n + params.deep_levels, max_level())
         if deep_n > K.level.n:
-            deep = rasterize(K.source, Level(deep_n, base))
+            deep.append(rasterize(K.source, Level(deep_n, base)))
             factor = base ** (deep_n - K.level.n)
 
     next_raster: list[GridCompactum | None] = [None]  # lazy, for persistence
@@ -299,8 +303,8 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
         if len(core2.crossing) < len(group):
             return False  # no group can reach the gate
         cells2 = core2.crossing_cells()
-        big = [cid for g in _single_linkage(cells2, delta, K2.level.cell_size)
-               if len(g) >= len(group) for cid in g]
+        big = [cid for g in _single_linkage(cells2, delta, K2.level.cell_size, len(group))
+               for cid in g]
         if not big:
             return False
         # a parent is a member cell iff it lies in the coarse window and its
@@ -329,7 +333,7 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
     for k in np.flatnonzero(counts >= params.n_min).tolist():
         core, out = core_of(k), seeds.setdefault(k, [])
         cells_of = core.crossing_cells()
-        gated = [g for g in _single_linkage(cells_of, delta, s) if len(g) >= params.n_min]
+        gated = _single_linkage(cells_of, delta, s, params.n_min)
         if gated:
             candidates = _near_cells(kcells, core, delta, s)
             for group in gated:
@@ -339,16 +343,14 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
                 if len(limit):
                     out.append(limit)
 
-    def deep_split(k: int, dcore: _RegionData) -> list[Cells]:
+    def deep_split(k: int, dcore: _RegionData, fused: np.ndarray | None) -> list[Cells]:
         # a member exploding into many deep crossing components is an
         # accumulation witness.  Glue its approximate limit (coarse cells
         # supported by enough deep pieces), not the whole coarse component,
         # which can also hold well-resolved geometry that merely touches the
         # blob at this resolution.
-        core, region = core_of(k), regions[k]
-        full = _label_mask(_slab(deep, *region.snapped_rects(deep.level)[0]), 8)[0] \
-            if isinstance(region, RectAnnulus) else None
-        cid_of, uid_of, unit_of = _deep_children(core, dcore, factor, full)
+        core = core_of(k)
+        cid_of, uid_of, unit_of = _deep_children(core, dcore, factor, fused)
         nk = np.bincount(cid_of, minlength=core.n)
         passing = [cid for cid in core.crossing if nk[cid] >= params.deep_children]
         if not passing:
@@ -364,7 +366,7 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
         # its own limit continuum, so patches are related separately.
         ok = _support(np.stack([is_, js], axis=1) + np.array(core.origin), factor,
                       dcore, unit_of, owner, uid_of[at],
-                      (delta + 1e-9) / deep.level.cell_size, 2)
+                      (delta + 1e-9) / dcell, 2)
         locus = np.zeros(core.labels.shape, dtype=bool)
         locus[js[ok], is_[ok]] = True
         # distinct pieces are never 8-adjacent, so each patch lies in one
@@ -373,16 +375,19 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
         return sorted(_cells_by_label(*_label_mask(locus, 8), core.origin),
                       key=lambda p: core.labels[p[0, 1] - oj, p[0, 0] - oi])
 
-    if deep is not None:
+    live = np.flatnonzero(counts > 0)
+    if deep and len(live):
         # the deep split is taken for regions with a coarse crossing; a
         # piece counts a unit once and units never outnumber deep crossing
-        # ids, so a region with too few ids has no witness
-        live = np.flatnonzero(counts > 0)
-        for canvas in _canvases(deep, [_window(deep, regions[k]) for k in live],
-                                "intersection"):
-            for t in np.flatnonzero(canvas.counts >= params.deep_children).tolist():
-                k = int(live[canvas.index[t]])
-                seeds.setdefault(k, []).extend(deep_split(k, canvas.core(t)))
+        # ids, so a region with too few ids has no witness.  Every such
+        # region is a union of whole coarse cells of the deep raster
+        dcell = deep[0].level.cell_size
+        blocks = _BlockRegions().label(deep.pop(), factor, [regions[k] for k in live])
+        passing = np.flatnonzero(blocks.counts >= params.deep_children).tolist()
+        fused = blocks.fusions([t for t in passing if blocks.windows[t].hole is not None])
+        for t in passing:
+            k = int(live[t])
+            seeds.setdefault(k, []).extend(deep_split(k, blocks.core(t), fused.get(t)))
     merge_sets = tuple(ms for k in sorted(seeds) for ms in seeds[k])
     return RelationSeed(K.level, merge_sets)
 

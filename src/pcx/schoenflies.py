@@ -296,23 +296,222 @@ def _region_core(K: GridCompactum, region: Region, mode: str) -> _RegionData:
     return canvas.core(0)
 
 
+# 8-connectivity inside each tile of a (tiles, f, f) stack, none across tiles
+_STRUCT_TILES = np.stack([np.zeros_like(_STRUCT_8), _STRUCT_8, np.zeros_like(_STRUCT_8)])
+# steps (dc, dr) to the 8 neighbouring blocks, the 4 forward ones first
+_DIRS = ((1, 0), (0, 1), (1, 1), (-1, 1), (-1, 0), (0, -1), (-1, -1), (1, -1))
+_SIDE = {-1: slice(1), 0: slice(None), 1: slice(-1, None)}
+_FAR = 1 << 40  # beyond every block of a raster
+_NODES = 1 << 17  # pixels of a band of tiles, or graph nodes, handled at once
+
+
+def _edge(tiles: np.ndarray, t: np.ndarray, dc: int, dr: int) -> np.ndarray:
+    """The pixels of tiles t on their side or corner facing (dc, dr), a row each."""
+    e = tiles[t, _SIDE[dr], _SIDE[dc]]
+    return e.reshape(len(t), e.shape[1] * e.shape[2]).astype(np.int64)
+
+
+class _BlockRegions:
+    """Intersection-mode components of regions that are unions of whole f x f
+    blocks of a raster (block corners at multiples of f), from one labelling.
+
+    The nonempty blocks are labelled as tiles of one stack, so labels run
+    block-major and the labels of a run of blocks along a block row are one
+    id range.  Seams join the labels of 8-adjacent pixels in two blocks; bit
+    k of a label's exits says it has a pixel on its block's side or corner
+    facing _DIRS[k].  A region's components are the graph components of its
+    labels and their seams (grid._components over runs of whole regions).  One
+    crosses when a label faces a block before the first boundary and one a
+    block past the second: below a strip's first line and above its last
+    (left and right when turned; its lateral range holds all of K), or
+    outside an annulus' outer box and inside its hole.  Ids rank a region's
+    components by first pixel, as labelling the region alone numbers them.
+    """
+
+    def label(self, K: GridCompactum, f: int, regions: Sequence[Region]) -> _BlockRegions:
+        """Label K for the given regions.  A method, not __init__, since a
+        constructor call would keep a raster passed inline alive to its end:
+        this one frees it once the blocks are cut out."""
+        (oi, oj), (H, W) = K.origin, K.mask.shape
+        self.f, self.corner = f, (oi // f * f, oj // f * f)
+        self.windows = [_window(K, region) for region in regions]
+        self.shape = R, C = -(-(oj + H) // f) - oj // f, -(-(oi + W) // f) - oi // f
+        (ci, cj), band = self.corner, max(1, _NODES // max(C * f * f, 1))
+        # the nonempty blocks, cut out a band of block rows at a time
+        full, tiles = [], []
+        for r in range(0, max(R, 1), band):
+            blocks = _slab(K, ci, cj + r * f, ci + C * f - 1, cj + min(r + band, R) * f - 1
+                           ).reshape(-1, f, C, f).transpose(0, 2, 1, 3)
+            full.append(blocks.any(axis=(2, 3)))
+            tiles.append(blocks[full[-1]])
+        del K, blocks  # frees the raster when the caller keeps no reference to it
+        full = np.concatenate(full)
+        m = int(full.sum())
+        index = np.full((R, C), m)  # a block's tile; the last tile is blank
+        index[full] = np.arange(m)
+        self.tiles = np.zeros((m + 1, f, f), dtype=np.int32)
+        self.n = n = ndimage.label(np.concatenate(tiles), _STRUCT_TILES, output=self.tiles[:m])
+        del tiles
+        tr, tc = np.nonzero(full)
+        self.tkey = tr * C + tc
+        self.start = np.r_[1, self.tiles[:m].reshape(m, f * f).max(axis=1) + 1]
+        block = np.repeat(np.stack([tc, tr], axis=1), np.diff(self.start), axis=0)
+        # over a run of tiles, the running max first reaches a label at its
+        # first pixel, which is also its first in row-major order
+        step = max(1, _NODES // (f * f))
+        at = np.concatenate([np.searchsorted(
+            np.maximum.accumulate(self.tiles[t:t + step].ravel()), np.arange(
+                self.start[t], self.start[min(t + step, m)], dtype=np.int32)) + t * f * f
+            for t in range(0, m, step)] + [np.zeros(0, dtype=np.int64)])
+        t, y, x = np.unravel_index(at, (m, f, f))
+        first = np.r_[0, (tr[t] * f + y) * (C * f) + tc[t] * f + x]
+        exits, seams = np.zeros(n + 1, dtype=np.uint8), []
+        for k, (dc, dr) in enumerate(_DIRS):
+            hit = np.zeros(n + 1, dtype=bool)
+            hit[_edge(self.tiles, np.arange(m), dc, dr)] = True
+            exits[hit] |= np.uint8(1 << k)
+            if k < 4:  # the 8-adjacent pixel pairs across a forward side or corner
+                p = index[:R - dr, max(-dc, 0):C - max(dc, 0)]
+                q = index[dr:, max(dc, 0):C - max(-dc, 0)]
+                a, b = (_edge(self.tiles, p[(p < m) & (q < m)], dc, dr),
+                        _edge(self.tiles, q[(p < m) & (q < m)], -dc, -dr))
+                w = a.shape[1]
+                for s in (-1, 0, 1):
+                    e = a[:, max(-s, 0):w - max(s, 0)], b[:, max(s, 0):w - max(-s, 0)]
+                    seams.append((e[0] * (n + 1) + e[1])[(e[0] > 0) & (e[1] > 0)])
+        seam = np.unique(np.concatenate(seams))
+        self.seam_b = seam % (n + 1)
+        self.ptr = np.searchsorted(seam // (n + 1), np.arange(n + 2))
+        self.frames = np.array([self._frame(w) for w in self.windows],
+                               dtype=np.int64).reshape(-1, 8)
+        # blank blocks around the raster as far as any window reaches
+        self.pad = max(0, -self.frames[:, :2].min(initial=0),
+                       (self.frames[:, 2:4] - [C - 1, R - 1]).max(initial=0))
+        self.index = np.pad(index, self.pad, constant_values=m)
+
+        reg, self.lab, self.comp = self._graph(self.frames)
+        self.bounds = np.searchsorted(reg, np.arange(len(self.windows) + 1))
+        ends = np.zeros((2, len(reg)), dtype=bool)
+        for a in range(0, len(reg), _NODES):  # a chunk of nodes at a time bounds the memory
+            g, (c, r) = self.frames[reg[a:a + _NODES]], block[self.lab[a:a + _NODES] - 1].T
+            # per axis and step d: the node's block on the frame's edge, and
+            # the block d away past the second boundary
+            edge = [{-1: c == g[:, 0], 0: False, 1: c == g[:, 2]},
+                    {-1: r == g[:, 1], 0: False, 1: r == g[:, 3]}]
+            past = [{d: (g[:, 4] <= c + d) & (c + d <= g[:, 6]) for d in (-1, 0, 1)},
+                    {d: (g[:, 5] <= r + d) & (r + d <= g[:, 7]) for d in (-1, 0, 1)}]
+            for k, (dc, dr) in enumerate(_DIRS):
+                far = past[0][dc] & past[1][dr]
+                ends[:, a:a + _NODES] |= (exits[self.lab[a:a + _NODES]] >> k & 1 == 1) & \
+                    np.stack([(edge[0][dc] | edge[1][dr]) & ~far, far])
+        nc = int(self.comp.max(initial=-1)) + 1
+        hit, owner, start = np.zeros((2, nc), dtype=bool), np.zeros(nc, dtype=np.int64), \
+            np.full(nc, R * C * f * f)
+        hit[0, self.comp[ends[0]]] = hit[1, self.comp[ends[1]]] = True
+        self.cross, owner[self.comp] = hit[0] & hit[1], reg
+        np.minimum.at(start, self.comp, first[self.lab])
+        # a region's components by first pixel, and the rank of each there
+        self.order = np.lexsort((start, owner))
+        self.cbounds = np.searchsorted(owner[self.order], np.arange(len(self.windows) + 1))
+        self.rank = np.empty(nc, dtype=np.int32)
+        self.rank[self.order] = np.arange(nc) - self.cbounds[owner[self.order]]
+        self.counts = np.bincount(owner[self.cross], minlength=len(self.windows))
+        return self
+
+    def _frame(self, win: _Window) -> list[int]:
+        """The window's blocks (c0, r0, c1, r1) and those past its second
+        boundary (an annulus' hole, every block beyond a strip's last line),
+        both inclusive."""
+        f, (ci, cj) = self.f, self.corner
+        (i, j), (h, w) = win.origin, win.shape[::-1] if win.turned else win.shape
+        j0, i0, j1, i1 = win.hole or ((-_FAR, w, _FAR, _FAR) if win.turned
+                                      else (h, -_FAR, _FAR, _FAR))
+        return [(i - ci) // f, (j - cj) // f, (i + w - 1 - ci) // f, (j + h - 1 - cj) // f,
+                (i + i0 - ci) // f, (j + j0 - cj) // f, (i + i1 - ci) // f, (j + j1 - cj) // f]
+
+    def _graph(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nodes (region, label) of the regions `frames` (the blocks
+        past the second boundary left out where they lie inside), region-major
+        and labels ascending, as region positions and labels, and the
+        component of each node."""
+        (R, C), n = self.shape, self.n
+        lo, hi = frames[:, :2].clip(0), np.minimum(frames[:, 2:4], [C - 1, R - 1]) + 1
+        row, k = _ranges(lo[:, 1], (hi[:, 1] - lo[:, 1]).clip(0))
+        c0, c1, g = lo[k, :1], hi[k, :1], frames[k]
+        # a row through a hole is two runs of blocks, else one
+        hole = (g[:, 5] <= row) & (row <= g[:, 7])
+        cols = np.stack([c0[:, 0], np.where(hole, g[:, 4], c1[:, 0]),
+                         np.where(hole, g[:, 6] + 1, c1[:, 0]), c1[:, 0]], axis=1)
+        ids = self.start[np.searchsorted(self.tkey, row[:, None] * C + cols.clip(c0, c1))]
+        lab, run = _ranges(ids[:, ::2].ravel(), (ids[:, 1::2] - ids[:, ::2]).ravel())
+        reg, comp, nc = k[run // 2], np.empty(len(lab), dtype=np.int64), 0
+        # a run of whole regions, some _NODES nodes, at a time bounds the memory
+        bounds = np.searchsorted(reg, np.arange(len(frames) + 1))
+        cuts = np.unique(np.r_[bounds[np.searchsorted(bounds, np.arange(0, len(reg), _NODES))],
+                               len(reg)])
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            key = reg[a:b] * (n + 1) + lab[a:b]
+            s, e = _ranges(self.ptr[lab[a:b]], self.ptr[lab[a:b] + 1] - self.ptr[lab[a:b]])
+            want = key[e] - lab[a:b][e] + self.seam_b[s]
+            at = np.minimum(np.searchsorted(key, want), b - a - 1)
+            comp[a:b] = _components(b - a, e[key[at] == want], at[key[at] == want])[1] + nc
+            nc = int(comp[a:b].max()) + 1
+        return reg, lab, comp
+
+    def core(self, k: int) -> _RegionData:
+        """Window k as labelling its region alone gives it (see _Canvas.core)."""
+        (a, b), (c, d) = self.bounds[k:k + 2], self.cbounds[k:k + 2]
+        win, f = self.windows[k], self.f
+        (i, j), (h, w) = win.origin, win.shape[::-1] if win.turned else win.shape
+        c0, r0, c1, r1 = (self.frames[k, :4] + self.pad).tolist()
+        y, x = j - self.corner[1] - (r0 - self.pad) * f, i - self.corner[0] - (c0 - self.pad) * f
+        t, lab = self.index[r0:r1 + 1, c0:c1 + 1], self.lab[a:b]
+        # ids by label, -1 for the background and every label past the last
+        table = np.full(int(lab.max(initial=0)) + 2, -1, dtype=np.int32)
+        table[lab] = self.rank[self.comp[a:b]]
+        ids = np.take(table, self.tiles[t], mode="clip")
+        labels = np.ascontiguousarray(
+            ids.transpose(0, 2, 1, 3).reshape(t.shape[0] * f, -1)[y:y + h, x:x + w])
+        return _RegionData(win.origin, labels, int(d - c),
+                           tuple(np.flatnonzero(self.cross[self.order[c:d]]).tolist()),
+                           win.snapped, np.flatnonzero(labels.ravel() >= 0))
+
+    def fusions(self, ks: Sequence[int]) -> dict[int, np.ndarray]:
+        """For annulus windows ks, the component of the whole window, hole
+        included, that holds each id of core(k)."""
+        frames = self.frames[list(ks)]
+        frames[:, 4:] = [0, 0, -1, -1]
+        reg, lab, comp = self._graph(frames)
+        at, out = np.searchsorted(reg, np.arange(len(frames) + 1)), {}
+        for x, k in enumerate(ks):
+            (a, b), c = self.bounds[k:k + 2], self.cbounds[k]
+            out[k] = np.empty(self.cbounds[k + 1] - c, dtype=np.int64)
+            out[k][self.rank[self.comp[a:b]]] = \
+                comp[at[x] + np.searchsorted(lab[at[x]:at[x + 1]], self.lab[a:b])]
+        return out
+
+
 def _single_linkage(cells_of: dict[int, Cells], delta: float,
-                    s: float) -> list[list[int]]:
+                    s: float, at_least: int = 1) -> list[list[int]]:
     """Single linkage at cut delta: the connected components of the delta-graph
     on the ids, which joins two cell sets when every cell of each has a cell
-    of the other within delta (symmetric Hausdorff distance <= delta).  One
-    pair query over the cells that may link finds those neighbours.  Groups
-    are ordered by their smallest id, members ascending."""
+    of the other within delta (symmetric Hausdorff distance <= delta), that
+    hold at least `at_least` ids.  One pair query over the cells that may
+    link finds those neighbours.  Groups are ordered by their smallest id,
+    members ascending."""
     ids = sorted(cells_of)
     if len(ids) < 2:  # nothing to link: spares the pair query on fat pieces
-        return [ids] if ids else []
+        return [ids] if ids and at_least <= 1 else []
     m = len(ids)
     sizes = np.array([len(cells_of[c]) for c in ids])
     cells, at = np.concatenate([cells_of[c] for c in ids]), np.cumsum(sizes) - sizes
     # Hausdorff <= delta needs all four bounding-box sides within delta, so
-    # only the cells of sets with such a partner go to the pair query
+    # only the cells of sets with such a partner go to the pair query; every
+    # member of a group of two or more has one
     box = np.hstack([np.minimum.reduceat(cells, at), np.maximum.reduceat(cells, at)])
     near = (np.abs(box[:, None] - box[None]) * s <= delta + 1e-9).all(axis=2).sum(axis=1) > 1
+    if at_least > 1 and near.sum() < at_least:
+        return []
     owner, pts = np.repeat(np.arange(m), sizes), (cells + 0.5) * s
     owner, pts = owner[near[owner]], pts[near[owner]]
     p, q = cKDTree(pts).query_pairs(delta + 1e-9, output_type="ndarray").T
@@ -327,10 +526,11 @@ def _single_linkage(cells_of: dict[int, Cells], delta: float,
     a, b = np.divmod(full, m)
     both = np.isin(b * m + a, full)
     if not both.any():  # spares the graph on the many regions with no join
-        return [[c] for c in ids]
+        return [[c] for c in ids] if at_least <= 1 else []
     groups, n = _canonical(_components(m, a[both], b[both])[1])
     members, bounds = _group(groups, n, np.asarray(ids))
-    return [members[bounds[k]:bounds[k + 1]].tolist() for k in range(n)]
+    return [members[bounds[k]:bounds[k + 1]].tolist() for k in range(n)
+            if bounds[k + 1] - bounds[k] >= at_least]
 
 
 @lru_cache(maxsize=32)

@@ -33,7 +33,7 @@ from pcx import (
 
 from pcx.decomposition import _annulus_family, _deep_children, _strip_family
 from pcx.grid import _cells_by_label, _label_mask, _slab
-from pcx.schoenflies import RectAnnulus, _region_core
+from pcx.schoenflies import RectAnnulus, _BlockRegions, _region_core
 
 from conftest import bfs_components, cells_from_art, grid_from_art
 
@@ -239,6 +239,9 @@ DEEP_CORPUS = [(GeneratorParams("cantor_comb"), 3),
 
 @pytest.mark.parametrize("family", ["strips", "annuli"])
 def test_deep_children_match_cell_list_count(family):
+    """The count on label images against the cell-list count.  An annulus
+    takes its fusion keys both from the whole deep window labelled alone and
+    from the block engine."""
     counted = fused = spread = 0
     for gp, n in DEEP_CORPUS:
         spec = make_spec(gp)
@@ -246,27 +249,33 @@ def test_deep_children_match_cell_list_count(family):
         deep = rasterize(spec, Level(n + 3, spec.base))
         factor = spec.base ** 3
         regions = _strip_family(K) if family == "strips" else _annulus_family(K, 8)
-        for region in regions:
+        blocks = _BlockRegions().label(deep, factor, regions)
+        engine = blocks.fusions(range(len(regions))) if family == "annuli" else {}
+        for t, region in enumerate(regions):
             core = _region_core(K, region, "intersection")
             dcore = _region_core(deep, region, "intersection")
             if not dcore.crossing:
                 continue
-            full = None
+            full, keys = None, [None]
             if isinstance(region, RectAnnulus):
                 (i0, j0, i1, j1), _ = region.snapped_rects(deep.level)
                 full = _label_mask(_slab(deep, i0, j0, i1, j1), 8)[0]
-            cid_of, uid_of, unit_of = _deep_children(core, dcore, factor, full)
+                # the full label at each id's first pixel
+                firsts = np.unique(dcore.labels.ravel()[dcore.fg], return_index=True)[1]
+                keys = [full.ravel()[dcore.fg[firsts]], engine[t]]
             groups, want_children = reference_deep_children(core, dcore, factor, full)
             pairs = sorted((c, u) for c, us in want_children.items() for u in us)
-            assert list(zip(cid_of.tolist(), uid_of.tolist())) == pairs
             dcells = dcore.crossing_cells()
-            # the units as the unit image holds them
-            units = _cells_by_label(np.append(unit_of, -1)[dcore.labels],
-                                    int(unit_of.max()) + 1, dcore.origin)
-            assert len(units) == len(groups)
-            for cells, g in zip(units, groups):
-                want = sort_cells(np.concatenate([dcells[d] for d in g]))
-                assert np.array_equal(cells, want)
+            for key in keys:
+                cid_of, uid_of, unit_of = _deep_children(core, dcore, factor, key)
+                assert list(zip(cid_of.tolist(), uid_of.tolist())) == pairs
+                # the units as the unit image holds them
+                units = _cells_by_label(np.append(unit_of, -1)[dcore.labels],
+                                        int(unit_of.max()) + 1, dcore.origin)
+                assert len(units) == len(groups)
+                for cells, g in zip(units, groups):
+                    want = sort_cells(np.concatenate([dcells[d] for d in g]))
+                    assert np.array_equal(cells, want)
             counted += 1
             fused += sum(len(g) > 1 for g in groups)
             spread += sum(len(g) > 1 and (uid_of == uid).sum() > 1

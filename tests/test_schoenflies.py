@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -33,7 +34,8 @@ from pcx import (
 )
 from pcx import schoenflies
 from pcx.grid import _label_mask, _slab
-from pcx.schoenflies import (_canvases, _crossing_counts, _lateral_range,
+from pcx.decomposition import _annulus_family, _strip_family
+from pcx.schoenflies import (_BlockRegions, _canvases, _crossing_counts, _lateral_range,
                              _region_core, _RegionData, _single_linkage, _support,
                              _window)
 
@@ -185,14 +187,16 @@ linkage_sets = st.dictionaries(
 
 
 @given(linkage_sets, st.sampled_from([2, 3]), st.integers(0, 5),
-       st.sampled_from([1.0, 2 ** 0.5, 2.0, 5 ** 0.5, 2.5]))
+       st.sampled_from([1.0, 2 ** 0.5, 2.0, 5 ** 0.5, 2.5]), st.integers(1, 4))
 @settings(max_examples=300, deadline=None)
-def test_single_linkage_matches_pairwise_hausdorff(sets, base, n, cells):
-    # delta on exact lattice distances (1, sqrt 2, 2, sqrt 5 cells) makes ties
+def test_single_linkage_matches_pairwise_hausdorff(sets, base, n, cells, at_least):
+    # delta on exact lattice distances (1, sqrt 2, 2, sqrt 5 cells) makes ties;
+    # the size gate keeps the groups of at least at_least ids
     s = Level(n, base).cell_size
     cells_of = {cid: np.array(c, dtype=np.int64) for cid, c in sets.items()}
-    groups = _single_linkage(cells_of, cells * s, s)
-    assert groups == _linkage_reference(cells_of, cells * s, s)
+    groups = _single_linkage(cells_of, cells * s, s, at_least)
+    assert groups == [g for g in _linkage_reference(cells_of, cells * s, s)
+                      if len(g) >= at_least]
     assert [g[0] for g in groups] == sorted(g[0] for g in groups)
     assert all(g == sorted(g) for g in groups)
     assert all(type(c) is int for g in groups for c in g)
@@ -336,6 +340,64 @@ def test_batched_regions_match_per_region_labelling(seed, budget, mode):
     assert _crossing_counts(K, windows[:1], mode).tolist() == [len(want[0][3])]
     core = _region_core(K, regions[-1], mode)
     assert core.crossing == want[-1][3] and np.array_equal(core.labels, want[-1][1])
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3, 4, 8, 9, 16, 27, 81]))
+@settings(max_examples=100, deadline=None)
+def test_block_engine_matches_per_window_labelling(seed, f):
+    """Counts, cores and annulus fusions of the block engine against each
+    window labelled alone.  The raster is a few blocks of f x f cells, some
+    empty, some full, some noise, trimmed so that its origin and edges fall
+    off the block grid; the windows are the strip and annulus families of
+    its coarse raster (the edge strips reach past the raster, and must not
+    take the raster's edge row for their boundary) plus annuli partly or
+    wholly off it."""
+    rng = np.random.default_rng(seed)
+    base = 2 if f in (2, 4, 8, 16) else 3
+    k = round(math.log(f, base))
+    coarse, level = Level(1, base), Level(1 + k, base)
+    s = level.cell_size
+    (bh, bw), corner = rng.integers(1, 4, size=2), rng.integers(-3, 4, size=2) * f
+    mask = np.zeros((bh * f, bw * f), dtype=bool)
+    for bj in range(bh):
+        for bi in range(bw):
+            kind = rng.integers(3)  # empty, full or noise
+            mask[bj * f:(bj + 1) * f, bi * f:(bi + 1) * f] = \
+                kind == 1 or (kind == 2 and rng.random((f, f)) < rng.uniform(0.2, 0.7))
+    lo, hi = rng.integers(0, f, size=2), rng.integers(0, f, size=2)
+    cells = np.argwhere(mask[lo[1]:bh * f - hi[1], lo[0]:bw * f - hi[0]])[:, ::-1]
+    assume(len(cells))
+    K = GridCompactum.from_cells(level, cells + corner + lo)
+    coarse_K = GridCompactum.from_cells(coarse, np.unique(K.cells() // f, axis=0))
+    regions = _strip_family(coarse_K) + _annulus_family(coarse_K, 2)
+    for (i, j), (o, h) in zip(rng.integers(-3, 6, size=(4, 2)).tolist() + [[0, 0]],
+                              [(2, 0), (3, 1), (4, 1), (5, 2), (2, 0)]):
+        i, j = i + corner[0] // f, j + corner[1] // f
+        regions.append(RectAnnulus(
+            Box((i - o) * f * s, (j - o) * f * s, (i + o + 1) * f * s, (j + o + 1) * f * s),
+            Box((i - h) * f * s, (j - h) * f * s, (i + h + 1) * f * s, (j + h + 1) * f * s)))
+    blocks = _BlockRegions().label(K, f, regions)
+    windows = [_window(K, r) for r in regions]
+    annuli = [t for t, r in enumerate(regions) if isinstance(r, RectAnnulus)]
+    fused = blocks.fusions(annuli)
+    for t, region in enumerate(regions):
+        origin, labels, n, crossing = _reference_core(K, region, "intersection")
+        core = blocks.core(t)
+        assert blocks.counts[t] == len(crossing)
+        assert (core.origin, core.n, core.crossing, core.snapped) == \
+            (origin, n, crossing, windows[t].snapped)
+        assert core.labels.dtype == labels.dtype and np.array_equal(core.labels, labels)
+        fg = np.flatnonzero(labels.ravel() >= 0)
+        assert core.fg.dtype == fg.dtype and np.array_equal(core.fg, fg)
+        if t in fused:
+            (i0, j0, i1, j1), _ = region.snapped_rects(level)
+            full = _label_mask(_slab(K, i0, j0, i1, j1), 8)[0].ravel()
+            # one fused key per id, partitioning the ids as the whole window's
+            # labels at their first pixels do
+            keys = full[fg[np.unique(labels.ravel()[fg], return_index=True)[1]]]
+            assert len(fused[t]) == n
+            assert len(np.unique(np.stack([keys, fused[t]]), axis=1).T) \
+                == len(np.unique(keys)) == len(np.unique(fused[t]))
 
 
 def test_strip_window_must_contain_k():

@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ["comb_scan.py", "--levels", "2", "3"],
     ["spiral_decompose.py", "--level", "3"],
     ["fuzz_duality.py", "--cases", "5"],
+    ["decompose_rows.py", "--rows", "sierpinski_carpet:2", "cantor_comb:3"],
 ])
 def test_study_script_runs(argv):
     src = str(Path(pcx.__file__).resolve().parents[1])
