@@ -34,7 +34,7 @@ from .grid import (Box, Cells, GridCompactum, GridError, Level, SetSpec,
                    _components, _group, _label_mask,
                    diameters, max_level, rasterize)
 from .schoenflies import (RectAnnulus, Region, Strip, _band_strips, _BlockRegions,
-                          _canvases, _crossing_counts, _limit_cells,
+                          _crossing_counts, _limit_cells,
                           _near_cells, _ranges, _RegionData, _region_core,
                           _single_linkage, _support, _strictly_increasing_tail,
                           _window)
@@ -244,19 +244,19 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
     emits its fracture locus: the cells touched by at least two fragments
     within delta, one connected patch per merge set.
 
-    The regions are labelled in batches at the working level
-    (schoenflies._canvases) and from one block labelling of the deep raster
-    (schoenflies._BlockRegions), and the gates read crossing counts, in
-    order: no coarse crossing, nothing; fewer than n_min crossing ids and
+    The regions are counted in batches at the working level
+    (schoenflies._crossing_counts) and from one block labelling of the deep
+    raster (schoenflies._BlockRegions), and the gates read crossing counts,
+    in order: no coarse crossing, nothing; fewer than n_min crossing ids and
     fewer than deep_children deep ones (deep counts are taken only for
     regions with a coarse crossing), nothing.  Only a region that passes
-    gets its labels renumbered as if labelled alone.  The deep split then
-    counts each coarse piece's deep units on the label images; the locus of
-    all passing pieces is one support query on the deep unit image.  Both
-    routes need K.source when they refine; without a source the same-level
-    route runs unfiltered and deep splitting is off.  Merge sets come in
-    family order, a region's same-level sets before its deep ones; `jobs` is
-    accepted and has no effect.
+    is labelled alone at the working level (schoenflies._region_core).  The
+    deep split then counts each coarse piece's deep units on the label
+    images; the locus of all passing pieces is one support query on the deep
+    unit image.  Both routes need K.source when they refine; without a
+    source the same-level route runs unfiltered and deep splitting is off.
+    Merge sets come in family order, a region's same-level sets before its
+    deep ones; `jobs` is accepted and has no effect.
     """
     params = params or RelationParams()
     if K.is_empty:
@@ -313,19 +313,13 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
         return bool(np.isin(_at(core.labels, core.origin, parents[:, 0], parents[:, 1]),
                             group).any())
 
-    # crossing counts of every region; the canvas of a region with a
-    # crossing stays until no gate can ask for its labels
-    counts = np.zeros(len(regions), dtype=np.int64)
-    tiles = {}
-    for canvas in _canvases(K, [_window(K, r) for r in regions], "intersection"):
-        counts[canvas.index] = canvas.counts
-        tiles.update((int(canvas.index[t]), (canvas, t))
-                     for t in np.flatnonzero(canvas.counts).tolist())
+    # crossing counts of every region; only a region that passes a gate is
+    # labelled again, alone
+    counts = _crossing_counts(K, [_window(K, r) for r in regions], "intersection")
 
     @functools.cache
     def core_of(k: int) -> _RegionData:
-        canvas, t = tiles[k]
-        return canvas.core(t)
+        return _region_core(K, regions[k], "intersection")
 
     # same-level accumulation: big clusters glue their limit cells; with
     # fewer crossing ids than n_min no group can reach the gate

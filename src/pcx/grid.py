@@ -232,11 +232,11 @@ class GridCompactum:
     def from_mask(level: Level, origin: tuple[int, int], mask: np.ndarray,
                   source: SetSpec | None = None) -> "GridCompactum":
         mask = np.asarray(mask, dtype=bool)
-        if not mask.any():
+        # the bounding box from the occupied rows and columns, not every cell
+        js, is_ = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+        if not len(js):
             return GridCompactum(level, (0, 0), np.zeros((0, 0), dtype=bool), source)
-        js, is_ = np.nonzero(mask)
-        j0, j1 = int(js.min()), int(js.max())
-        i0, i1 = int(is_.min()), int(is_.max())
+        j0, j1, i0, i1 = int(js[0]), int(js[-1]), int(is_[0]), int(is_[-1])
         trimmed = mask[j0:j1 + 1, i0:i1 + 1]
         return GridCompactum(level, (origin[0] + i0, origin[1] + j0),
                              np.ascontiguousarray(trimmed), source)

@@ -12,7 +12,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -202,50 +202,14 @@ def _rings(shape: tuple[int, int], hole: tuple[int, int, int, int] | None
 _CANVAS_PIXELS = 1 << 18
 
 
-@dataclass(frozen=True, eq=False)
-class _Canvas:
-    """Same-shape windows of one raster stacked as tiles of one image, a
-    blank guard row under each, labelled once: no component spans two tiles
-    under 4- or 8-connectivity.  `index` holds each tile's position in the
-    window list, `counts` its crossing components; `cross[bounds[t]:bounds[t
-    + 1]]` are tile t's crossing labels."""
-    windows: list[_Window]
-    index: np.ndarray
-    counts: np.ndarray
-    labels: np.ndarray  # (tiles, rows, cols) raw labels, 0 background
-    cross: np.ndarray
-    bounds: np.ndarray
-
-    def core(self, t: int) -> _RegionData:
-        """Tile t as labelling its region alone gives it: transposed back,
-        ids renumbered by first pixel in row-major order."""
-        win, raw = self.windows[t], self.labels[t]
-        raw = raw.T if win.turned else raw
-        flat = raw.ravel()
-        fg = np.flatnonzero(flat)
-        lab = flat[fg]
-        lo = int(lab.min()) if len(lab) else 0
-        # first pixel of each raw label in the tile's range; a label of
-        # another tile keeps len(lab)
-        first = np.full(int(lab.max(initial=lo)) - lo + 1, len(lab))
-        np.minimum.at(first, lab - lo, np.arange(len(lab)))
-        ids = np.flatnonzero(first < len(lab))
-        rank = np.empty(len(first), dtype=np.int32)
-        rank[ids[np.argsort(first[ids])]] = np.arange(len(ids), dtype=np.int32)
-        labels = np.full(raw.shape, -1, dtype=np.int32)
-        labels.ravel()[fg] = rank[lab - lo]
-        crossing = np.sort(rank[self.cross[self.bounds[t]:self.bounds[t + 1]] - lo])
-        return _RegionData(win.origin, labels, len(ids), tuple(crossing.tolist()),
-                           win.snapped, fg)
-
-
-def _canvases(K: GridCompactum, windows: Sequence[_Window],
-              mode: str) -> Iterator[_Canvas]:
-    """The windows of one raster in one mode, labelled a canvas at a time,
-    each canvas at most _CANVAS_PIXELS."""
-    if mode not in ("intersection", "difference"):
-        raise GridError(f"mode must be intersection or difference, got {mode!r}")
+def _crossing_counts(K: GridCompactum, windows: Sequence[_Window],
+                     mode: str) -> np.ndarray:
+    """Crossing components of each window of one raster in one mode.
+    Same-shape windows are stacked as tiles of one canvas of at most
+    _CANVAS_PIXELS, a blank guard row under each, and labelled once: no
+    component spans two tiles under 4- or 8-connectivity."""
     struct = _STRUCT_8 if mode == "intersection" else _STRUCT_4
+    counts = np.zeros(len(windows), dtype=np.int64)
     groups: dict[tuple, list[int]] = {}
     for k, win in enumerate(windows):
         groups.setdefault((win.shape, win.hole), []).append(k)
@@ -253,9 +217,9 @@ def _canvases(K: GridCompactum, windows: Sequence[_Window],
         (h, w), (a, b, region) = shape, _rings(shape, hole)
         per = max(1, _CANVAS_PIXELS // ((h + 1) * w))
         for c in range(0, len(members), per):
-            index = np.array(members[c:c + per])
+            index = members[c:c + per]
             canvas = np.zeros((len(index), h + 1, w), dtype=bool)
-            for t, k in enumerate(index.tolist()):
+            for t, k in enumerate(index):
                 (i0, j0), turned = windows[k].origin, windows[k].turned
                 ni, nj = (h, w) if turned else (w, h)
                 slab = _slab(K, i0, j0, i0 + ni - 1, j0 + nj - 1)
@@ -276,24 +240,30 @@ def _canvases(K: GridCompactum, windows: Sequence[_Window],
             tile[ta] = np.arange(len(index))[:, None]
             hit = np.zeros((2, n + 1), dtype=bool)
             hit[0, ta] = hit[1, tb] = True
-            cross = np.flatnonzero(hit[0, 1:] & hit[1, 1:]) + 1
-            cross, bounds = _group(tile[cross], len(index), cross)
-            yield _Canvas([windows[k] for k in index.tolist()], index,
-                          np.diff(bounds), labels[:, :h], cross, bounds)
-
-
-def _crossing_counts(K: GridCompactum, windows: Sequence[_Window],
-                     mode: str) -> np.ndarray:
-    """Crossing components of each window."""
-    counts = np.zeros(len(windows), dtype=np.int64)
-    for canvas in _canvases(K, windows, mode):
-        counts[canvas.index] = canvas.counts
+            counts[index] = np.bincount(tile[np.flatnonzero(hit[0, 1:] & hit[1, 1:]) + 1],
+                                        minlength=len(index))
     return counts
 
 
 def _region_core(K: GridCompactum, region: Region, mode: str) -> _RegionData:
-    (canvas,) = _canvases(K, [_window(K, region)], mode)
-    return canvas.core(0)
+    """The region labelled alone: ids ranked by first pixel in row-major
+    order, crossing ids those on both boundaries of its (turned) tile."""
+    if mode not in ("intersection", "difference"):
+        raise GridError(f"mode must be intersection or difference, got {mode!r}")
+    win = _window(K, region)
+    (i0, j0), (h, w) = win.origin, win.shape[::-1] if win.turned else win.shape
+    image = _slab(K, i0, j0, i0 + w - 1, j0 + h - 1)
+    if mode == "difference":
+        np.logical_not(image, out=image)
+    a, b, ring = _rings(win.shape, win.hole)
+    if ring is not None:
+        image &= ring
+    labels, n = _label_mask(image, 8 if mode == "intersection" else 4)
+    tile = (labels.T if win.turned else labels).ravel()
+    ta, tb = tile[a], tile[b]
+    crossing = np.intersect1d(ta[ta >= 0], tb[tb >= 0])
+    return _RegionData(win.origin, labels, n, tuple(crossing.tolist()), win.snapped,
+                       np.flatnonzero(labels.ravel() >= 0))
 
 
 # 8-connectivity inside each tile of a (tiles, f, f) stack, none across tiles
@@ -459,7 +429,7 @@ class _BlockRegions:
         return reg, lab, comp
 
     def core(self, k: int) -> _RegionData:
-        """Window k as labelling its region alone gives it (see _Canvas.core)."""
+        """Window k as labelling its region alone gives it (see _region_core)."""
         (a, b), (c, d) = self.bounds[k:k + 2], self.cbounds[k:k + 2]
         win, f = self.windows[k], self.f
         (i, j), (h, w) = win.origin, win.shape[::-1] if win.turned else win.shape

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -31,9 +33,10 @@ from pcx import (
     sort_cells,
 )
 
+from pcx import decomposition
 from pcx.decomposition import _annulus_family, _deep_children, _strip_family
 from pcx.grid import _cells_by_label, _label_mask, _slab
-from pcx.schoenflies import RectAnnulus, _BlockRegions, _region_core
+from pcx.schoenflies import RectAnnulus, _BlockRegions, _crossing_counts, _region_core, _window
 
 from conftest import bfs_components, cells_from_art, grid_from_art
 
@@ -301,6 +304,22 @@ def test_relation_on_locally_connected_square_is_empty():
     K = rasterize(spec, Level(3, 2))
     seed = schoenflies_relation(K)
     assert seed.merge_sets == ()
+
+
+def test_relation_labels_alone_only_the_regions_that_pass_the_count_gate():
+    """Same-level only, a region is labelled alone exactly when its coarse
+    crossing count reaches n_min: the batched counts settle every other."""
+    spec = make_spec(GeneratorParams("sierpinski_carpet"))
+    K = rasterize(spec, Level(3, spec.base))
+    params = RelationParams(multi_level=False)
+    regions = _strip_family(K) + _annulus_family(K, params.stride)
+    counts = _crossing_counts(K, [_window(K, r) for r in regions], "intersection")
+    with mock.patch.object(decomposition, "_region_core",
+                           wraps=decomposition._region_core) as core:
+        schoenflies_relation(K, params)
+    gated = int((counts >= params.n_min).sum())
+    assert 0 < gated < len(regions)
+    assert core.call_count == gated
 
 
 def test_packed_wires_glue_only_where_enough_pile_up():

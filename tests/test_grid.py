@@ -128,6 +128,17 @@ def test_from_mask_trims_to_content():
     K = GridCompactum.from_mask(Level(3, 2), (10, 20), mask)
     assert K.origin == (13, 22)
     assert K.mask.shape == (1, 1)
+    # random masks, empty and sparse ones included, trim as the tightest
+    # raster of their cells does
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        shape = tuple(int(v) for v in rng.integers(0, 12, size=2))
+        mask = rng.random(shape) < rng.choice([0.0, 0.02, 0.1, 0.5, 1.0])
+        origin = tuple(int(v) for v in rng.integers(-20, 20, size=2))
+        K = GridCompactum.from_mask(Level(3, 2), origin, mask)
+        want_origin, want = pcx_grid._mask_of(pcx_grid._cells_of(mask, origin))
+        assert K.origin == want_origin and K.mask.dtype == bool
+        assert K.mask.flags.c_contiguous and np.array_equal(K.mask, want)
 
 
 def test_empty_raster():

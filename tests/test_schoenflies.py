@@ -35,7 +35,7 @@ from pcx import (
 from pcx import schoenflies
 from pcx.grid import _label_mask, _slab
 from pcx.decomposition import _annulus_family, _strip_family
-from pcx.schoenflies import (_BlockRegions, _canvases, _crossing_counts, _lateral_range,
+from pcx.schoenflies import (_BlockRegions, _crossing_counts, _lateral_range,
                              _region_core, _RegionData, _single_linkage, _support,
                              _window)
 
@@ -300,9 +300,10 @@ def _reference_core(K, region, mode):
        st.sampled_from(["intersection", "difference"]))
 @settings(max_examples=120, deadline=None)
 def test_batched_regions_match_per_region_labelling(seed, budget, mode):
-    """Counts and canonical slices of the batch engine against each window
-    labelled alone, with canvases small enough to split a family and to
-    leave windows larger than the budget alone."""
+    """Batched crossing counts, with canvases small enough to split a family
+    and to leave windows larger than the budget alone, and each region's
+    core against the window labelled alone: windowed strips and annuli
+    partly or wholly off the raster included."""
     rng = np.random.default_rng(seed)
     cells = rng.integers(0, 14, size=(int(rng.integers(1, 90)), 2))
     K = GridCompactum.from_cells(LVL, np.unique(cells, axis=0))
@@ -316,30 +317,21 @@ def test_batched_regions_match_per_region_labelling(seed, budget, mode):
             window = Box((i0 - pad[0]) * S, (j0 - pad[1]) * S,
                          (i1 + 1 + pad[0]) * S, (j1 + 1 + pad[1]) * S)
             regions.append(Strip(axis, r * S, (r + width) * S, window=window))
-    for (i, j), (o, h) in zip(rng.integers(-2, 15, size=(6, 2)).tolist(),
-                              [(3, 1), (6, 2)] * 3):
+    for (i, j), (o, h) in zip(rng.integers(-2, 15, size=(6, 2)).tolist() + [[40, -30]],
+                              [(3, 1), (6, 2)] * 3 + [(3, 1)]):
         regions.append(RectAnnulus(Box((i - o) * S, (j - o) * S, (i + o + 1) * S, (j + o + 1) * S),
                                    Box((i - h) * S, (j - h) * S, (i + h + 1) * S, (j + h + 1) * S)))
     windows = [_window(K, r) for r in regions]
     want = [_reference_core(K, r, mode) for r in regions]
     with mock.patch.object(schoenflies, "_CANVAS_PIXELS", budget):
-        counts = _crossing_counts(K, windows, mode)
-        seen = []
-        for canvas in _canvases(K, windows, mode):
-            for t, k in enumerate(canvas.index.tolist()):
-                core = canvas.core(t)
-                origin, labels, n, crossing = want[k]
-                assert core.origin == origin and core.n == n and core.crossing == crossing
-                assert core.labels.dtype == labels.dtype and np.array_equal(core.labels, labels)
-                assert np.array_equal(core.fg, np.flatnonzero(labels.ravel() >= 0))
-                assert canvas.counts[t] == len(crossing)
-                seen.append(k)
-    assert sorted(seen) == list(range(len(regions)))
-    assert counts.tolist() == [len(w[3]) for w in want]
-    # one region alone is the same engine
-    assert _crossing_counts(K, windows[:1], mode).tolist() == [len(want[0][3])]
-    core = _region_core(K, regions[-1], mode)
-    assert core.crossing == want[-1][3] and np.array_equal(core.labels, want[-1][1])
+        assert _crossing_counts(K, windows, mode).tolist() == [len(w[3]) for w in want]
+    for region, win, (origin, labels, n, crossing) in zip(regions, windows, want):
+        core = _region_core(K, region, mode)
+        assert (core.origin, core.n, core.crossing, core.snapped) == \
+            (origin, n, crossing, win.snapped)
+        assert core.labels.dtype == labels.dtype and np.array_equal(core.labels, labels)
+        fg = np.flatnonzero(labels.ravel() >= 0)
+        assert core.fg.dtype == fg.dtype and np.array_equal(core.fg, fg)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3, 4, 8, 9, 16, 27, 81]))
@@ -413,6 +405,12 @@ def test_delta_below_cell_size_rejected():
     K = grid_from_art("#", level=LVL)
     with pytest.raises(GridError):
         crossing_components(K, Strip("h", 0.0, S), delta=S / 4)
+
+
+def test_unknown_mode_rejected():
+    K = grid_from_art("#", level=LVL)
+    with pytest.raises(GridError, match="mode"):
+        crossing_components(K, Strip("h", 0.0, S), mode="sideways")
 
 
 # ---------------------------------------------------------------------------
