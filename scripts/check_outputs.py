@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Byte-compare the outputs of two pcx checkouts.
+"""Byte-compare the outputs of two pcx checkouts, or of one against a manifest.
 
     python scripts/check_outputs.py OLD_CHECKOUT NEW_CHECKOUT
+    python scripts/check_outputs.py --manifest scripts/outputs.sha256
+    python scripts/check_outputs.py --write-manifest scripts/outputs.sha256
 
 Runs a fixed list of CLI invocations through each checkout's own
 `pcx.cli.run` (one subprocess per checkout, with that checkout's `src` first
@@ -19,11 +21,19 @@ of `separating_curve` with the results and errors of `cut_wire`, and
 file, exit code and stderr text is compared byte for byte.
 Prints one line per output and exits 0 when all are identical, 1 otherwise.
 Each checkout takes about 15 s on a 2-core machine.
+
+The manifest modes run the checkout this script lives in once.  A manifest
+line holds the sha256 of an output file, its exit code and the sha256 of its
+stderr text ("-" where there is none), then the output's name; the header
+names the numpy and scipy versions it was written with, since float repr and
+label order bind the bytes to them.  The two-checkout mode stays the tool
+that shows which bytes differ.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -32,6 +42,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # (name, argv); "{out}" expands to the output directory.  Every case gets
 # `--out {out}/<name>` appended, so outputs never go through stdout.  A
@@ -395,11 +407,60 @@ def _run_checkout(checkout: Path, out: Path) -> dict:
     return manifest
 
 
+def _names() -> list[str]:
+    return [name for name, _ in CASES] + list(LIBRARY_OUTPUTS)
+
+
+def _digest(data: bytes | str | None) -> str:
+    if data is None:
+        return "-"
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def _versions() -> str:
+    import numpy
+    import scipy
+    return f"numpy {numpy.__version__}, scipy {scipy.__version__}"
+
+
+def _manifest_lines(out: Path, manifest: dict) -> list[str]:
+    """One line per output: file sha256, exit code, stderr sha256, name."""
+    lines = []
+    for name in _names():
+        path, rc = out / name, manifest["rc"].get(name)
+        lines.append(f"{_digest(path.read_bytes() if path.exists() else None)}  "
+                     f"{'-' if rc is None else rc}  "
+                     f"{_digest(manifest['stderr'].get(name))}  {name}")
+    return lines
+
+
+def write_manifest(path: Path, work: Path) -> int:
+    lines = _manifest_lines(work, _run_checkout(ROOT, work))
+    path.write_text(f"# scripts/check_outputs.py outputs with {_versions()}\n"
+                    + "\n".join(lines) + "\n", encoding="utf-8")
+    print(f"wrote {len(lines)} outputs to {path}")
+    return 0
+
+
+def check_manifest(path: Path, work: Path) -> int:
+    text = path.read_text(encoding="utf-8").splitlines()
+    want = {line.rsplit("  ", 1)[1]: line for line in text if not line.startswith("#")}
+    got = _manifest_lines(work, _run_checkout(ROOT, work))
+    bad = [line for line in got if want.get(line.rsplit("  ", 1)[1]) != line]
+    stale = sorted(set(want) - set(_names()))
+    for line in bad + [f"(not emitted)  {name}" for name in stale]:
+        print(f"DIFF  {line}")
+    print(f"{len(got) - len(bad)} of {len(got)} outputs match {path}")
+    if bad or stale:
+        print(f"manifest {text[0].lstrip('# ')}; this run: {_versions()}")
+    return 1 if bad or stale else 0
+
+
 def compare(old: Path, new: Path, work: Path) -> int:
     ma = _run_checkout(old, work / "old")
     mb = _run_checkout(new, work / "new")
     print(f"old: {ma['seconds']} s, new: {mb['seconds']} s")
-    names = [name for name, _ in CASES] + list(LIBRARY_OUTPUTS)
+    names = _names()
     bad = 0
     for name in names:
         a, b = work / "old" / name, work / "new" / name
@@ -420,17 +481,33 @@ def main() -> int:
     ap.add_argument("new", nargs="?", type=Path)
     ap.add_argument("--work", type=Path, default=None,
                     help="keep outputs here (default: a temporary directory)")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--manifest", type=Path, metavar="FILE",
+                      help="compare this checkout's outputs with a manifest")
+    mode.add_argument("--write-manifest", type=Path, metavar="FILE",
+                      help="write the manifest of this checkout's outputs")
     ap.add_argument("--emit", type=Path, default=None, help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.emit is not None:
         emit(args.emit)
         return 0
-    if args.old is None or args.new is None:
-        ap.error("give two checkouts")
+    if args.manifest or args.write_manifest:
+        if args.old is not None:
+            ap.error("--manifest and --write-manifest take no checkouts")
+    elif args.old is None or args.new is None:
+        ap.error("give two checkouts, or --manifest FILE or --write-manifest FILE")
+
+    def run(work: Path) -> int:
+        if args.manifest is not None:
+            return check_manifest(args.manifest, work)
+        if args.write_manifest is not None:
+            return write_manifest(args.write_manifest, work)
+        return compare(args.old, args.new, work)
+
     if args.work is not None:
-        return compare(args.old, args.new, args.work)
+        return run(args.work)
     with tempfile.TemporaryDirectory() as tmp:
-        return compare(args.old, args.new, Path(tmp))
+        return run(Path(tmp))
 
 
 if __name__ == "__main__":

@@ -20,11 +20,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 DEFAULT_ROWS = ("sierpinski_carpet:5", "cantor_comb:5", "spiral_disk:7")
 
 
@@ -59,9 +62,16 @@ def _child(name: str, level: int, count: bool) -> dict:
 
 
 def _run(name: str, level: int, count: bool) -> dict:
+    """One child run, with this checkout's src first on its PYTHONPATH.  A
+    child that fails prints its stderr and ends this script with exit 2."""
     argv = [sys.executable, __file__, "--child", name, str(level)]
     argv += ["--count"] if count else []
-    p = subprocess.run(argv, capture_output=True, text=True, check=True)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    p = subprocess.run(argv, capture_output=True, text=True, env=env)
+    if p.returncode != 0:
+        sys.stderr.write(p.stderr)
+        raise SystemExit(2)
     return json.loads(p.stdout.splitlines()[-1])
 
 

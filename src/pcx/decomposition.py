@@ -30,14 +30,12 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .grid import (Box, Cells, GridCompactum, GridError, Level, SetSpec,
-                   _as_cells, _at, _canonical, _cells_by_label, _cells_of,
-                   _components, _group, _label_mask,
-                   diameters, max_level, rasterize)
+                   _as_cells, _at, _canonical, _cells_of, _components, _group,
+                   _label_mask, diameters, max_level, rasterize)
 from .schoenflies import (RectAnnulus, Region, Strip, _band_strips, _BlockRegions,
-                          _crossing_counts, _limit_cells,
-                          _near_cells, _ranges, _RegionData, _region_core,
-                          _single_linkage, _support, _strictly_increasing_tail,
-                          _window)
+                          _crossing_counts, _limit_cells, _near, _near_cells, _ranges,
+                          _RegionData, _region_core, _runs, _single_linkage, _support,
+                          _strictly_increasing_tail, _window)
 
 _FAMILIES = ("strips-all-offsets", "rect-annuli-sampled", "both")
 
@@ -185,51 +183,103 @@ def _annulus_family(K: GridCompactum, stride: int) -> list[RectAnnulus]:
     family commutes with them.  The hole is wide enough to sever a fattened
     curve bundle into one crossing piece per side, and the ring reaches past
     the sample spacing so neighbouring glue patches overlap and chain."""
-    s = K.level.cell_size
-    edge = {0, stride - 1}
-    out = []
-    for i, j in K.cells():
-        if int(i) % stride in edge and int(j) % stride in edge:
-            out.append(RectAnnulus(
-                Box((i - 8) * s, (j - 8) * s, (i + 9) * s, (j + 9) * s),
-                Box((i - 3) * s, (j - 3) * s, (i + 4) * s, (j + 4) * s)))
-    return out
+    s, cells = K.level.cell_size, K.cells()
+    r = cells % stride
+    return [RectAnnulus(Box((i - 8) * s, (j - 8) * s, (i + 9) * s, (j + 9) * s),
+                        Box((i - 3) * s, (j - 3) * s, (i + 4) * s, (j + 4) * s))
+            for i, j in cells[((r == 0) | (r == stride - 1)).all(axis=1)].tolist()]
 
 
 # ---------------------------------------------------------------------------
 # relation seeding
 
-def _deep_children(core: _RegionData, dcore: _RegionData, factor: int,
-                   fused: np.ndarray | None
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct (coarse label id, deep unit id) pairs of a deep unit under
-    a coarse piece, sorted and as two arrays, counted on the label images
-    alone; and the unit of every deep label id (-1 for the ids that do not
-    cross), which makes dcore.labels the unit image.
+def _near_pieces(coarse: _BlockRegions, delta: float, s: float) -> np.ndarray:
+    """The crossing pieces of each region of a block labelling at f = 1
+    that have a near partner there (schoenflies._near), counted in one
+    bounding-box pass over all the regions."""
+    cells, nc = coarse.block(np.arange(len(coarse.lab))), len(coarse.cross)
+    lo, hi = np.full((nc, 2), np.iinfo(np.int64).max), np.full((nc, 2), np.iinfo(np.int64).min)
+    np.minimum.at(lo, coarse.comp, cells)
+    np.maximum.at(hi, coarse.comp, cells)
+    counts = coarse.counts
+    c = coarse.order[coarse.cross[coarse.order]]  # the crossing pieces, region by region
+    near = _near(np.hstack([lo[c], hi[c]]), np.r_[0, np.cumsum(counts)], delta, s)
+    return np.bincount(np.repeat(np.arange(len(counts)), counts)[near], minlength=len(counts))
 
-    An annulus ring cuts a curve threading its hole into two crossing pieces,
-    but for fragment identity the curve is one object (else one arc vouches
-    for itself twice), so pieces that share a `fused` key, their component
-    in the whole deep window (hole included), fuse into one unit; strips
-    pass None.  A piece's parents stay 8-connected inside the region, hence
-    in one coarse piece, so each piece counts its unit under the coarse
-    piece holding the parent of its first cell; a fused unit, whose halves
-    reconnect through the hole, can count under several.
-    """
-    fg = dcore.fg
-    lab = dcore.labels.ravel()[fg]
-    # ids run in first-encounter order, so the running max of the foreground
-    # labels first reaches id k at id k's first pixel
-    ids = np.asarray(dcore.crossing, dtype=np.int64)
-    first = fg[np.searchsorted(np.maximum.accumulate(lab), ids)]
-    unit = np.arange(len(ids)) if fused is None else _canonical(fused[ids])[0]
-    W, (oi, oj) = dcore.labels.shape[1], dcore.origin
-    cids = _at(core.labels, core.origin, (first % W + oi) // factor,
-               (first // W + oj) // factor).astype(np.int64)
-    pairs = np.unique(cids[cids >= 0] * len(ids) + unit[cids >= 0])
-    unit_of = np.full(dcore.n, -1, dtype=np.int64)
-    unit_of[ids] = unit
-    return *np.divmod(pairs, len(ids)), unit_of
+
+def _unit_pairs(blocks: _BlockRegions, ts: np.ndarray, coarse: _BlockRegions, factor: int,
+                unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (coarse piece, deep unit) pairs of the block regions ts,
+    sorted, as two arrays; the pieces are the components of coarse, the
+    same regions labelled at f = 1.  A unit counts under the piece that
+    holds the parent of the first pixel of one of its crossing components:
+    those parents stay 8-connected inside the region, hence in one coarse
+    piece.  An annulus ring cuts a curve threading its hole into two crossing
+    components, but for fragment identity the curve is one object (else one
+    arc vouches for itself twice), so components of one `unit`, their
+    component in the whole deep window (_BlockRegions.units), are one unit,
+    which can count under several pieces."""
+    c, x = _ranges(blocks.cbounds[ts], blocks.cbounds[ts + 1] - blocks.cbounds[ts])
+    cross = blocks.cross[blocks.order[c]]
+    comp, x = blocks.order[c][cross], x[cross]
+    row, col = np.divmod(blocks.first[comp], blocks.shape[1] * factor)
+    piece = coarse.at(x, (np.stack([col, row], axis=1) + blocks.corner) // factor)
+    n = int(unit.max(initial=0)) + 1
+    return np.divmod(np.unique(piece[piece >= 0] * n + unit[comp[piece >= 0]]), n)
+
+
+def _fracture_loci(blocks: _BlockRegions, ts: np.ndarray, coarse: _BlockRegions,
+                   factor: int, reach: float, children: int) -> tuple[np.ndarray, list[Cells]]:
+    """The fracture-locus patches of the block regions ts (ascending), with
+    coarse the same regions labelled at f = 1 at the working level: the
+    position in ts of each patch's region and the patch's cells, row-major;
+    by region, piece and first cell.  Three phases serve all regions at
+    once: the (piece, unit) pairs, one support query per _NODES pairs and
+    nodes, and one labelling of the loci."""
+    unit = blocks.units([t for t in ts.tolist() if blocks.windows[t].hole is not None])
+    piece_of, unit_of = _unit_pairs(blocks, ts, coarse, factor, unit)
+    nk = np.bincount(piece_of, minlength=len(coarse.cross))
+    # the cells of each piece with enough units (only a crossing piece holds
+    # one), row-major per region (at f = 1 labels run so), to pair with each
+    nodes, x = _ranges(coarse.bounds[:-1], np.diff(coarse.bounds))
+    sel = (nk >= children)[coarse.comp[nodes]]
+    x, piece, cells = x[sel], coarse.comp[nodes[sel]], coarse.block(nodes[sel])
+    if not len(cells):
+        return np.zeros(0, dtype=np.int64), []
+    # a cell is on the fracture locus when two units reach it within delta
+    # (a transversal through a split point only ever shows two local sides);
+    # a unit's nodes give its blocks, and their pixels its fine cells.  A run
+    # of whole regions, some _NODES pairs and nodes, at a time bounds the memory
+    size, ok = blocks.bounds[ts + 1] - blocks.bounds[ts], np.zeros(len(cells), dtype=bool)
+    for xa, xb in _runs(np.bincount(x, nk[piece], len(ts)) + size):
+        ca, cb = np.searchsorted(x, [xa, xb])
+        at, owner = _ranges(np.searchsorted(piece_of, piece[ca:cb]), nk[piece[ca:cb]])
+        run = _ranges(blocks.bounds[ts[xa:xb]], size[xa:xb])[0]
+        run = run[blocks.cross[blocks.comp[run]]]
+        ok[ca:cb] = _support(cells[ca:cb], factor, unit[blocks.comp[run]], blocks.block(run),
+                             owner, unit_of[at], reach, 2, lambda q: blocks.pixels(run[q]))
+    x, piece, cells = x[ok], piece[ok], cells[ok]
+    # each connected patch of a locus stands for its own limit continuum.  The
+    # loci, cut to their bounding boxes and turned to lie flat, are tiles with
+    # a blank guard row under each, labelled at once
+    bounds, lo, hi = np.searchsorted(x, np.arange(len(ts) + 1)), *np.zeros((2, len(ts), 2), int)
+    full = bounds[:-1] < bounds[1:]
+    lo[full], hi[full] = (fn.reduceat(cells, bounds[:-1][full]) for fn in (np.minimum, np.maximum))
+    local, turned = (cells - lo[x])[:, ::-1], ((hi - lo)[:, 1] > (hi - lo)[:, 0])[x]
+    local[turned] = local[turned, ::-1]
+    rows = np.where(full, (hi - lo).min(axis=1) + 2, 0)
+    top = np.cumsum(rows) - rows
+    canvas = np.zeros((int(rows.sum()), int((hi - lo).max()) + 1), dtype=bool)
+    canvas[top[x] + local[:, 0], local[:, 1]] = True
+    # patch ids by first cell; a patch lies in one piece, as distinct pieces
+    # are never 8-adjacent, and pieces rank by first cell too
+    patch, n = _canonical(_label_mask(canvas, 8)[0][top[x] + local[:, 0], local[:, 1]])
+    first = np.unique(patch, return_index=True)[1]
+    order = np.lexsort((np.arange(n), coarse.first[piece[first]], x[first]))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    grouped, gb = _group(rank[patch], n, cells)
+    return x[first][order], [grouped[gb[r]:gb[r + 1]] for r in range(n)]
 
 
 def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
@@ -249,14 +299,22 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
     raster (schoenflies._BlockRegions), and the gates read crossing counts,
     in order: no coarse crossing, nothing; fewer than n_min crossing ids and
     fewer than deep_children deep ones (deep counts are taken only for
-    regions with a coarse crossing), nothing.  Only a region that passes
-    is labelled alone at the working level (schoenflies._region_core).  The
-    deep split then counts each coarse piece's deep units on the label
-    images; the locus of all passing pieces is one support query on the deep
-    unit image.  Both routes need K.source when they refine; without a
-    source the same-level route runs unfiltered and deep splitting is off.
-    Merge sets come in family order, a region's same-level sets before its
-    deep ones; `jobs` is accepted and has no effect.
+    regions with a coarse crossing), nothing.  The regions that pass a gate
+    are labelled together at the working level, by the same engine at
+    f = 1.  For the same-level route one bounding-box pass over them
+    (schoenflies._near) drops every region with fewer than n_min pieces
+    that have a near partner; only a region that is left is labelled alone
+    (schoenflies._region_core) for its pair query.  The deep split runs in
+    three batched phases (_fracture_loci): the (coarse piece, deep unit)
+    pairs of all its regions, read off the engines' components and first
+    pixels; one support query per run of regions with some _NODES pairs and
+    nodes, whose units, the engine's components or their annulus fusions,
+    no two regions share; and one labelling of all the loci, stacked as
+    tiles.  Both routes need K.source when they refine; without a source the
+    same-level route runs unfiltered and deep splitting is off.  A region is
+    labelled one level finer at most once, for all of its groups.  Merge
+    sets come in family order, a region's same-level sets before its deep
+    ones; `jobs` is accepted and has no effect.
     """
     params = params or RelationParams()
     if K.is_empty:
@@ -293,18 +351,28 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
 
     kcells = K.cells()
 
-    def persists(region: Region, core: _RegionData, group: list[int]) -> bool:
+    @functools.cache
+    def finer(k: int) -> tuple[int, dict[int, Cells], list[list[int]]]:
+        """Region k one level finer, labelled once for all its groups: its
+        crossing count, crossing cells and gated groups."""
+        K2 = next_level_raster()
+        core2 = _region_core(K2, regions[k], "intersection")
+        if len(core2.crossing) < params.n_min:
+            return len(core2.crossing), {}, []  # no group can reach the gate
+        cells2 = core2.crossing_cells()
+        return len(core2.crossing), cells2, _single_linkage(
+            cells2, delta, K2.level.cell_size, params.n_min)
+
+    def persists(k: int, core: _RegionData, group: list[int]) -> bool:
         """Does a group of at least len(group) crossing components one level
         finer have a cell whose parent lies in the group's members?"""
-        K2 = next_level_raster()
-        if K2 is None:
+        if next_level_raster() is None:
             return True  # nothing to refine against: accept as-is
-        core2 = _region_core(K2, region, "intersection")
-        if len(core2.crossing) < len(group):
+        crossing, cells2, groups = finer(k)
+        if crossing < len(group):
             return False  # no group can reach the gate
-        cells2 = core2.crossing_cells()
-        big = [cid for g in _single_linkage(cells2, delta, K2.level.cell_size, len(group))
-               for cid in g]
+        # every gated group has at least n_min <= len(group) members
+        big = [cid for g in groups if len(g) >= len(group) for cid in g]
         if not big:
             return False
         # a parent is a member cell iff it lies in the coarse window and its
@@ -321,67 +389,46 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
     def core_of(k: int) -> _RegionData:
         return _region_core(K, regions[k], "intersection")
 
-    # same-level accumulation: big clusters glue their limit cells; with
-    # fewer crossing ids than n_min no group can reach the gate
+    # same-level accumulation: big clusters glue their limit cells.  With
+    # fewer crossing ids than n_min no group can reach the gate, nor with
+    # fewer than n_min crossing pieces that have a near partner
     seeds: dict[int, list[Cells]] = {}
-    for k in np.flatnonzero(counts >= params.n_min).tolist():
+    same = np.flatnonzero(counts >= params.n_min)
+    if len(same):
+        same = same[_near_pieces(_BlockRegions().label(K, 1, [regions[k] for k in same]),
+                                 delta, s) >= params.n_min]
+    for k in same.tolist():
         core, out = core_of(k), seeds.setdefault(k, [])
-        cells_of = core.crossing_cells()
-        gated = _single_linkage(cells_of, delta, s, params.n_min)
+        gated = _single_linkage(core.crossing_cells(), delta, s, params.n_min)
         if gated:
             candidates = _near_cells(kcells, core, delta, s)
             for group in gated:
-                if params.multi_level and not persists(regions[k], core, group):
+                if params.multi_level and not persists(k, core, group):
                     continue
                 limit = _limit_cells(core, group, candidates, delta, s, params.n_min)
                 if len(limit):
                     out.append(limit)
-
-    def deep_split(k: int, dcore: _RegionData, fused: np.ndarray | None) -> list[Cells]:
-        # a member exploding into many deep crossing components is an
-        # accumulation witness.  Glue its approximate limit (coarse cells
-        # supported by enough deep pieces), not the whole coarse component,
-        # which can also hold well-resolved geometry that merely touches the
-        # blob at this resolution.
-        core = core_of(k)
-        cid_of, uid_of, unit_of = _deep_children(core, dcore, factor, fused)
-        nk = np.bincount(cid_of, minlength=core.n)
-        passing = [cid for cid in core.crossing if nk[cid] >= params.deep_children]
-        if not passing:
-            return []
-        # every cell of a passing piece, paired with each of the piece's units
-        js, is_ = np.nonzero(np.isin(core.labels, passing))
-        piece = core.labels[js, is_]
-        at, owner = _ranges(np.searchsorted(cid_of, piece), nk[piece])
-        # >= deep_children pieces witness the split globally; a cell sits on
-        # the fracture locus when at least two of the fragments meet it
-        # within delta (a transversal through a split point only ever shows
-        # two local sides).  Each connected patch of that locus stands for
-        # its own limit continuum, so patches are related separately.
-        ok = _support(np.stack([is_, js], axis=1) + np.array(core.origin), factor,
-                      dcore, unit_of, owner, uid_of[at],
-                      (delta + 1e-9) / dcell, 2)
-        locus = np.zeros(core.labels.shape, dtype=bool)
-        locus[js[ok], is_[ok]] = True
-        # distinct pieces are never 8-adjacent, so each patch lies in one
-        # piece; patches go by piece (ascending, as passing), then by first cell
-        oi, oj = core.origin
-        return sorted(_cells_by_label(*_label_mask(locus, 8), core.origin),
-                      key=lambda p: core.labels[p[0, 1] - oj, p[0, 0] - oi])
 
     live = np.flatnonzero(counts > 0)
     if deep and len(live):
         # the deep split is taken for regions with a coarse crossing; a
         # piece counts a unit once and units never outnumber deep crossing
         # ids, so a region with too few ids has no witness.  Every such
-        # region is a union of whole coarse cells of the deep raster
+        # region is a union of whole coarse cells of the deep raster.  A
+        # member exploding into many deep crossing components is an
+        # accumulation witness: glue its approximate limit (coarse cells
+        # supported by enough deep pieces), not the whole coarse component,
+        # which can also hold well-resolved geometry that merely touches the
+        # blob at this resolution
         dcell = deep[0].level.cell_size
         blocks = _BlockRegions().label(deep.pop(), factor, [regions[k] for k in live])
-        passing = np.flatnonzero(blocks.counts >= params.deep_children).tolist()
-        fused = blocks.fusions([t for t in passing if blocks.windows[t].hole is not None])
-        for t in passing:
-            k = int(live[t])
-            seeds.setdefault(k, []).extend(deep_split(k, blocks.core(t), fused.get(t)))
+        ts = np.flatnonzero(blocks.counts >= params.deep_children)
+        if len(ts):
+            coarse = _BlockRegions().label(K, 1, [regions[k] for k in live[ts]])
+            xs, patches = _fracture_loci(blocks, ts, coarse, factor, (delta + 1e-9) / dcell,
+                                         params.deep_children)
+            for t, patch in zip(ts[xs].tolist(), patches):
+                seeds.setdefault(int(live[t]), []).append(patch)
     merge_sets = tuple(ms for k in sorted(seeds) for ms in seeds[k])
     return RelationSeed(K.level, merge_sets)
 

@@ -12,7 +12,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -125,7 +125,6 @@ class _RegionData:
     n: int
     crossing: tuple[int, ...]
     snapped: tuple[float, float] | tuple[Box, Box]
-    fg: np.ndarray  # flat indices of the labelled pixels, row-major
 
     def crossing_cells(self) -> dict[int, Cells]:
         """Cells of each crossing component, row-major."""
@@ -262,8 +261,7 @@ def _region_core(K: GridCompactum, region: Region, mode: str) -> _RegionData:
     tile = (labels.T if win.turned else labels).ravel()
     ta, tb = tile[a], tile[b]
     crossing = np.intersect1d(ta[ta >= 0], tb[tb >= 0])
-    return _RegionData(win.origin, labels, n, tuple(crossing.tolist()), win.snapped,
-                       np.flatnonzero(labels.ravel() >= 0))
+    return _RegionData(win.origin, labels, n, tuple(crossing.tolist()), win.snapped)
 
 
 # 8-connectivity inside each tile of a (tiles, f, f) stack, none across tiles
@@ -354,10 +352,6 @@ class _BlockRegions:
         self.ptr = np.searchsorted(seam // (n + 1), np.arange(n + 2))
         self.frames = np.array([self._frame(w) for w in self.windows],
                                dtype=np.int64).reshape(-1, 8)
-        # blank blocks around the raster as far as any window reaches
-        self.pad = max(0, -self.frames[:, :2].min(initial=0),
-                       (self.frames[:, 2:4] - [C - 1, R - 1]).max(initial=0))
-        self.index = np.pad(index, self.pad, constant_values=m)
 
         reg, self.lab, self.comp = self._graph(self.frames)
         self.bounds = np.searchsorted(reg, np.arange(len(self.windows) + 1))
@@ -375,16 +369,14 @@ class _BlockRegions:
                 ends[:, a:a + _NODES] |= (exits[self.lab[a:a + _NODES]] >> k & 1 == 1) & \
                     np.stack([(edge[0][dc] | edge[1][dr]) & ~far, far])
         nc = int(self.comp.max(initial=-1)) + 1
-        hit, owner, start = np.zeros((2, nc), dtype=bool), np.zeros(nc, dtype=np.int64), \
+        hit, owner, self.first = np.zeros((2, nc), dtype=bool), np.zeros(nc, dtype=np.int64), \
             np.full(nc, R * C * f * f)
         hit[0, self.comp[ends[0]]] = hit[1, self.comp[ends[1]]] = True
         self.cross, owner[self.comp] = hit[0] & hit[1], reg
-        np.minimum.at(start, self.comp, first[self.lab])
-        # a region's components by first pixel, and the rank of each there
-        self.order = np.lexsort((start, owner))
+        np.minimum.at(self.first, self.comp, first[self.lab])
+        # a region's components by first pixel: their ids
+        self.order = np.lexsort((self.first, owner))
         self.cbounds = np.searchsorted(owner[self.order], np.arange(len(self.windows) + 1))
-        self.rank = np.empty(nc, dtype=np.int32)
-        self.rank[self.order] = np.arange(nc) - self.cbounds[owner[self.order]]
         self.counts = np.bincount(owner[self.cross], minlength=len(self.windows))
         return self
 
@@ -428,37 +420,75 @@ class _BlockRegions:
             nc = int(comp[a:b].max()) + 1
         return reg, lab, comp
 
-    def core(self, k: int) -> _RegionData:
-        """Window k as labelling its region alone gives it (see _region_core)."""
-        (a, b), (c, d) = self.bounds[k:k + 2], self.cbounds[k:k + 2]
-        win, f = self.windows[k], self.f
-        (i, j), (h, w) = win.origin, win.shape[::-1] if win.turned else win.shape
-        c0, r0, c1, r1 = (self.frames[k, :4] + self.pad).tolist()
-        y, x = j - self.corner[1] - (r0 - self.pad) * f, i - self.corner[0] - (c0 - self.pad) * f
-        t, lab = self.index[r0:r1 + 1, c0:c1 + 1], self.lab[a:b]
-        # ids by label, -1 for the background and every label past the last
-        table = np.full(int(lab.max(initial=0)) + 2, -1, dtype=np.int32)
-        table[lab] = self.rank[self.comp[a:b]]
-        ids = np.take(table, self.tiles[t], mode="clip")
-        labels = np.ascontiguousarray(
-            ids.transpose(0, 2, 1, 3).reshape(t.shape[0] * f, -1)[y:y + h, x:x + w])
-        return _RegionData(win.origin, labels, int(d - c),
-                           tuple(np.flatnonzero(self.cross[self.order[c:d]]).tolist()),
-                           win.snapped, np.flatnonzero(labels.ravel() >= 0))
-
-    def fusions(self, ks: Sequence[int]) -> dict[int, np.ndarray]:
-        """For annulus windows ks, the component of the whole window, hole
-        included, that holds each id of core(k)."""
-        frames = self.frames[list(ks)]
+    def units(self, ks: Sequence[int]) -> np.ndarray:
+        """The unit of every component: for the components of the annulus
+        windows ks, the component of the whole window, hole included, that
+        holds it (numbered past the components); else the component itself."""
+        nc = len(self.cross)
+        unit = np.arange(nc)
+        if not len(ks):
+            return unit
+        ks = np.asarray(ks, dtype=np.int64)
+        frames = self.frames[ks]
         frames[:, 4:] = [0, 0, -1, -1]
         reg, lab, comp = self._graph(frames)
-        at, out = np.searchsorted(reg, np.arange(len(frames) + 1)), {}
-        for x, k in enumerate(ks):
-            (a, b), c = self.bounds[k:k + 2], self.cbounds[k]
-            out[k] = np.empty(self.cbounds[k + 1] - c, dtype=np.int64)
-            out[k][self.rank[self.comp[a:b]]] = \
-                comp[at[x] + np.searchsorted(lab[at[x]:at[x + 1]], self.lab[a:b])]
-        return out
+        nodes, x = _ranges(self.bounds[ks], self.bounds[ks + 1] - self.bounds[ks])
+        # both node lists run region-major with labels ascending
+        at = np.searchsorted(reg * (self.n + 1) + lab, x * (self.n + 1) + self.lab[nodes])
+        unit[self.comp[nodes]] = nc + comp[at]
+        return unit
+
+    def at(self, x: np.ndarray, cells: Cells) -> np.ndarray:
+        """The component of region x that holds pixel (i, j), -1 where none does."""
+        f, (R, C), n = self.f, self.shape, self.n
+        b = cells // f - np.array(self.corner) // f
+        key = np.where(((b >= 0) & (b < [C, R])).all(axis=1), b[:, 1] * C + b[:, 0], -1)
+        t = np.searchsorted(self.tkey, key).clip(max=len(self.tkey) - 1)
+        lab = np.where(self.tkey[t] == key, self.tiles[t, cells[:, 1] % f, cells[:, 0] % f], 0)
+        # the nodes run region-major with labels ascending
+        nkey = np.repeat(np.arange(len(self.windows)), np.diff(self.bounds)) * (n + 1) + self.lab
+        node = np.searchsorted(nkey, x * (n + 1) + lab).clip(max=len(nkey) - 1)
+        return np.where(nkey[node] == x * (n + 1) + lab, self.comp[node], -1)  # no label 0 node
+
+    def block(self, nodes: np.ndarray) -> Cells:
+        """The block of each node as a cell f times coarser, (i, j)."""
+        t = np.searchsorted(self.start, self.lab[nodes], side="right") - 1
+        r, c = np.divmod(self.tkey[t], self.shape[1])
+        return np.stack([c, r], axis=1) + np.array(self.corner) // self.f
+
+    def pixels(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each pixel of the given nodes (its block's pixels of the node's
+        label), node by node: the position in nodes of its node, and its
+        row-major index in the block."""
+        f, lab = self.f, self.lab[nodes]
+        t = np.searchsorted(self.start, lab, side="right") - 1
+        return np.nonzero(self.tiles[t].reshape(len(t), f * f) == lab[:, None])
+
+
+def _runs(cost: np.ndarray) -> list[tuple[int, int]]:
+    """Runs (a, b) of whole items, some _NODES of cost at a time: the
+    batches that bound the memory of a pass over many items."""
+    cum = np.r_[0, np.cumsum(cost)]
+    cuts = np.unique(np.r_[0, np.searchsorted(cum, np.arange(0, cum[-1], _NODES),
+                                              side="right") - 1, len(cost)])
+    return list(zip(cuts[:-1].tolist(), cuts[1:].tolist()))
+
+
+def _near(box: np.ndarray, bounds: np.ndarray, delta: float, s: float) -> np.ndarray:
+    """Which cell sets, given by their bounding boxes (rows x0, y0, x1, y1;
+    group g's at bounds[g]:bounds[g + 1]), have another set of their group
+    with all four box sides within delta, as Hausdorff <= delta needs.  A
+    run of whole groups, some _NODES pairs of sets, at a time bounds the
+    memory."""
+    near, m = np.zeros(len(box), dtype=bool), np.diff(bounds)
+    for ga, gb in _runs(m * m):
+        a = np.arange(bounds[ga], bounds[gb])
+        g = np.repeat(np.arange(ga, gb), m[ga:gb])
+        b, q = _ranges(bounds[g], m[g])
+        a = a[q]
+        close = (np.abs(box[a] - box[b]) * s <= delta + 1e-9).all(axis=1) & (a != b)
+        near[a[close]] = True
+    return near
 
 
 def _single_linkage(cells_of: dict[int, Cells], delta: float,
@@ -475,11 +505,10 @@ def _single_linkage(cells_of: dict[int, Cells], delta: float,
     m = len(ids)
     sizes = np.array([len(cells_of[c]) for c in ids])
     cells, at = np.concatenate([cells_of[c] for c in ids]), np.cumsum(sizes) - sizes
-    # Hausdorff <= delta needs all four bounding-box sides within delta, so
-    # only the cells of sets with such a partner go to the pair query; every
+    # only the cells of sets with a near partner go to the pair query; every
     # member of a group of two or more has one
-    box = np.hstack([np.minimum.reduceat(cells, at), np.maximum.reduceat(cells, at)])
-    near = (np.abs(box[:, None] - box[None]) * s <= delta + 1e-9).all(axis=2).sum(axis=1) > 1
+    near = _near(np.hstack([np.minimum.reduceat(cells, at), np.maximum.reduceat(cells, at)]),
+                 np.array([0, m]), delta, s)
     if at_least > 1 and near.sum() < at_least:
         return []
     owner, pts = np.repeat(np.arange(m), sizes), (cells + 0.5) * s
@@ -520,52 +549,79 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return start[k] + np.arange(len(k)) - (np.cumsum(count) - count)[k], k
 
 
-def _support(cells: Cells, f: int, core: _RegionData, unit_of: np.ndarray,
-             owner: np.ndarray, unit: np.ndarray, reach: float, k: int) -> np.ndarray:
+def _support(cells: Cells, f: int, bunit: np.ndarray, bcell: Cells, owner: np.ndarray,
+             unit: np.ndarray, reach: float, k: int,
+             pixels: Callable[[np.ndarray], tuple] | None = None) -> np.ndarray:
     """Mask of the cells that at least k of their pairs reach: pair p counts
     for cells[owner[p]] when unit unit[p] has a fine cell centred within
-    `reach` fine cells of its centre.  Units are the labels of a fine region
-    image (core: labels, foreground and lower-left cell; f fine cells per
-    cell side) mapped by unit_of (-1: none); each unit a pair asks about has
-    a cell.  Exact in integers (see _spans): a row in reach is one column
-    span, one searchsorted in the sorted keys unit*H*W + row*W + col."""
-    labels, pix, origin = core.labels, core.fg, core.origin
-    H, W = labels.shape
-    lim = int((2 * reach) ** 2)
+    `reach` fine cells of its centre (f fine cells per cell side).  Unit
+    bunit[q] has a fine cell in cell bcell[q]; pixels(qs) gives each such
+    fine cell of rows qs as the position in qs of its row and its row-major
+    index in the cell (for f = 1, None: the rows are the fine cells).  Each
+    unit a pair asks about has a row.  Exact in integers (see _spans): when
+    reach allows, a unit with a fine cell in the cell or a 4-neighbour
+    reaches it; then only the units of open pairs key their fine cells, some
+    _NODES at a time, and a row in reach is one column span, one
+    searchsorted in the sorted keys unit*H*W + row*W + col.  Units are any
+    integers, so one query answers many regions when each region's units
+    get ids of their own."""
+    lim, acc = int((2 * reach) ** 2), np.zeros(len(cells), dtype=np.int64)
+    if not len(unit):
+        return acc >= k
     t, lo, hi = _spans(f, lim)
-    # only the units some pair asks about (fewer fine cells to key), as 0..n-1
+    # only the rows of units some pair asks about, units as 0..n-1
     used, unit = np.unique(unit, return_inverse=True)
-    compact = np.full(int(unit_of.max()) + 2, -1)
+    compact = np.full(max(int(used[-1]), int(bunit.max())) + 2, -1)
     compact[used] = np.arange(len(used))
-    upix = compact[unit_of[labels.ravel()[pix]]]
-    keys = np.sort(upix[upix >= 0] * (H * W) + pix[upix >= 0])
-    ukey, (row, col) = keys // (H * W), np.divmod(keys % (H * W), W)
-    at = np.searchsorted(ukey, np.arange(len(used) + 1))
-    rmin, rmax = row[at[:-1]], row[at[1:] - 1]
-    cmin, cmax = np.minimum.reduceat(col, at[:-1]), np.maximum.reduceat(col, at[:-1])
-    oi, oj = origin
-    x0, y0 = cells[owner, 0] * f - oi, cells[owner, 1] * f - oj
-    live = (x0 + lo.min() <= cmax[unit]) & (x0 + hi.max() >= cmin[unit])
-    acc = np.zeros(len(cells), dtype=np.int64)
+    rows = np.flatnonzero(compact[bunit] >= 0)
+    rows = rows[np.argsort(compact[bunit[rows]], kind="stable")]
+    bu = compact[bunit[rows]]
+    at = np.searchsorted(bu, np.arange(len(used) + 1))
+    b0, b1 = np.minimum.reduceat(bcell[rows], at[:-1]), np.maximum.reduceat(bcell[rows], at[:-1])
+    x0 = cells[owner, 0] * f
+    live = (x0 + lo.min() < (b1[unit, 0] + 1) * f) & (x0 + hi.max() >= b0[unit, 0] * f)
     if (3 * f - 1) ** 2 + (f - 1) ** 2 <= lim:
-        # a unit with a fine cell in the cell's block or a 4-neighbour block
-        # reaches it; blocks are indexed with two spare ones on every side
-        bi, bj = (col + oi) // f - oi // f + 2, (row + oj) // f - oj // f + 2
-        nbw, nbh = (W - 1 + oi) // f - oi // f + 5, (H - 1 + oj) // f - oj // f + 5
-        ci, cj = cells[owner, 0] - oi // f + 2, cells[owner, 1] - oj // f + 2
-        sure = (ci >= 1) & (ci <= nbw - 2) & (cj >= 1) & (cj <= nbh - 2) & np.isin(
-            ((unit * nbh + cj) * nbw + ci)[:, None] + [0, 1, -1, nbw, -nbw],
-            (ukey * nbh + bj) * nbw + bi).any(axis=1)
+        # a unit with a fine cell in the cell or a 4-neighbour reaches it: a
+        # table marks each unit's cells over its bounding box of them, with
+        # two spare cells on every side
+        b0, size = b0 - 2, b1 - b0 + 5
+        start = np.cumsum(size.prod(axis=1)) - size.prod(axis=1)
+        table = np.zeros(int(size.prod(axis=1).sum()), dtype=bool)
+        c = bcell[rows] - b0[bu]
+        table[start[bu] + c[:, 1] * size[bu, 0] + c[:, 0]] = True
+        c, w = cells[owner] - b0[unit], size[unit, 0]
+        sure = ((c >= 1) & (c <= size[unit] - 2)).all(axis=1)
+        i = np.where(sure, start[unit] + c[:, 1] * w + c[:, 0], 0)
+        sure &= table[i] | table[i + 1] | table[i - 1] | table[i + w] | table[i - w]
         acc += np.bincount(owner[sure], minlength=len(cells))
         live &= ~sure & (acc[owner] < k)  # settled cells ask no more
-    r0 = np.maximum(y0 + t[0], rmin[unit])
-    r, p = _ranges(r0, np.where(live, np.minimum(y0 + t[-1], rmax[unit]) - r0 + 1, 0).clip(0))
-    u, x, ti = unit[p], x0[p], r - y0[p] - t[0]
-    key = u * (H * W) + r * W
-    first = np.append(keys, np.iinfo(np.int64).max)[
-        np.searchsorted(keys, key + np.maximum(x + lo[ti], cmin[u]))]
-    hit = np.unique(p[first <= key + np.minimum(x + hi[ti], cmax[u])])
-    return acc + np.bincount(owner[hit], minlength=len(cells)) >= k
+    p = np.flatnonzero(live)
+    p = p[np.argsort(unit[p], kind="stable")]
+    need = np.zeros(len(used), dtype=bool)
+    need[unit[p]] = True
+    for ua, ub in _runs(np.where(need, np.diff(at), 0) * f * f):
+        qs = rows[at[ua]:at[ub]]
+        qs = qs[need[compact[bunit[qs]]]]
+        if not len(qs):
+            continue
+        q, e = (np.arange(len(qs)), 0) if pixels is None else pixels(qs)
+        # keys in a frame of whole cells around the batch's fine cells
+        c0 = bcell[qs].min(axis=0)
+        c, (W, H) = (bcell[qs] - c0) * f, (bcell[qs].max(axis=0) - c0 + 1) * f
+        base = (compact[bunit[qs]] * H + c[:, 1]) * W + c[:, 0]
+        keys = np.sort(base[q] + (np.arange(f * f) // f * W + np.arange(f * f) % f)[e])
+        ends = np.searchsorted(keys, np.arange(ua, ub + 1) * (H * W))
+        pb = p[np.searchsorted(unit[p], ua):np.searchsorted(unit[p], ub)]
+        u, (x, y) = unit[pb], ((cells[owner[pb]] - c0) * f).T
+        r0 = np.maximum(y + t[0], keys[ends[u - ua]] % (H * W) // W)
+        r, e = _ranges(r0, (np.minimum(y + t[-1], keys[ends[u - ua + 1] - 1] % (H * W) // W)
+                            - r0 + 1).clip(0))
+        ti, key = r - y[e] - t[0], u[e] * (H * W) + r * W
+        first = np.append(keys, np.iinfo(np.int64).max)[
+            np.searchsorted(keys, key + np.maximum(x[e] + lo[ti], 0))]
+        hit = np.unique(pb[e[first <= key + np.minimum(x[e] + hi[ti], W - 1)]])
+        acc += np.bincount(owner[hit], minlength=len(cells))
+    return acc >= k
 
 
 def _limit_cells(core: _RegionData, group: list[int], candidates: Cells,
@@ -575,8 +631,10 @@ def _limit_cells(core: _RegionData, group: list[int], candidates: Cells,
     unit_of = np.full(core.n, -1)
     unit_of[group] = np.arange(len(group))
     owner, unit = np.divmod(np.arange(len(candidates) * len(group)), len(group))
-    return sort_cells(candidates[_support(candidates, 1, core, unit_of, owner, unit,
-                                          (delta + 1e-9) / s, min(len(group), n_min))])
+    fg = core.labels >= 0
+    return sort_cells(candidates[_support(
+        candidates, 1, unit_of[core.labels[fg]], _cells_of(fg, core.origin), owner, unit,
+        (delta + 1e-9) / s, min(len(group), n_min))])
 
 
 def _near_cells(kc: Cells, core: _RegionData, delta: float, s: float) -> Cells:

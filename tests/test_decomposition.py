@@ -4,7 +4,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from pcx import (
     Box,
@@ -16,6 +17,7 @@ from pcx import (
     RelationParams,
     RelationSeed,
     SetSpec,
+    Strip,
     close_equivalence,
     common_refinement,
     contract_degree_two,
@@ -33,9 +35,9 @@ from pcx import (
     sort_cells,
 )
 
-from pcx import decomposition
-from pcx.decomposition import _annulus_family, _deep_children, _strip_family
-from pcx.grid import _cells_by_label, _label_mask, _slab
+from pcx import decomposition, schoenflies
+from pcx.decomposition import _annulus_family, _fracture_loci, _strip_family, _unit_pairs
+from pcx.grid import _canonical, _cells_by_label, _label_mask, _slab, coarsen
 from pcx.schoenflies import RectAnnulus, _BlockRegions, _crossing_counts, _region_core, _window
 
 from conftest import bfs_components, cells_from_art, grid_from_art
@@ -242,9 +244,11 @@ DEEP_CORPUS = [(GeneratorParams("cantor_comb"), 3),
 
 @pytest.mark.parametrize("family", ["strips", "annuli"])
 def test_deep_children_match_cell_list_count(family):
-    """The count on label images against the cell-list count.  An annulus
-    takes its fusion keys both from the whole deep window labelled alone and
-    from the block engine."""
+    """The batched (piece, unit) pairs of every region of a raster, from one
+    call, against the cell-list count of each region alone; the pieces come
+    from the block engine at f = 1.  An annulus
+    takes its units both from the whole deep window labelled alone and from
+    the block engine; the engine's unit pixels are the units' cells."""
     counted = fused = spread = 0
     for gp, n in DEEP_CORPUS:
         spec = make_spec(gp)
@@ -253,38 +257,65 @@ def test_deep_children_match_cell_list_count(family):
         factor = spec.base ** 3
         regions = _strip_family(K) if family == "strips" else _annulus_family(K, 8)
         blocks = _BlockRegions().label(deep, factor, regions)
-        engine = blocks.fusions(range(len(regions))) if family == "annuli" else {}
+        ts = np.arange(len(regions))
+        core_list = [_region_core(K, region, "intersection") for region in regions]
+        # the coarse pieces: components of the same regions labelled at f = 1,
+        # as (region, id) through the region's components by first pixel
+        coarse = _BlockRegions().label(K, 1, regions)
+        region_of, cid_of = np.empty((2, len(coarse.cross)), dtype=np.int64)
+        for t in ts:
+            comps = coarse.order[coarse.cbounds[t]:coarse.cbounds[t + 1]]
+            region_of[comps], cid_of[comps] = t, np.arange(len(comps))
+        nc = len(blocks.cross)
+        units = [blocks.units(ts.tolist() if family == "annuli" else [])]
+        reference, by_full = {}, np.arange(nc)
         for t, region in enumerate(regions):
-            core = _region_core(K, region, "intersection")
             dcore = _region_core(deep, region, "intersection")
             if not dcore.crossing:
                 continue
-            full, keys = None, [None]
+            comps = blocks.order[blocks.cbounds[t]:blocks.cbounds[t + 1]]
+            full = None
             if isinstance(region, RectAnnulus):
                 (i0, j0, i1, j1), _ = region.snapped_rects(deep.level)
                 full = _label_mask(_slab(deep, i0, j0, i1, j1), 8)[0]
-                # the full label at each id's first pixel
-                firsts = np.unique(dcore.labels.ravel()[dcore.fg], return_index=True)[1]
-                keys = [full.ravel()[dcore.fg[firsts]], engine[t]]
-            groups, want_children = reference_deep_children(core, dcore, factor, full)
-            pairs = sorted((c, u) for c, us in want_children.items() for u in us)
-            dcells = dcore.crossing_cells()
-            for key in keys:
-                cid_of, uid_of, unit_of = _deep_children(core, dcore, factor, key)
-                assert list(zip(cid_of.tolist(), uid_of.tolist())) == pairs
-                # the units as the unit image holds them
-                units = _cells_by_label(np.append(unit_of, -1)[dcore.labels],
-                                        int(unit_of.max()) + 1, dcore.origin)
-                assert len(units) == len(groups)
-                for cells, g in zip(units, groups):
+                # the full label at each id's first pixel, as the id's unit
+                fg = np.flatnonzero(dcore.labels.ravel() >= 0)
+                firsts = np.unique(dcore.labels.ravel()[fg], return_index=True)[1]
+                by_full[comps] = nc + t * full.size + full.ravel()[fg[firsts]]
+            reference[t] = (dcore, comps,
+                            *reference_deep_children(core_list[t], dcore, factor, full))
+        if family == "annuli":
+            units.append(by_full)
+        for unit in units:
+            piece_of, unit_of = _unit_pairs(blocks, ts, coarse, factor, unit)
+            assert np.all(np.diff(piece_of * (unit.max() + 1) + unit_of) > 0)
+            for t, (dcore, comps, groups, want_children) in reference.items():
+                # the units of region t, numbered as its crossing ids first meet them
+                local = dict(zip(unit[comps[list(dcore.crossing)]].tolist(),
+                                 _canonical(unit[comps[list(dcore.crossing)]])[0].tolist()))
+                mine = region_of[piece_of] == t
+                got = sorted(zip(cid_of[piece_of[mine]].tolist(),
+                                 [local[u] for u in unit_of[mine].tolist()]))
+                assert got == sorted((c, u) for c, us in want_children.items() for u in us)
+                # the units as the engine's pixels hold them
+                nodes = np.arange(blocks.bounds[t], blocks.bounds[t + 1])
+                nodes = nodes[blocks.cross[blocks.comp[nodes]]]
+                q, e = blocks.pixels(nodes)
+                cells = blocks.block(nodes)[q] * factor + np.stack([e % factor, e // factor], 1)
+                uid = np.array([local[u] for u in unit[blocks.comp[nodes[q]]].tolist()])
+                assert sorted(set(uid.tolist())) == list(range(len(groups)))
+                dcells = dcore.crossing_cells()
+                for u, g in enumerate(groups):
                     want = sort_cells(np.concatenate([dcells[d] for d in g]))
-                    assert np.array_equal(cells, want)
+                    assert np.array_equal(sort_cells(cells[uid == u]), want)
+        for t, (dcore, comps, groups, want_children) in reference.items():
             counted += 1
             fused += sum(len(g) > 1 for g in groups)
-            spread += sum(len(g) > 1 and (uid_of == uid).sum() > 1
+            spread += sum(len(g) > 1 and sum(uid in us for us in want_children.values()) > 1
                           for uid, g in enumerate(groups))
             # the count takes each piece by its first cell only: every parent
             # of a deep crossing piece lies in that cell's coarse piece
+            dcells, core = dcore.crossing_cells(), core_list[t]
             for did in dcore.crossing:
                 ii, jj = (dcells[did] // factor - core.origin).T
                 assert ((0 <= ii) & (ii < core.labels.shape[1])
@@ -294,6 +325,102 @@ def test_deep_children_match_cell_list_count(family):
     assert counted > 0
     # annuli fuse pieces, and some fused unit counts under two coarse pieces
     assert (fused > 0) == (spread > 0) == (family == "annuli")
+
+
+def reference_fracture_loci(K, deep, region, factor, delta, children):
+    """One region's deep split in plain tools: both rasters labelled alone,
+    units from the cell-list count, a k-d tree per unit, and the locus split
+    by _label_mask; patches by piece, then by first cell."""
+    core, dcore = (_region_core(R, region, "intersection") for R in (K, deep))
+    full = None
+    if isinstance(region, RectAnnulus):
+        (i0, j0, i1, j1), _ = region.snapped_rects(deep.level)
+        full = _label_mask(_slab(deep, i0, j0, i1, j1), 8)[0]
+    groups, children_of = reference_deep_children(core, dcore, factor, full)
+    dcells = dcore.crossing_cells()
+    trees = [cKDTree((np.concatenate([dcells[d] for d in g]) + 0.5) * deep.level.cell_size)
+             for g in groups]
+    locus = np.zeros(core.labels.shape, dtype=bool)
+    for cid in core.crossing:
+        if len(children_of.get(cid, ())) >= children:
+            js, is_ = np.nonzero(core.labels == cid)
+            pts = (np.stack([is_, js], axis=1) + core.origin + 0.5) * K.level.cell_size
+            hits = sum(np.isfinite(trees[u].query(pts, distance_upper_bound=delta + 1e-9)[0])
+                       for u in children_of[cid])
+            locus[js[hits >= 2], is_[hits >= 2]] = True
+    oi, oj = core.origin
+    return sorted(_cells_by_label(*_label_mask(locus, 8), core.origin),
+                  key=lambda p: core.labels[p[0, 1] - oj, p[0, 0] - oi])
+
+
+def check_fracture_loci(K, deep, factor, regions, cases):
+    """The batched deep split of every region that passes the deep count
+    against each region split alone, for each (deep_children, delta in
+    cells); the number of patches compared."""
+    s = K.level.cell_size
+    live = np.flatnonzero(_crossing_counts(K, [_window(K, r) for r in regions],
+                                           "intersection") > 0)
+    blocks = _BlockRegions().label(deep, factor, [regions[k] for k in live])
+    seen = 0
+    for children, d in cases:
+        ts = np.flatnonzero(blocks.counts >= children)
+        coarse = _BlockRegions().label(K, 1, [regions[k] for k in live[ts]])
+        xs, patches = _fracture_loci(blocks, ts, coarse, factor,
+                                     (d * s + 1e-9) / deep.level.cell_size, children)
+        want = [(x, p) for x, t in enumerate(ts.tolist()) for p in
+                reference_fracture_loci(K, deep, regions[live[t]], factor, d * s, children)]
+        assert xs.tolist() == [x for x, _ in want]
+        assert len(patches) == len(want)
+        assert all(np.array_equal(a, b) for a, (_, b) in zip(patches, want))
+        seen += len(want)
+    return seen
+
+
+@pytest.mark.parametrize("gp,n", DEEP_CORPUS)
+def test_fracture_loci_match_the_per_region_split(gp, n):
+    """The same patches, cells and order as each region split alone."""
+    spec = make_spec(gp)
+    K, deep = (rasterize(spec, Level(m, spec.base)) for m in (n, n + 3))
+    seen = check_fracture_loci(K, deep, spec.base ** 3, _strip_family(K) + _annulus_family(K, 8),
+                               ((3, 2), (2, 3)))
+    assert (seen > 0) == (gp.name in ("cantor_comb", "spiral_disk", "topologist_sine"))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]))
+@settings(max_examples=12, deadline=None)
+def test_fracture_loci_match_the_per_region_split_on_noise(seed, base):
+    """Random combs: fine lines, broken here and there, with noise, in either
+    direction.  Many pieces of a region split at once, so that their patches
+    interleave and must come by piece, then by first cell."""
+    rng = np.random.default_rng(seed)
+    f = base ** 2
+    mask = (rng.random(6 * f) < 0.3) & (rng.random((6 * f, 6 * f)) < 0.97)
+    mask |= rng.random(mask.shape) < 0.03
+    deep = GridCompactum.from_cells(Level(4, base),
+                                    np.argwhere(mask.T if rng.random() < 0.5 else mask)[:, ::-1])
+    assume(not deep.is_empty)
+    K = coarsen(coarsen(deep))
+    # nearly every such raster has patches (597 of the first 600 seeds)
+    check_fracture_loci(K, deep, f, _strip_family(K) + _annulus_family(K, 2),
+                        ((2, 1), (2, 2), (3, 2)))
+
+
+def test_fracture_loci_come_by_piece_before_first_cell():
+    """In the strip over coarse rows 0 and 1, piece A (columns 0-1) splits
+    into two arcs that come within one cell of each other only in row 1,
+    piece B (columns 4-5) into two lines close in both rows: B's patch has
+    the earlier first cell, but A's patch comes first, as A ranks first."""
+    arcs = [(0, y) for y in range(5)] + [(1, 5), (2, 5)] + [(3, y) for y in range(5, 8)]
+    arcs += [(7, y) for y in range(5)] + [(6, 5)] + [(5, y) for y in range(5, 8)]
+    lines = [(x, y) for x in (18, 21) for y in range(8)]
+    deep = GridCompactum.from_cells(Level(5, 2), np.array(arcs + lines))
+    K = coarsen(coarsen(deep))
+    strip = [Strip("h", 0.0, 2 * K.level.cell_size)]
+    assert check_fracture_loci(K, deep, 4, strip, ((2, 1),)) == 2
+    blocks = _BlockRegions().label(deep, 4, strip)
+    xs, patches = _fracture_loci(blocks, np.array([0]), _BlockRegions().label(K, 1, strip), 4,
+                                 (K.level.cell_size + 1e-9) / deep.level.cell_size, 2)
+    assert [p.tolist() for p in patches] == [[[0, 1], [1, 1]], [[4, 0], [5, 0], [4, 1], [5, 1]]]
 
 
 # ---------------------------------------------------------------------------
@@ -308,18 +435,30 @@ def test_relation_on_locally_connected_square_is_empty():
 
 def test_relation_labels_alone_only_the_regions_that_pass_the_count_gate():
     """Same-level only, a region is labelled alone exactly when its coarse
-    crossing count reaches n_min: the batched counts settle every other."""
-    spec = make_spec(GeneratorParams("sierpinski_carpet"))
-    K = rasterize(spec, Level(3, spec.base))
-    params = RelationParams(multi_level=False)
-    regions = _strip_family(K) + _annulus_family(K, params.stride)
-    counts = _crossing_counts(K, [_window(K, r) for r in regions], "intersection")
-    with mock.patch.object(decomposition, "_region_core",
-                           wraps=decomposition._region_core) as core:
-        schoenflies_relation(K, params)
-    gated = int((counts >= params.n_min).sum())
-    assert 0 < gated < len(regions)
-    assert core.call_count == gated
+    crossing count reaches n_min and n_min of its crossing pieces have a
+    partner with all four bounding-box sides within delta: the batched
+    counts and the bounding-box pass settle every other region."""
+    for gen, fields in (("sierpinski_carpet", {}), ("cantor_comb", {"n_min": 3, "delta": 3})):
+        spec = make_spec(GeneratorParams(gen))
+        K = rasterize(spec, Level(3, spec.base))
+        s = K.level.cell_size
+        params = RelationParams(multi_level=False,
+                                **dict(fields, delta=fields.get("delta", 2) * s))
+        regions = _strip_family(K) + _annulus_family(K, params.stride)
+        counts = _crossing_counts(K, [_window(K, r) for r in regions], "intersection")
+        gated = np.flatnonzero(counts >= params.n_min)
+        want = 0
+        for k in gated.tolist():
+            pieces = _region_core(K, regions[k], "intersection").crossing_cells().values()
+            box = np.array([np.r_[c.min(axis=0), c.max(axis=0)] for c in pieces])
+            close = (np.abs(box[:, None] - box[None]) * s <= params.delta + 1e-9).all(axis=2)
+            want += int((close.sum(axis=1) > 1).sum() >= params.n_min)
+        with mock.patch.object(decomposition, "_region_core",
+                               wraps=decomposition._region_core) as core:
+            schoenflies_relation(K, params)
+        assert 0 < len(gated) < len(regions)
+        assert core.call_count == want
+        assert want < len(gated) and (want > 0) == (gen == "cantor_comb")
 
 
 def test_packed_wires_glue_only_where_enough_pile_up():
@@ -401,6 +540,66 @@ def _translated(spec: SetSpec, n: int, di: int, dj: int) -> SetSpec:
     return SetSpec(f"{spec.name}+{di},{dj}", Box(b.x0 + di * s, b.y0 + dj * s,
                                                   b.x1 + di * s, b.y1 + dj * s),
                    fill=fill, base=spec.base)
+
+
+def _annulus_family_loop(K, stride):
+    """The family as a loop over K's cells, as it was built before numpy."""
+    s = K.level.cell_size
+    edge = {0, stride - 1}
+    out = []
+    for i, j in K.cells():
+        if int(i) % stride in edge and int(j) % stride in edge:
+            out.append(RectAnnulus(
+                Box((i - 8) * s, (j - 8) * s, (i + 9) * s, (j + 9) * s),
+                Box((i - 3) * s, (j - 3) * s, (i + 4) * s, (j + 4) * s)))
+    return out
+
+
+@given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), max_size=60),
+       st.sampled_from([Level(4, 2), Level(3, 3), Level(7, 2)]), st.integers(1, 9))
+def test_annulus_family_matches_the_cell_loop(cells, level, stride):
+    """Same annuli, in the same order, with bit-equal float box sides."""
+    K = GridCompactum.from_cells(level, np.array(cells, dtype=np.int64).reshape(-1, 2))
+    assert _annulus_family(K, stride) == _annulus_family_loop(K, stride)
+
+
+@pytest.mark.parametrize("gp,n", DEEP_CORPUS[:3])
+def test_deep_split_does_not_depend_on_its_chunks(gp, n):
+    """The support query, and the block labelling, taken in small batches
+    (a budget of 512 fine cells or nodes) give the merge sets of the
+    default ones."""
+    spec = make_spec(gp)
+    K = rasterize(spec, Level(n, spec.base))
+    params = RelationParams(annulus_family="both", deep_children=2)
+    want = schoenflies_relation(K, params).to_dict()
+    assert want["merge_sets"]
+    with mock.patch.object(schoenflies, "_NODES", 512):
+        assert schoenflies_relation(K, params).to_dict() == want
+
+
+@pytest.mark.parametrize("gen,n,fields", [
+    ("cantor_comb", 3, {"n_min": 3, "delta": 3}),
+    ("cantor_comb", 3, {"delta": 4}),
+    ("cantor_comb", 4, {"n_min": 3, "delta": 3, "multi_level": False}),
+    ("topologist_sine", 5, {"n_min": 3, "delta": 4}),
+    ("random_blobs", 5, {"n_min": 3, "delta": 6, "multi_level": False})])
+def test_same_level_prefilter_drops_only_regions_without_a_group(gen, n, fields):
+    """The batched bounding-box pass only spares _single_linkage calls: with
+    it passing every region, the merge sets are the same."""
+    spec = make_spec(GeneratorParams(gen))
+    K = rasterize(spec, Level(n, spec.base))
+    params = RelationParams(**dict(fields, delta=fields["delta"] * K.level.cell_size))
+    want = schoenflies_relation(K, params).to_dict()
+    with mock.patch.object(decomposition, "_near",
+                           lambda box, bounds, delta, s: np.ones(len(box), dtype=bool)), \
+            mock.patch.object(decomposition, "_single_linkage",
+                              wraps=decomposition._single_linkage) as linkage:
+        assert schoenflies_relation(K, params).to_dict() == want
+    # the working level's calls, not the persistence check's one level finer
+    calls = [c for c in linkage.call_args_list if c.args[2] == K.level.cell_size]
+    assert len(calls) == int((_crossing_counts(
+        K, [_window(K, r) for r in _strip_family(K) + _annulus_family(K, params.stride)],
+        "intersection") >= params.n_min).sum())
 
 
 @pytest.mark.parametrize("gen,n", [("cantor_comb", 4), ("topologist_sine", 6),

@@ -35,9 +35,8 @@ from pcx import (
 from pcx import schoenflies
 from pcx.grid import _label_mask, _slab
 from pcx.decomposition import _annulus_family, _strip_family
-from pcx.schoenflies import (_BlockRegions, _crossing_counts, _lateral_range,
-                             _region_core, _RegionData, _single_linkage, _support,
-                             _window)
+from pcx.schoenflies import (_BlockRegions, _crossing_counts, _lateral_range, _near,
+                             _region_core, _single_linkage, _support, _window)
 
 from conftest import (
     HAND_PATTERNS,
@@ -213,6 +212,23 @@ def test_single_linkage_small_cases():
     assert _single_linkage(cells_of, S, S) == [[1], [3, 7]]
 
 
+@given(st.lists(st.lists(st.tuples(*[st.integers(0, 12)] * 4), max_size=7), max_size=6),
+       st.sampled_from([1.0, 2.0, 3.0]), st.sampled_from([1, 5, 1 << 17]))
+@settings(max_examples=150, deadline=None)
+def test_near_over_groups_matches_each_group_alone(groups, cells, budget):
+    """The bounding-box prefilter over many groups at once, in runs of
+    groups as small as one pair, against each group's boxes compared all
+    with all."""
+    box = np.array([b for g in groups for b in g], dtype=np.int64).reshape(-1, 4)
+    bounds = np.cumsum([0] + [len(g) for g in groups])
+    want = np.zeros(len(box), dtype=bool)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        close = (np.abs(box[a:b, None] - box[None, a:b]) * S <= cells * S + 1e-9).all(axis=2)
+        want[a:b] = close.sum(axis=1) > 1
+    with mock.patch.object(schoenflies, "_NODES", budget):
+        assert np.array_equal(_near(box, bounds, cells * S, S), want)
+
+
 def _support_reference(cells, s, members, delta):
     """The per-member count the kernel replaced: one cKDTree per member cell
     set (each with its own cell size), queried for every cell centre."""
@@ -263,11 +279,58 @@ def test_support_matches_per_member_kdtrees(bf, n, d, seed):
     owner = np.concatenate([np.repeat(np.flatnonzero(group == g), len(asked[g]))
                             for g in range(2)])
     unit = np.concatenate([np.tile(asked[g], int((group == g).sum())) for g in range(2)])
-    core = _RegionData(origin, labels, 6, (), (0.0, 0.0),
-                       np.flatnonzero(labels.ravel() >= 0))
+    # one row per fine cell, its block the cell holding it
+    pixels = None if f == 1 else (
+        lambda q: (np.arange(len(q)), fine[q, 1] % f * f + fine[q, 0] % f))
     for k in range(1, 5):
-        got = _support(cells, f, core, unit_of, owner, unit, (delta + 1e-9) / (s / f), k)
+        got = _support(cells, f, unit_of[labels[js, is_]], fine // f, owner, unit,
+                       (delta + 1e-9) / (s / f), k, pixels)
         assert np.array_equal(got, want >= k), (k, got, want)
+
+
+@given(st.sampled_from([1, 2, 3, 8, 27]), st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       st.integers(2, 5), st.integers(0, 2 ** 32 - 1))
+@example(8, 1.0, 3, 0)  # reach below the 4-neighbour-block shortcut
+@example(8, 3.0, 3, 0)  # and above it
+@settings(max_examples=80, deadline=None)
+def test_batched_support_matches_per_region_support(f, d, regions, seed):
+    """One query over several regions, each with units of its own and its
+    windows overlapping the others', against one query per region.  Reaches
+    of d cells fall on both sides of the shortcut for units in a cell's
+    4-neighbours ((3f-1)^2 + (f-1)^2 against (2df)^2 in half fine cells),
+    and a budget of a few fine cells splits the units into many batches."""
+    rng = np.random.default_rng(seed)
+    reach = d * f + 1e-9
+    per, cells, owner, unit, bunit, fine = [], [], [], [], [], []
+    for r in range(regions):
+        H, W = (int(v) for v in rng.integers(1, 4 * f + 2, size=2))
+        origin = np.array([-3 * f, -2 * f]) + rng.integers(0, 4 * f, size=2)
+        labels = np.where(rng.random((H, W)) < rng.uniform(0.02, 0.4),
+                          rng.integers(0, 4, size=(H, W)), -1)
+        unit_of = rng.permutation(np.array([0, 1, 2, -1]))
+        js, is_ = np.nonzero(labels >= 0)
+        fc, bu = np.stack([is_, js], axis=1) + origin, unit_of[labels[js, is_]]
+        present = np.unique(bu[bu >= 0])
+        lo = origin // f - 3
+        c = rng.integers(lo, lo + np.array([W, H]) // f + 6, size=(int(rng.integers(1, 20)), 2))
+        o, u = np.repeat(np.arange(len(c)), len(present)), np.tile(present, len(c))
+        for k in (1, 2):
+            per.append((k, _support(c, f, bu, fc // f, o, u, reach, k, lambda q, fc=fc: (
+                np.arange(len(q)), fc[q, 1] % f * f + fc[q, 0] % f))))
+        # the region's units offset by 4 per region in the one query
+        owner.append(o + sum(len(x) for x in cells))
+        unit.append(4 * r + u)
+        bunit.append(np.where(bu >= 0, 4 * r + bu, -1))
+        cells.append(c)
+        fine.append(fc)
+    fine = np.concatenate(fine)
+    for k in (1, 2):
+        with mock.patch.object(schoenflies, "_NODES", int(rng.integers(1, 3 * f * f))):
+            got = _support(np.concatenate(cells), f, np.concatenate(bunit), fine // f,
+                           np.concatenate(owner), np.concatenate(unit), reach, k,
+                           lambda q: (np.arange(len(q)), fine[q, 1] % f * f + fine[q, 0] % f))
+        want = np.concatenate([m for kk, m in per if kk == k])
+        assert np.array_equal(got, want), (k, got, want)
 
 
 def _reference_core(K, region, mode):
@@ -330,22 +393,20 @@ def test_batched_regions_match_per_region_labelling(seed, budget, mode):
         assert (core.origin, core.n, core.crossing, core.snapped) == \
             (origin, n, crossing, win.snapped)
         assert core.labels.dtype == labels.dtype and np.array_equal(core.labels, labels)
-        fg = np.flatnonzero(labels.ravel() >= 0)
-        assert core.fg.dtype == fg.dtype and np.array_equal(core.fg, fg)
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3, 4, 8, 9, 16, 27, 81]))
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 3, 4, 8, 9, 16, 27, 81]))
 @settings(max_examples=100, deadline=None)
 def test_block_engine_matches_per_window_labelling(seed, f):
-    """Counts, cores and annulus fusions of the block engine against each
-    window labelled alone.  The raster is a few blocks of f x f cells, some
+    """Counts, node tables, pixel lookups, first pixels and annulus units of
+    the block engine against each window labelled alone.  The raster is a few blocks of f x f cells, some
     empty, some full, some noise, trimmed so that its origin and edges fall
     off the block grid; the windows are the strip and annulus families of
     its coarse raster (the edge strips reach past the raster, and must not
     take the raster's edge row for their boundary) plus annuli partly or
     wholly off it."""
     rng = np.random.default_rng(seed)
-    base = 2 if f in (2, 4, 8, 16) else 3
+    base = 2 if f in (1, 2, 4, 8, 16) else 3
     k = round(math.log(f, base))
     coarse, level = Level(1, base), Level(1 + k, base)
     s = level.cell_size
@@ -369,27 +430,55 @@ def test_block_engine_matches_per_window_labelling(seed, f):
             Box((i - o) * f * s, (j - o) * f * s, (i + o + 1) * f * s, (j + o + 1) * f * s),
             Box((i - h) * f * s, (j - h) * f * s, (i + h + 1) * f * s, (j + h + 1) * f * s)))
     blocks = _BlockRegions().label(K, f, regions)
-    windows = [_window(K, r) for r in regions]
     annuli = [t for t, r in enumerate(regions) if isinstance(r, RectAnnulus)]
-    fused = blocks.fusions(annuli)
+    units = blocks.units(annuli)
+    (ci, cj), width = blocks.corner, blocks.shape[1] * f
+    probes, owner = [], np.repeat(np.arange(len(regions)), np.diff(blocks.cbounds))[
+        np.argsort(blocks.order)]
     for t, region in enumerate(regions):
         origin, labels, n, crossing = _reference_core(K, region, "intersection")
-        core = blocks.core(t)
-        assert blocks.counts[t] == len(crossing)
-        assert (core.origin, core.n, core.crossing, core.snapped) == \
-            (origin, n, crossing, windows[t].snapped)
-        assert core.labels.dtype == labels.dtype and np.array_equal(core.labels, labels)
+        # each region's id image from the node table: a node's pixels carry
+        # the rank of its component
+        nodes = np.arange(blocks.bounds[t], blocks.bounds[t + 1])
+        comps = blocks.order[blocks.cbounds[t]:blocks.cbounds[t + 1]]
+        rank = np.full(len(blocks.cross), -1)
+        rank[comps] = np.arange(len(comps))
+        q, e = blocks.pixels(nodes)
+        pix = blocks.block(nodes)[q] * f + np.stack([e % f, e // f], axis=1)
+        ids = np.full(labels.shape, -1, dtype=np.int64)
+        ids[pix[:, 1] - origin[1], pix[:, 0] - origin[0]] = rank[blocks.comp[nodes[q]]]
+        # pixels of the window and a ring around it, for one lookup of all
+        (h, w), ring = labels.shape, np.pad(labels, 1, constant_values=-2)
+        js, is_ = rng.integers(-1, h + 1, size=200), rng.integers(-1, w + 1, size=200)
+        lab = ring[js + 1, is_ + 1]
+        probes.append((np.full(len(js), t), np.stack([is_, js], axis=1) + origin,
+                       np.where(lab == -2, -2, np.append(comps, -1)[lab.clip(-1)])))
+        assert blocks.counts[t] == len(crossing) == int(blocks.cross[comps].sum())
+        assert tuple(np.flatnonzero(blocks.cross[comps]).tolist()) == crossing
+        assert len(comps) == n and np.array_equal(ids, labels)
+        # each component's first pixel, row-major in the blocks' frame
         fg = np.flatnonzero(labels.ravel() >= 0)
-        assert core.fg.dtype == fg.dtype and np.array_equal(core.fg, fg)
-        if t in fused:
+        first = fg[np.unique(labels.ravel()[fg], return_index=True)[1]]
+        jj, ii = np.divmod(first, labels.shape[1])
+        assert np.array_equal(blocks.first[comps],
+                              (jj + origin[1] - cj) * width + ii + origin[0] - ci)
+        if t in annuli:
             (i0, j0, i1, j1), _ = region.snapped_rects(level)
             full = _label_mask(_slab(K, i0, j0, i1, j1), 8)[0].ravel()
-            # one fused key per id, partitioning the ids as the whole window's
+            # one unit per id, partitioning the ids as the whole window's
             # labels at their first pixels do
-            keys = full[fg[np.unique(labels.ravel()[fg], return_index=True)[1]]]
-            assert len(fused[t]) == n
-            assert len(np.unique(np.stack([keys, fused[t]]), axis=1).T) \
-                == len(np.unique(keys)) == len(np.unique(fused[t]))
+            keys, fused = full[first], units[comps]
+            assert len(fused) == n
+            assert len(np.unique(np.stack([keys, fused]), axis=1).T) \
+                == len(np.unique(keys)) == len(np.unique(fused))
+        else:
+            assert np.array_equal(units[comps], comps)
+    # the component each lookup names: the window's at its pixels (-1 on its
+    # background), none or the window's own in the ring (-2)
+    x, px, want = (np.concatenate(a) for a in zip(*probes))
+    got, ring = blocks.at(x, px), want == -2
+    assert np.array_equal(got[~ring], want[~ring])
+    assert ((got[ring] == -1) | (owner[got[ring]] == x[ring])).all()
 
 
 def test_strip_window_must_contain_k():
