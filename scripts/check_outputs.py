@@ -192,6 +192,18 @@ RELATION_CASES = (
     # and empty blocks of the random blobs (seed 0)
     ("sine_L6_deep1", "topologist_sine", 6, {"deep_levels": 1, "deep_children": 2}),
     ("blobs_L6", "random_blobs", 6, {"deep_children": 2}),
+    # the same-level route away from comb L3.  These three reach it but glue
+    # nothing: 316 limit-cell queries that all come back empty, a pair query
+    # on two regions, and a flat run the box prefilter settles
+    ("comb_L4_delta4", "cantor_comb", 4, {"delta": 4}),
+    ("sine_L5_nmin3_delta4", "topologist_sine", 5, {"n_min": 3, "delta": 4}),
+    ("blobs_L5_nmin3_delta6_flat", "random_blobs", 5,
+     {"n_min": 3, "delta": 6, "multi_level": False}),
+    # ... and these glue: 317 same-level sets on the comb, 33 on the sine
+    # (persistence drops 2 of its 35), 3 on the bars
+    ("comb_L4_nmin3_delta4", "cantor_comb", 4, {"n_min": 3, "delta": 4}),
+    ("sine_L6_nmin3_delta6", "topologist_sine", 6, {"n_min": 3, "delta": 6}),
+    ("bars_L4_nmin3_delta6_flat", "bars", 4, {"n_min": 3, "delta": 6, "multi_level": False}),
 )
 
 
