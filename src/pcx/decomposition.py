@@ -33,9 +33,9 @@ from .grid import (Box, Cells, GridCompactum, GridError, Level, SetSpec,
                    _as_cells, _at, _canonical, _cells_of, _components, _group,
                    _label_mask, diameters, max_level, rasterize)
 from .schoenflies import (RectAnnulus, Region, Strip, _band_strips, _BlockRegions,
-                          _crossing_counts, _limit_cells, _near, _near_cells, _ranges,
-                          _RegionData, _region_core, _runs, _single_linkage, _support,
-                          _strictly_increasing_tail, _window)
+                          _crossing_counts, _limit_cells, _near_cells, _ranges, _runs,
+                          _single_linkage, _support, _strictly_increasing_tail, _window,
+                          _Window)
 
 _FAMILIES = ("strips-all-offsets", "rect-annuli-sampled", "both")
 
@@ -193,18 +193,68 @@ def _annulus_family(K: GridCompactum, stride: int) -> list[RectAnnulus]:
 # ---------------------------------------------------------------------------
 # relation seeding
 
-def _near_pieces(coarse: _BlockRegions, delta: float, s: float) -> np.ndarray:
-    """The crossing pieces of each region of a block labelling at f = 1
-    that have a near partner there (schoenflies._near), counted in one
-    bounding-box pass over all the regions."""
-    cells, nc = coarse.block(np.arange(len(coarse.lab))), len(coarse.cross)
-    lo, hi = np.full((nc, 2), np.iinfo(np.int64).max), np.full((nc, 2), np.iinfo(np.int64).min)
-    np.minimum.at(lo, coarse.comp, cells)
-    np.maximum.at(hi, coarse.comp, cells)
-    counts = coarse.counts
-    c = coarse.order[coarse.cross[coarse.order]]  # the crossing pieces, region by region
-    near = _near(np.hstack([lo[c], hi[c]]), np.r_[0, np.cumsum(counts)], delta, s)
-    return np.bincount(np.repeat(np.arange(len(counts)), counts)[near], minlength=len(counts))
+def _crossing_pieces(blocks: _BlockRegions) -> tuple[Cells, np.ndarray, np.ndarray]:
+    """The crossing pieces of a block labelling at f = 1, region by region
+    and by id: their cells, piece by piece and row-major (at f = 1 a region's
+    nodes run so), the count of each piece's cells, and the bounds of each
+    region's pieces."""
+    c = blocks.order[blocks.cross[blocks.order]]
+    rank = np.full(len(blocks.cross), -1)
+    rank[c] = np.arange(len(c))
+    nodes = np.flatnonzero(blocks.cross[blocks.comp])
+    nodes = nodes[np.argsort(rank[blocks.comp[nodes]], kind="stable")]
+    return (blocks.block(nodes), np.bincount(rank[blocks.comp[nodes]], minlength=len(c)),
+            np.r_[0, np.cumsum(blocks.counts)])
+
+
+def _clusters(K: GridCompactum, regions: Sequence[Region], windows: Sequence[_Window],
+              params: RelationParams, delta: float) -> tuple[np.ndarray, list[Cells]]:
+    """The same-level merge sets of the given regions, with their windows
+    at K: the position of each set's region and the set's cells, row-major;
+    by region, then group by smallest id.  Three phases serve all regions
+    at once: the gated groups, from one labelling at f = 1 and one single
+    linkage; their persistence, from one labelling of the regions with a
+    group one level finer, one more linkage and one lookup of the parents;
+    and the limit cells, one support query per run of groups."""
+    s, n_min = K.level.cell_size, params.n_min
+    coarse = _BlockRegions().label(K, 1, windows)
+    cells, sizes, bounds = _crossing_pieces(coarse)
+    members, gb = _single_linkage(cells, sizes, bounds, delta, s, n_min)
+    gs = np.diff(gb)
+    gx = np.searchsorted(bounds, members[gb[:-1]], side="right") - 1
+    if params.multi_level and K.source is not None and K.level.n < max_level() and len(gs):
+        # a group persists when a group of at least as many crossing pieces
+        # of its region one level finer has a cell whose parent lies in one
+        # of its members
+        xs = np.unique(gx)
+        K2 = rasterize(K.source, K.level.finer())
+        fine = _BlockRegions().label(K2, 1, [_window(K2, regions[x]) for x in xs.tolist()])
+        cells2, sizes2, bounds2 = _crossing_pieces(fine)
+        members2, gb2 = _single_linkage(cells2, sizes2, bounds2, delta, K2.level.cell_size, n_min)
+        del K2
+        at2, gs2 = np.cumsum(sizes2) - sizes2, np.diff(gb2)
+        u, q = _ranges(at2[members2], sizes2[members2])
+        h = np.repeat(np.arange(len(gs2)), gs2)[q]  # the fine group of each cell
+        piece = coarse.at(xs[np.searchsorted(bounds2, members2[gb2[h]], side="right") - 1],
+                          cells2[u] // K.level.base)
+        group = np.full(len(coarse.cross) + 1, -1)  # the group of each piece; none at -1
+        group[coarse.order[coarse.cross[coarse.order]][members]] = \
+            np.repeat(np.arange(len(gs)), gs)
+        g = group[piece]
+        ok = np.zeros(len(gs), dtype=bool)
+        ok[g[(g >= 0) & (gs2[h] >= gs[g])]] = True
+        members, gs, gx = members[np.repeat(ok, gs)], gs[ok], gx[ok]
+        gb = np.r_[0, np.cumsum(gs)]
+    if not len(gs):
+        return gx, []
+    # each group's candidates: the cells of K near its region's window
+    rx, gr = np.unique(gx, return_inverse=True)
+    kcells = K.cells()
+    pos, cb = _near_cells(kcells, np.array([windows[x].box for x in rx.tolist()]), delta, s)
+    limits = _limit_cells(kcells[pos], cb[gr], cb[gr + 1], cells, sizes, members, gb,
+                          (delta + 1e-9) / s, n_min)
+    full = np.array([len(c) > 0 for c in limits], dtype=bool)
+    return gx[full], [c for c in limits if len(c)]
 
 
 def _unit_pairs(blocks: _BlockRegions, ts: np.ndarray, coarse: _BlockRegions, factor: int,
@@ -341,73 +391,19 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
             deep.append(rasterize(K.source, Level(deep_n, base)))
             factor = base ** (deep_n - K.level.n)
 
-    next_raster: list[GridCompactum | None] = [None]  # lazy, for persistence
-
-    def next_level_raster() -> GridCompactum | None:
-        if next_raster[0] is None and K.source is not None \
-                and K.level.n + 1 <= max_level():
-            next_raster[0] = rasterize(K.source, K.level.finer())
-        return next_raster[0]
-
-    kcells = K.cells()
-
-    @functools.cache
-    def finer(k: int) -> tuple[int, dict[int, Cells], list[list[int]]]:
-        """Region k one level finer, labelled once for all its groups: its
-        crossing count, crossing cells and gated groups."""
-        K2 = next_level_raster()
-        core2 = _region_core(K2, regions[k], "intersection")
-        if len(core2.crossing) < params.n_min:
-            return len(core2.crossing), {}, []  # no group can reach the gate
-        cells2 = core2.crossing_cells()
-        return len(core2.crossing), cells2, _single_linkage(
-            cells2, delta, K2.level.cell_size, params.n_min)
-
-    def persists(k: int, core: _RegionData, group: list[int]) -> bool:
-        """Does a group of at least len(group) crossing components one level
-        finer have a cell whose parent lies in the group's members?"""
-        if next_level_raster() is None:
-            return True  # nothing to refine against: accept as-is
-        crossing, cells2, groups = finer(k)
-        if crossing < len(group):
-            return False  # no group can reach the gate
-        # every gated group has at least n_min <= len(group) members
-        big = [cid for g in groups if len(g) >= len(group) for cid in g]
-        if not big:
-            return False
-        # a parent is a member cell iff it lies in the coarse window and its
-        # coarse label is in the group
-        parents = np.concatenate([cells2[cid] for cid in big]) // base
-        return bool(np.isin(_at(core.labels, core.origin, parents[:, 0], parents[:, 1]),
-                            group).any())
-
-    # crossing counts of every region; only a region that passes a gate is
-    # labelled again, alone
-    counts = _crossing_counts(K, [_window(K, r) for r in regions], "intersection")
-
-    @functools.cache
-    def core_of(k: int) -> _RegionData:
-        return _region_core(K, regions[k], "intersection")
+    # crossing counts of every region
+    windows = [_window(K, r) for r in regions]
+    counts = _crossing_counts(K, windows, "intersection")
 
     # same-level accumulation: big clusters glue their limit cells.  With
-    # fewer crossing ids than n_min no group can reach the gate, nor with
-    # fewer than n_min crossing pieces that have a near partner
+    # fewer crossing ids than n_min no group can reach the gate
     seeds: dict[int, list[Cells]] = {}
     same = np.flatnonzero(counts >= params.n_min)
     if len(same):
-        same = same[_near_pieces(_BlockRegions().label(K, 1, [regions[k] for k in same]),
-                                 delta, s) >= params.n_min]
-    for k in same.tolist():
-        core, out = core_of(k), seeds.setdefault(k, [])
-        gated = _single_linkage(core.crossing_cells(), delta, s, params.n_min)
-        if gated:
-            candidates = _near_cells(kcells, core, delta, s)
-            for group in gated:
-                if params.multi_level and not persists(k, core, group):
-                    continue
-                limit = _limit_cells(core, group, candidates, delta, s, params.n_min)
-                if len(limit):
-                    out.append(limit)
+        xs, sets = _clusters(K, [regions[k] for k in same], [windows[k] for k in same],
+                             params, delta)
+        for x, ms in zip(xs.tolist(), sets):
+            seeds.setdefault(int(same[x]), []).append(ms)
 
     live = np.flatnonzero(counts > 0)
     if deep and len(live):
@@ -421,10 +417,11 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
         # which can also hold well-resolved geometry that merely touches the
         # blob at this resolution
         dcell = deep[0].level.cell_size
-        blocks = _BlockRegions().label(deep.pop(), factor, [regions[k] for k in live])
+        dwins = [_window(deep[0], regions[k]) for k in live]
+        blocks = _BlockRegions().label(deep.pop(), factor, dwins)
         ts = np.flatnonzero(blocks.counts >= params.deep_children)
         if len(ts):
-            coarse = _BlockRegions().label(K, 1, [regions[k] for k in live[ts]])
+            coarse = _BlockRegions().label(K, 1, [windows[k] for k in live[ts]])
             xs, patches = _fracture_loci(blocks, ts, coarse, factor, (delta + 1e-9) / dcell,
                                          params.deep_children)
             for t, patch in zip(ts[xs].tolist(), patches):

@@ -7,6 +7,7 @@ dual pairing that keeps digital Jordan-curve arguments paradox-free.
 """
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -241,8 +242,9 @@ class GridCompactum:
         return GridCompactum(level, (origin[0] + i0, origin[1] + j0),
                              np.ascontiguousarray(trimmed), source)
 
-    @property
+    @functools.cached_property
     def is_empty(self) -> bool:
+        """Computed once per raster: nothing writes a mask in place."""
         return self.mask.size == 0 or not self.mask.any()
 
     @property

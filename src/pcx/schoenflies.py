@@ -162,6 +162,12 @@ class _Window:
     hole: tuple[int, int, int, int] | None
     snapped: tuple[float, float] | tuple[Box, Box]
 
+    @property
+    def box(self) -> tuple[int, int, int, int]:
+        """The window's cells (i0, j0, i1, j1), inclusive."""
+        (i, j), (h, w) = self.origin, self.shape[::-1] if self.turned else self.shape
+        return i, j, i + w - 1, j + h - 1
+
 
 def _window(K: GridCompactum, region: Region) -> _Window:
     s = K.level.cell_size
@@ -219,10 +225,8 @@ def _crossing_counts(K: GridCompactum, windows: Sequence[_Window],
             index = members[c:c + per]
             canvas = np.zeros((len(index), h + 1, w), dtype=bool)
             for t, k in enumerate(index):
-                (i0, j0), turned = windows[k].origin, windows[k].turned
-                ni, nj = (h, w) if turned else (w, h)
-                slab = _slab(K, i0, j0, i0 + ni - 1, j0 + nj - 1)
-                canvas[t, :h] = slab.T if turned else slab
+                slab = _slab(K, *windows[k].box)
+                canvas[t, :h] = slab.T if windows[k].turned else slab
             if mode == "difference":
                 np.logical_not(canvas[:, :h], out=canvas[:, :h])
             if region is not None:
@@ -250,8 +254,7 @@ def _region_core(K: GridCompactum, region: Region, mode: str) -> _RegionData:
     if mode not in ("intersection", "difference"):
         raise GridError(f"mode must be intersection or difference, got {mode!r}")
     win = _window(K, region)
-    (i0, j0), (h, w) = win.origin, win.shape[::-1] if win.turned else win.shape
-    image = _slab(K, i0, j0, i0 + w - 1, j0 + h - 1)
+    image = _slab(K, *win.box)
     if mode == "difference":
         np.logical_not(image, out=image)
     a, b, ring = _rings(win.shape, win.hole)
@@ -296,13 +299,13 @@ class _BlockRegions:
     components by first pixel, as labelling the region alone numbers them.
     """
 
-    def label(self, K: GridCompactum, f: int, regions: Sequence[Region]) -> _BlockRegions:
-        """Label K for the given regions.  A method, not __init__, since a
-        constructor call would keep a raster passed inline alive to its end:
-        this one frees it once the blocks are cut out."""
+    def label(self, K: GridCompactum, f: int, windows: Sequence[_Window]) -> _BlockRegions:
+        """Label K for the regions of the given windows (of K).  A method,
+        not __init__, since a constructor call would keep a raster passed
+        inline alive to its end: this one frees it once the blocks are cut
+        out."""
         (oi, oj), (H, W) = K.origin, K.mask.shape
-        self.f, self.corner = f, (oi // f * f, oj // f * f)
-        self.windows = [_window(K, region) for region in regions]
+        self.f, self.corner, self.windows = f, (oi // f * f, oj // f * f), list(windows)
         self.shape = R, C = -(-(oj + H) // f) - oj // f, -(-(oi + W) // f) - oi // f
         (ci, cj), band = self.corner, max(1, _NODES // max(C * f * f, 1))
         # the nonempty blocks, cut out a band of block rows at a time
@@ -491,28 +494,30 @@ def _near(box: np.ndarray, bounds: np.ndarray, delta: float, s: float) -> np.nda
     return near
 
 
-def _single_linkage(cells_of: dict[int, Cells], delta: float,
-                    s: float, at_least: int = 1) -> list[list[int]]:
-    """Single linkage at cut delta: the connected components of the delta-graph
-    on the ids, which joins two cell sets when every cell of each has a cell
-    of the other within delta (symmetric Hausdorff distance <= delta), that
-    hold at least `at_least` ids.  One pair query over the cells that may
-    link finds those neighbours.  Groups are ordered by their smallest id,
-    members ascending."""
-    ids = sorted(cells_of)
-    if len(ids) < 2:  # nothing to link: spares the pair query on fat pieces
-        return [ids] if ids and at_least <= 1 else []
-    m = len(ids)
-    sizes = np.array([len(cells_of[c]) for c in ids])
-    cells, at = np.concatenate([cells_of[c] for c in ids]), np.cumsum(sizes) - sizes
-    # only the cells of sets with a near partner go to the pair query; every
-    # member of a group of two or more has one
+def _single_linkage(cells: Cells, sizes: np.ndarray, bounds: np.ndarray, delta: float,
+                    s: float, at_least: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Single linkage at cut delta over the cell sets of many regions at
+    once: set p holds the next sizes[p] cells, region g the sets bounds[g]
+    .. bounds[g + 1] - 1.  The groups are the connected components of the
+    delta-graph, which joins two sets of one region when every cell of each
+    has a cell of the other within delta (symmetric Hausdorff distance <=
+    delta), that hold at least `at_least` sets: their sets ascending, and
+    the bounds of the groups, ordered by smallest set (by region, then by
+    smallest id).  One pair query finds the neighbours.  Only the cells of
+    sets with a near partner go to it, from regions with `at_least` such
+    sets; a region coordinate, 2 (delta + s) apart per region, keeps the
+    cells of two regions from ever pairing."""
+    m = len(sizes)
+    if not m:
+        return np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    at, region = np.cumsum(sizes) - sizes, np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
     near = _near(np.hstack([np.minimum.reduceat(cells, at), np.maximum.reduceat(cells, at)]),
-                 np.array([0, m]), delta, s)
-    if at_least > 1 and near.sum() < at_least:
-        return []
-    owner, pts = np.repeat(np.arange(m), sizes), (cells + 0.5) * s
-    owner, pts = owner[near[owner]], pts[near[owner]]
+                 bounds, delta, s)
+    near &= (np.bincount(region[near], minlength=len(bounds) - 1) >= at_least)[region]
+    owner = np.repeat(np.arange(m), sizes)
+    keep = near[owner]
+    owner = owner[keep]
+    pts = np.hstack([(cells[keep] + 0.5) * s, region[owner, None] * (2 * (delta + s))])
     p, q = cKDTree(pts).query_pairs(delta + 1e-9, output_type="ndarray").T
     p, q = np.concatenate([p, q]), owner[np.concatenate([q, p])]
     cross = owner[p] != q
@@ -524,12 +529,9 @@ def _single_linkage(cells_of: dict[int, Cells], delta: float,
     full = pair[hits == sizes[pair // m]]
     a, b = np.divmod(full, m)
     both = np.isin(b * m + a, full)
-    if not both.any():  # spares the graph on the many regions with no join
-        return [[c] for c in ids] if at_least <= 1 else []
-    groups, n = _canonical(_components(m, a[both], b[both])[1])
-    members, bounds = _group(groups, n, np.asarray(ids))
-    return [members[bounds[k]:bounds[k + 1]].tolist() for k in range(n)
-            if bounds[k + 1] - bounds[k] >= at_least]
+    members, gb = _group(*_canonical(_components(m, a[both], b[both])[1]), np.arange(m))
+    size = np.diff(gb)
+    return members[np.repeat(size >= at_least, size)], np.r_[0, np.cumsum(size[size >= at_least])]
 
 
 @lru_cache(maxsize=32)
@@ -550,9 +552,10 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _support(cells: Cells, f: int, bunit: np.ndarray, bcell: Cells, owner: np.ndarray,
-             unit: np.ndarray, reach: float, k: int,
+             unit: np.ndarray, reach: float, k: int | np.ndarray,
              pixels: Callable[[np.ndarray], tuple] | None = None) -> np.ndarray:
-    """Mask of the cells that at least k of their pairs reach: pair p counts
+    """Mask of the cells that at least k (one for all, or one per cell) of
+    their pairs reach: pair p counts
     for cells[owner[p]] when unit unit[p] has a fine cell centred within
     `reach` fine cells of its centre (f fine cells per cell side).  Unit
     bunit[q] has a fine cell in cell bcell[q]; pixels(qs) gives each such
@@ -566,6 +569,7 @@ def _support(cells: Cells, f: int, bunit: np.ndarray, bcell: Cells, owner: np.nd
     integers, so one query answers many regions when each region's units
     get ids of their own."""
     lim, acc = int((2 * reach) ** 2), np.zeros(len(cells), dtype=np.int64)
+    k = np.broadcast_to(k, len(cells))
     if not len(unit):
         return acc >= k
     t, lo, hi = _spans(f, lim)
@@ -594,7 +598,7 @@ def _support(cells: Cells, f: int, bunit: np.ndarray, bcell: Cells, owner: np.nd
         i = np.where(sure, start[unit] + c[:, 1] * w + c[:, 0], 0)
         sure &= table[i] | table[i + 1] | table[i - 1] | table[i + w] | table[i - w]
         acc += np.bincount(owner[sure], minlength=len(cells))
-        live &= ~sure & (acc[owner] < k)  # settled cells ask no more
+        live &= ~sure & (acc[owner] < k[owner])  # settled cells ask no more
     p = np.flatnonzero(live)
     p = p[np.argsort(unit[p], kind="stable")]
     need = np.zeros(len(used), dtype=bool)
@@ -624,27 +628,46 @@ def _support(cells: Cells, f: int, bunit: np.ndarray, bcell: Cells, owner: np.nd
     return acc >= k
 
 
-def _limit_cells(core: _RegionData, group: list[int], candidates: Cells,
-                 delta: float, s: float, n_min: int) -> Cells:
-    """The candidates that at least min(len(group), n_min) of the group's
-    crossing components reach within delta."""
-    unit_of = np.full(core.n, -1)
-    unit_of[group] = np.arange(len(group))
-    owner, unit = np.divmod(np.arange(len(candidates) * len(group)), len(group))
-    fg = core.labels >= 0
-    return sort_cells(candidates[_support(
-        candidates, 1, unit_of[core.labels[fg]], _cells_of(fg, core.origin), owner, unit,
-        (delta + 1e-9) / s, min(len(group), n_min))])
+def _limit_cells(cand: Cells, c0: np.ndarray, c1: np.ndarray, cells: Cells, sizes: np.ndarray,
+                 members: np.ndarray, gb: np.ndarray, reach: float,
+                 k: int | np.ndarray) -> list[Cells]:
+    """The limit cells of each group g: the candidates cand[c0[g]:c1[g]]
+    that at least k (one for all, or k[g]) of its sets reach within `reach`
+    cells (set p holds the next sizes[p] cells; group g the sets
+    members[gb[g]:gb[g + 1]], a set in one group at most).  One _support
+    query per run of groups, some _NODES pairs and cells, with the sets as
+    units."""
+    at, gs, nc, k = np.cumsum(sizes) - sizes, np.diff(gb), c1 - c0, np.broadcast_to(k, len(c0))
+    out: list[Cells] = []
+    for ga, gz in _runs(nc * gs + np.bincount(np.repeat(np.arange(len(gs)), gs), sizes[members],
+                                              len(gs))):
+        rows, g = _ranges(c0[ga:gz], nc[ga:gz])
+        g += ga
+        pos, owner = _ranges(gb[g], gs[g])  # each row paired with each set of its group
+        mem = members[gb[ga]:gb[gz]]
+        u, q = _ranges(at[mem], sizes[mem])
+        ok = _support(cand[rows], 1, mem[q], cells[u], owner, members[pos], reach, k[g])
+        bounds = np.searchsorted(g[ok], np.arange(ga, gz + 1))
+        hit = cand[rows[ok]]
+        out += [hit[bounds[x]:bounds[x + 1]] for x in range(gz - ga)]
+    return out
 
 
-def _near_cells(kc: Cells, core: _RegionData, delta: float, s: float) -> Cells:
-    """The cells of kc within delta (plus a cell) of the region's window."""
+def _near_cells(kc: Cells, boxes: np.ndarray, delta: float, s: float) -> tuple[np.ndarray,
+                                                                               np.ndarray]:
+    """The cells of kc (row-major) within delta (plus a cell) of each box
+    (rows i0, j0, i1, j1, inclusive): their positions in kc, box by box and
+    row-major, and the bounds of each box's run.  A box row is one
+    searchsorted range of kc."""
     reach = int(np.ceil(delta / s)) + 1
-    nj, ni = core.labels.shape
-    o = core.origin
-    keep = ((kc[:, 0] >= o[0] - reach) & (kc[:, 0] <= o[0] + ni - 1 + reach)
-            & (kc[:, 1] >= o[1] - reach) & (kc[:, 1] <= o[1] + nj - 1 + reach))
-    return kc[keep]
+    lo, hi = boxes[:, :2] - reach, boxes[:, 2:] + reach
+    row, b = _ranges(lo[:, 1], hi[:, 1] - lo[:, 1] + 1)
+    # row-major keys, columns clipped to a frame one wider than the boxes'
+    i0, w = lo[:, 0].min() - 1, hi[:, 0].max() - lo[:, 0].min() + 3
+    key = kc[:, 1] * w + (kc[:, 0] - i0).clip(0, w - 1)
+    start = np.searchsorted(key, row * w + lo[b, 0] - i0)
+    pos, x = _ranges(start, np.searchsorted(key, row * w + hi[b, 0] - i0, side="right") - start)
+    return pos, np.searchsorted(b[x], np.arange(len(boxes) + 1))
 
 
 def crossing_components(K: GridCompactum, region: Region,
@@ -669,13 +692,20 @@ def crossing_components(K: GridCompactum, region: Region,
     # region (intersection mode reaches into K outside the region by delta;
     # difference mode stays inside the labeled window)
     if mode == "intersection":
-        candidates = _near_cells(K.cells(), core, delta, s)
+        kc = K.cells()
+        candidates = kc[_near_cells(kc, np.array([_window(K, region).box]), delta, s)[0]]
     else:
         candidates = _cells_of(core.labels >= 0, core.origin)
-    cells_of = core.crossing_cells()
-    clusters = tuple(
-        Cluster(tuple(group), _limit_cells(core, group, candidates, delta, s, n_min))
-        for group in _single_linkage(cells_of, delta, s))
+    ids, cells_of = np.array(core.crossing, dtype=np.int64), core.crossing_cells()
+    sizes = np.array([len(cells_of[c]) for c in core.crossing], dtype=np.int64)
+    cells = np.concatenate([np.zeros((0, 2), dtype=np.int64)] + list(cells_of.values()))
+    members, gb = _single_linkage(cells, sizes, np.array([0, len(ids)]), delta, s)
+    n = len(gb) - 1
+    limits = _limit_cells(candidates, np.zeros(n, dtype=np.int64), np.full(n, len(candidates)),
+                          cells, sizes, members, gb, (delta + 1e-9) / s,
+                          np.minimum(np.diff(gb), n_min))
+    clusters = tuple(Cluster(tuple(ids[members[gb[g]:gb[g + 1]]].tolist()), limits[g])
+                     for g in range(n))
     return CrossingReport(region, mode, K.level, core.snapped,
                           core.crossing, len(core.crossing), clusters)
 

@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from pcx import (
@@ -23,6 +24,7 @@ from pcx import (
     contract_degree_two,
     decompose,
     diameter,
+    hausdorff_distance,
     is_simple_path,
     label_components,
     make_spec,
@@ -256,12 +258,12 @@ def test_deep_children_match_cell_list_count(family):
         deep = rasterize(spec, Level(n + 3, spec.base))
         factor = spec.base ** 3
         regions = _strip_family(K) if family == "strips" else _annulus_family(K, 8)
-        blocks = _BlockRegions().label(deep, factor, regions)
+        blocks = _BlockRegions().label(deep, factor, [_window(deep, r) for r in regions])
         ts = np.arange(len(regions))
         core_list = [_region_core(K, region, "intersection") for region in regions]
         # the coarse pieces: components of the same regions labelled at f = 1,
         # as (region, id) through the region's components by first pixel
-        coarse = _BlockRegions().label(K, 1, regions)
+        coarse = _BlockRegions().label(K, 1, [_window(K, r) for r in regions])
         region_of, cid_of = np.empty((2, len(coarse.cross)), dtype=np.int64)
         for t in ts:
             comps = coarse.order[coarse.cbounds[t]:coarse.cbounds[t + 1]]
@@ -360,11 +362,11 @@ def check_fracture_loci(K, deep, factor, regions, cases):
     s = K.level.cell_size
     live = np.flatnonzero(_crossing_counts(K, [_window(K, r) for r in regions],
                                            "intersection") > 0)
-    blocks = _BlockRegions().label(deep, factor, [regions[k] for k in live])
+    blocks = _BlockRegions().label(deep, factor, [_window(deep, regions[k]) for k in live])
     seen = 0
     for children, d in cases:
         ts = np.flatnonzero(blocks.counts >= children)
-        coarse = _BlockRegions().label(K, 1, [regions[k] for k in live[ts]])
+        coarse = _BlockRegions().label(K, 1, [_window(K, regions[k]) for k in live[ts]])
         xs, patches = _fracture_loci(blocks, ts, coarse, factor,
                                      (d * s + 1e-9) / deep.level.cell_size, children)
         want = [(x, p) for x, t in enumerate(ts.tolist()) for p in
@@ -417,8 +419,9 @@ def test_fracture_loci_come_by_piece_before_first_cell():
     K = coarsen(coarsen(deep))
     strip = [Strip("h", 0.0, 2 * K.level.cell_size)]
     assert check_fracture_loci(K, deep, 4, strip, ((2, 1),)) == 2
-    blocks = _BlockRegions().label(deep, 4, strip)
-    xs, patches = _fracture_loci(blocks, np.array([0]), _BlockRegions().label(K, 1, strip), 4,
+    blocks = _BlockRegions().label(deep, 4, [_window(deep, strip[0])])
+    xs, patches = _fracture_loci(blocks, np.array([0]),
+                                 _BlockRegions().label(K, 1, [_window(K, strip[0])]), 4,
                                  (K.level.cell_size + 1e-9) / deep.level.cell_size, 2)
     assert [p.tolist() for p in patches] == [[[0, 1], [1, 1]], [[4, 0], [5, 0], [4, 1], [5, 1]]]
 
@@ -434,31 +437,26 @@ def test_relation_on_locally_connected_square_is_empty():
 
 
 def test_relation_labels_alone_only_the_regions_that_pass_the_count_gate():
-    """Same-level only, a region is labelled alone exactly when its coarse
-    crossing count reaches n_min and n_min of its crossing pieces have a
-    partner with all four bounding-box sides within delta: the batched
-    counts and the bounding-box pass settle every other region."""
-    for gen, fields in (("sierpinski_carpet", {}), ("cantor_comb", {"n_min": 3, "delta": 3})):
+    """Same-level only, no region is labelled alone: the batched counts
+    settle the regions below the gate, and those that pass it are labelled
+    together, once, by the block engine at f = 1.  So the relation calls
+    ndimage.label once per window shape and once more, however many regions
+    pass."""
+    for gen, fields in (("sierpinski_carpet", {}), ("cantor_comb", {"n_min": 3, "delta": 4})):
         spec = make_spec(GeneratorParams(gen))
         K = rasterize(spec, Level(3, spec.base))
-        s = K.level.cell_size
         params = RelationParams(multi_level=False,
-                                **dict(fields, delta=fields.get("delta", 2) * s))
-        regions = _strip_family(K) + _annulus_family(K, params.stride)
-        counts = _crossing_counts(K, [_window(K, r) for r in regions], "intersection")
-        gated = np.flatnonzero(counts >= params.n_min)
-        want = 0
-        for k in gated.tolist():
-            pieces = _region_core(K, regions[k], "intersection").crossing_cells().values()
-            box = np.array([np.r_[c.min(axis=0), c.max(axis=0)] for c in pieces])
-            close = (np.abs(box[:, None] - box[None]) * s <= params.delta + 1e-9).all(axis=2)
-            want += int((close.sum(axis=1) > 1).sum() >= params.n_min)
-        with mock.patch.object(decomposition, "_region_core",
-                               wraps=decomposition._region_core) as core:
-            schoenflies_relation(K, params)
-        assert 0 < len(gated) < len(regions)
-        assert core.call_count == want
-        assert want < len(gated) and (want > 0) == (gen == "cantor_comb")
+                                **dict(fields, delta=fields.get("delta", 2) * K.level.cell_size))
+        windows = [_window(K, r) for r in _strip_family(K) + _annulus_family(K, params.stride)]
+        gated = np.flatnonzero(_crossing_counts(K, windows, "intersection") >= params.n_min)
+        with mock.patch.object(schoenflies, "_region_core",
+                               side_effect=AssertionError("a region labelled alone")), \
+                mock.patch.object(schoenflies.ndimage, "label",
+                                  wraps=schoenflies.ndimage.label) as label:
+            seed = schoenflies_relation(K, params)
+        assert 0 < len(gated) < len(windows)
+        assert label.call_count == len({(w.shape, w.hole) for w in windows}) + 1 < len(gated)
+        assert bool(seed.merge_sets) == (gen == "cantor_comb")
 
 
 def test_packed_wires_glue_only_where_enough_pile_up():
@@ -584,22 +582,160 @@ def test_deep_split_does_not_depend_on_its_chunks(gp, n):
     ("topologist_sine", 5, {"n_min": 3, "delta": 4}),
     ("random_blobs", 5, {"n_min": 3, "delta": 6, "multi_level": False})])
 def test_same_level_prefilter_drops_only_regions_without_a_group(gen, n, fields):
-    """The batched bounding-box pass only spares _single_linkage calls: with
-    it passing every region, the merge sets are the same."""
+    """The bounding-box pass only spares pair-query points: with it passing
+    every piece, the merge sets are the same.  Either way no region is
+    labelled alone, and single linkage runs once at the working level when
+    some region passes the count gate, and at most once more one level
+    finer, for all regions."""
     spec = make_spec(GeneratorParams(gen))
     K = rasterize(spec, Level(n, spec.base))
-    params = RelationParams(**dict(fields, delta=fields["delta"] * K.level.cell_size))
+    s = K.level.cell_size
+    params = RelationParams(**dict(fields, delta=fields["delta"] * s))
     want = schoenflies_relation(K, params).to_dict()
-    with mock.patch.object(decomposition, "_near",
+    with mock.patch.object(schoenflies, "_near",
                            lambda box, bounds, delta, s: np.ones(len(box), dtype=bool)), \
+            mock.patch.object(schoenflies, "_region_core",
+                              side_effect=AssertionError("a region labelled alone")), \
             mock.patch.object(decomposition, "_single_linkage",
                               wraps=decomposition._single_linkage) as linkage:
         assert schoenflies_relation(K, params).to_dict() == want
-    # the working level's calls, not the persistence check's one level finer
-    calls = [c for c in linkage.call_args_list if c.args[2] == K.level.cell_size]
-    assert len(calls) == int((_crossing_counts(
-        K, [_window(K, r) for r in _strip_family(K) + _annulus_family(K, params.stride)],
-        "intersection") >= params.n_min).sum())
+    cell_sizes = [c.args[4] for c in linkage.call_args_list]
+    gated = (_crossing_counts(K, [_window(K, r) for r in _strip_family(K) + _annulus_family(
+        K, params.stride)], "intersection") >= params.n_min).any()
+    assert cell_sizes in (([s], [s, s / spec.base]) if gated else ([],))
+
+
+def _random_fill(seed: int, kind: str, top: int):
+    """A seeded fill of base 2 over [0, 2] x [0, 1], drawn at level `top`
+    and coarsened to each level at or below it (a cell holds when a finer
+    one does): combs of teeth on a spine, or blobs of random boxes, with
+    noise."""
+    rng, size = np.random.default_rng(seed), 2 ** top
+    fine = np.zeros((size, 2 * size), dtype=bool)
+    if kind == "comb":
+        # long teeth two to seven cells apart one level coarser, some broken:
+        # mostly close, so that they cluster, with wider gaps between clusters
+        cols = np.cumsum(rng.choice([2, 2, 3, 4, 6, 7], size=size)) * 2 - 4 + rng.integers(0, 2, size)
+        for col in cols[cols < 2 * size].tolist():
+            fine[rng.integers(size // 4):rng.integers(3 * size // 4, size + 1), col] = True
+            fine[rng.integers(size), col] &= rng.random() < 0.7
+        fine[rng.integers(size), :] = True
+    else:
+        for _ in range(rng.integers(2, 9)):
+            (j, i), (h, w) = rng.integers(0, size, size=2) * [1, 2], rng.integers(1, size // 3, size=2)
+            fine[j:j + h, i:i + w] = True
+    fine |= rng.random(fine.shape) < 0.02
+
+    def fill(level):
+        f = 2 ** (top - level.n)
+        return (0, 0), fine.reshape(size // f, f, 2 * size // f, f).any(axis=(1, 3))
+    return SetSpec(f"{kind}{seed}", Box(0, 0, 2, 1), fill=fill)
+
+
+def _alone(K, region):
+    """The region labelled alone with ndimage.label: its crossing pieces'
+    cells by id (ids ranked by first cell, row-major), and the window's
+    cells (i0, j0, i1, j1)."""
+    if isinstance(region, Strip):
+        r1, r2 = region.snapped_lines(K.level)
+        i0, j0, i1, j1 = K.cell_bbox()
+        box = (i0 - 2, r1, i1 + 2, r2 - 1) if region.axis == "h" else (r1, j0 - 2, r2 - 1, j1 + 2)
+    else:
+        (oi0, oj0, oi1, oj1), hole = region.snapped_rects(K.level)
+        box = (oi0, oj0, oi1, oj1)
+    ii, jj = np.meshgrid(np.arange(box[0], box[2] + 1), np.arange(box[1], box[3] + 1))
+    image = np.isin(jj * 10 ** 6 + ii, K.cells() @ [1, 10 ** 6])
+    edge = (ii == box[0]) | (ii == box[2]) | (jj == box[1]) | (jj == box[3])
+    if isinstance(region, Strip):
+        a, b = (jj == box[1], jj == box[3]) if region.axis == "h" else (ii == box[0], ii == box[2])
+    else:
+        inside = (hole[0] <= ii) & (ii <= hole[2]) & (hole[1] <= jj) & (jj <= hole[3])
+        near = (hole[0] - 1 <= ii) & (ii <= hole[2] + 1) & (hole[1] - 1 <= jj) & (jj <= hole[3] + 1)
+        image &= ~inside
+        a, b = edge, near & ~inside
+    raw = ndimage.label(image, structure=np.ones((3, 3)))[0]
+    values, first = np.unique(raw.ravel(), return_index=True)
+    labels = np.full(raw.shape, -1)
+    for rank, v in enumerate(v for v in values[np.argsort(first)].tolist() if v):
+        labels[raw == v] = rank
+    crossing = set(labels[a & (labels >= 0)].tolist()) & set(labels[b & (labels >= 0)].tolist())
+    return {c: np.stack([ii[labels == c], jj[labels == c]], axis=1) for c in sorted(crossing)}, box
+
+
+def _groups_alone(pieces, delta, s, n_min):
+    """Single linkage by pairwise Hausdorff distance, groups of n_min or
+    more by smallest id."""
+    ids, seen, groups = sorted(pieces), set(), []
+    for root in ids:
+        if root in seen:
+            continue
+        group, todo = [], [root]
+        seen.add(root)
+        while todo:
+            a = todo.pop()
+            group.append(a)
+            for b in ids:
+                if b not in seen and hausdorff_distance(pieces[a], pieces[b], s) <= delta + 1e-9:
+                    seen.add(b)
+                    todo.append(b)
+        if len(group) >= n_min:
+            groups.append(sorted(group))
+    return groups
+
+
+def reference_same_level(K, params, delta):
+    """The same-level merge sets of the relation, region by region, in plain
+    tools: each region labelled alone, linkage by pairwise Hausdorff
+    distance, persistence from the region labelled alone one level finer,
+    and limit cells by brute-force centre distances."""
+    s, reach, kc = K.level.cell_size, int(np.ceil(delta / K.level.cell_size)) + 1, K.cells()
+    regions = []
+    if params.annulus_family != "rect-annuli-sampled":
+        regions += _strip_family(K)
+    if params.annulus_family != "strips-all-offsets":
+        regions += _annulus_family(K, params.stride)
+    out = []
+    for region in regions:
+        pieces, box = _alone(K, region)
+        groups = _groups_alone(pieces, delta, s, params.n_min)
+        if groups and params.multi_level:
+            K2 = rasterize(K.source, K.level.finer())
+            fine = _alone(K2, region)[0]
+            fine_groups = _groups_alone(fine, delta, K2.level.cell_size, params.n_min)
+        for group in groups:
+            if params.multi_level:
+                mine = {tuple(c) for m in group for c in pieces[m].tolist()}
+                if not any(tuple(c) in mine for h in fine_groups if len(h) >= len(group)
+                           for m in h for c in (fine[m] // K.level.base).tolist()):
+                    continue
+            cand = kc[(kc[:, 0] >= box[0] - reach) & (kc[:, 0] <= box[2] + reach)
+                      & (kc[:, 1] >= box[1] - reach) & (kc[:, 1] <= box[3] + reach)]
+            hits = sum((np.hypot(*(cand[:, None] - pieces[m][None]).transpose(2, 0, 1)).min(axis=1)
+                        * s <= delta + 1e-9) for m in group)
+            if (hits >= params.n_min).any():
+                out.append(cand[hits >= params.n_min])
+    return out
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["comb", "blob"]), st.sampled_from([4, 3, 2]),
+       st.sampled_from([3, 4]), st.sampled_from([4, 6, 3, 5, 2, 1]), st.sampled_from([True, False]),
+       st.sampled_from(["both", "strips-all-offsets", "rect-annuli-sampled"]),
+       st.sampled_from([2, 8]))
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_same_level_route_matches_the_per_region_reference(seed, kind, n, n_min, d, multi,
+                                                           family, stride):
+    """The batched same-level route against each region done alone.  The
+    deep split is kept out (deep_children 99), so the relation's merge sets
+    are the same-level ones, in order."""
+    K = rasterize(_random_fill(seed, kind, n + 1), Level(n, 2))
+    assume(not K.is_empty)
+    params = RelationParams(n_min=n_min, delta=d * K.level.cell_size, multi_level=multi,
+                            annulus_family=family, stride=stride, deep_levels=1,
+                            deep_children=99)
+    got = schoenflies_relation(K, params).merge_sets
+    want = reference_same_level(K, params, params.delta)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("gen,n", [("cantor_comb", 4), ("topologist_sine", 6),

@@ -141,6 +141,22 @@ def test_from_mask_trims_to_content():
         assert K.mask.flags.c_contiguous and np.array_equal(K.mask, want)
 
 
+@given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6)),
+       st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
+def test_is_empty_matches_the_mask_on_every_route(mask, origin):
+    """The cached answer equals a fresh scan of the mask, whether the raster
+    comes from from_mask, from_cells or the raw constructor, the empty and
+    zero-size masks included."""
+    level = Level(3, 2)
+    for K in (GridCompactum.from_mask(level, origin, mask),
+              GridCompactum.from_cells(level, pcx_grid._cells_of(mask, origin)),
+              GridCompactum(level, origin, mask),
+              GridCompactum(level, origin, np.zeros_like(mask)),
+              GridCompactum(level, origin, np.zeros((0, mask.shape[1]), dtype=bool))):
+        assert K.is_empty == (K.mask.size == 0 or not K.mask.any())
+        assert K.is_empty == K.is_empty  # the cached answer, read again
+
+
 def test_empty_raster():
     K = GridCompactum.from_cells(Level(2, 2), np.zeros((0, 2), dtype=np.int64))
     assert K.is_empty

@@ -178,6 +178,22 @@ def _linkage_reference(cells_of, delta, s):
     return groups
 
 
+def _linkage(regions, delta, s, at_least=1):
+    """The batched linkage over regions given as {id: cells} dicts, in
+    one call: each region's groups as lists of its ids."""
+    ids = [sorted(r) for r in regions]
+    sets = [np.asarray(r[c], dtype=np.int64).reshape(-1, 2) for r, i in zip(regions, ids) for c in i]
+    bounds = np.r_[0, np.cumsum([len(i) for i in ids])]
+    members, gb = _single_linkage(np.concatenate([np.zeros((0, 2), dtype=np.int64)] + sets),
+                                  np.array([len(c) for c in sets], dtype=np.int64), bounds,
+                                  delta, s, at_least)
+    flat, out = [c for i in ids for c in i], [[] for _ in regions]
+    for g in range(len(gb) - 1):
+        x = int(np.searchsorted(bounds, members[gb[g]], side="right")) - 1
+        out[x].append([flat[p] for p in members[gb[g]:gb[g + 1]].tolist()])
+    return out
+
+
 linkage_sets = st.dictionaries(
     st.integers(0, 40),
     st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
@@ -185,31 +201,36 @@ linkage_sets = st.dictionaries(
     max_size=6)
 
 
-@given(linkage_sets, st.sampled_from([2, 3]), st.integers(0, 5),
-       st.sampled_from([1.0, 2 ** 0.5, 2.0, 5 ** 0.5, 2.5]), st.integers(1, 4))
+@given(st.lists(linkage_sets, min_size=1, max_size=3), st.sampled_from([2, 3]),
+       st.integers(0, 5), st.sampled_from([1.0, 2 ** 0.5, 2.0, 5 ** 0.5, 2.5]),
+       st.integers(1, 4))
 @settings(max_examples=300, deadline=None)
-def test_single_linkage_matches_pairwise_hausdorff(sets, base, n, cells, at_least):
+def test_single_linkage_matches_pairwise_hausdorff(regions, base, n, cells, at_least):
     # delta on exact lattice distances (1, sqrt 2, 2, sqrt 5 cells) makes ties;
-    # the size gate keeps the groups of at least at_least ids
+    # the size gate keeps the groups of at least at_least ids.  The regions
+    # share one patch of the plane, and one call links each of them alone
     s = Level(n, base).cell_size
-    cells_of = {cid: np.array(c, dtype=np.int64) for cid, c in sets.items()}
-    groups = _single_linkage(cells_of, cells * s, s, at_least)
-    assert groups == [g for g in _linkage_reference(cells_of, cells * s, s)
-                      if len(g) >= at_least]
-    assert [g[0] for g in groups] == sorted(g[0] for g in groups)
-    assert all(g == sorted(g) for g in groups)
-    assert all(type(c) is int for g in groups for c in g)
+    cells_of = [{cid: np.array(c, dtype=np.int64) for cid, c in r.items()} for r in regions]
+    got = _linkage(cells_of, cells * s, s, at_least)
+    assert got == [[g for g in _linkage_reference(r, cells * s, s) if len(g) >= at_least]
+                   for r in cells_of]
+    for groups in got:
+        assert [g[0] for g in groups] == sorted(g[0] for g in groups)
+        assert all(g == sorted(g) for g in groups)
 
 
 def test_single_linkage_small_cases():
-    assert _single_linkage({}, 2 * S, S) == []
+    assert _linkage([{}], 2 * S, S) == [[]]
     one = {4: np.array([[0, 0], [5, 5]], dtype=np.int64)}
-    assert _single_linkage(one, 2 * S, S) == [[4]]
+    assert _linkage([one], 2 * S, S) == [[[4]]]
     # 7 and 3 lie within delta of each other cell for cell; every cell of 3
     # has a cell of 1 within delta, but cell (9, 9) of 1 has none of 3
     cells_of = {7: np.array([[0, 0], [0, 1]]), 3: np.array([[1, 0], [1, 1]]),
                 1: np.array([[2, 0], [2, 1], [9, 9]])}
-    assert _single_linkage(cells_of, S, S) == [[1], [3, 7]]
+    assert _linkage([cells_of], S, S) == [[[1], [3, 7]]]
+    # sets on the same cells in two regions never link across them
+    assert _linkage([one, {}, {0: one[4]}], 2 * S, S) == [[[4]], [], [[0]]]
+    assert _linkage([cells_of, cells_of], S, S, 2) == [[[3, 7]], [[3, 7]]]
 
 
 @given(st.lists(st.lists(st.tuples(*[st.integers(0, 12)] * 4), max_size=7), max_size=6),
@@ -429,7 +450,7 @@ def test_block_engine_matches_per_window_labelling(seed, f):
         regions.append(RectAnnulus(
             Box((i - o) * f * s, (j - o) * f * s, (i + o + 1) * f * s, (j + o + 1) * f * s),
             Box((i - h) * f * s, (j - h) * f * s, (i + h + 1) * f * s, (j + h + 1) * f * s)))
-    blocks = _BlockRegions().label(K, f, regions)
+    blocks = _BlockRegions().label(K, f, [_window(K, r) for r in regions])
     annuli = [t for t, r in enumerate(regions) if isinstance(r, RectAnnulus)]
     units = blocks.units(annuli)
     (ci, cj), width = blocks.corner, blocks.shape[1] * f
