@@ -22,7 +22,6 @@ partitions are byte-identical.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -193,32 +192,33 @@ def _annulus_family(K: GridCompactum, stride: int) -> list[RectAnnulus]:
 # ---------------------------------------------------------------------------
 # relation seeding
 
-def _crossing_pieces(blocks: _BlockRegions) -> tuple[Cells, np.ndarray, np.ndarray]:
+def _crossing_pieces(blocks: _BlockRegions) -> tuple[np.ndarray, Cells, np.ndarray,
+                                                     np.ndarray]:
     """The crossing pieces of a block labelling at f = 1, region by region
-    and by id: their cells, piece by piece and row-major (at f = 1 a region's
-    nodes run so), the count of each piece's cells, and the bounds of each
-    region's pieces."""
+    and by id: their components, their cells (piece by piece, row-major, as
+    a region's nodes run at f = 1) with the count of each piece's cells, and
+    the bounds of each region's pieces."""
     c = blocks.order[blocks.cross[blocks.order]]
     rank = np.full(len(blocks.cross), -1)
     rank[c] = np.arange(len(c))
     nodes = np.flatnonzero(blocks.cross[blocks.comp])
     nodes = nodes[np.argsort(rank[blocks.comp[nodes]], kind="stable")]
-    return (blocks.block(nodes), np.bincount(rank[blocks.comp[nodes]], minlength=len(c)),
+    return (c, blocks.block(nodes), np.bincount(rank[blocks.comp[nodes]], minlength=len(c)),
             np.r_[0, np.cumsum(blocks.counts)])
 
 
 def _clusters(K: GridCompactum, regions: Sequence[Region], windows: Sequence[_Window],
               params: RelationParams, delta: float) -> tuple[np.ndarray, list[Cells]]:
-    """The same-level merge sets of the given regions, with their windows
-    at K: the position of each set's region and the set's cells, row-major;
-    by region, then group by smallest id.  Three phases serve all regions
-    at once: the gated groups, from one labelling at f = 1 and one single
-    linkage; their persistence, from one labelling of the regions with a
-    group one level finer, one more linkage and one lookup of the parents;
+    """The same-level merge sets of the regions, with their windows at K:
+    the position of each set's region and its cells, row-major; by region,
+    then by smallest id.  Three phases serve all regions at once: the gated
+    groups of one labelling at f = 1, from one single linkage; the
+    persistence of every group, from one labelling one level finer of the
+    regions with a group, one more linkage and one lookup of the parents;
     and the limit cells, one support query per run of groups."""
     s, n_min = K.level.cell_size, params.n_min
     coarse = _BlockRegions().label(K, 1, windows)
-    cells, sizes, bounds = _crossing_pieces(coarse)
+    pieces, cells, sizes, bounds = _crossing_pieces(coarse)
     members, gb = _single_linkage(cells, sizes, bounds, delta, s, n_min)
     gs = np.diff(gb)
     gx = np.searchsorted(bounds, members[gb[:-1]], side="right") - 1
@@ -228,33 +228,28 @@ def _clusters(K: GridCompactum, regions: Sequence[Region], windows: Sequence[_Wi
         # of its members
         xs = np.unique(gx)
         K2 = rasterize(K.source, K.level.finer())
-        fine = _BlockRegions().label(K2, 1, [_window(K2, regions[x]) for x in xs.tolist()])
-        cells2, sizes2, bounds2 = _crossing_pieces(fine)
+        _, cells2, sizes2, bounds2 = _crossing_pieces(
+            _BlockRegions().label(K2, 1, [_window(K2, regions[x]) for x in xs.tolist()]))
         members2, gb2 = _single_linkage(cells2, sizes2, bounds2, delta, K2.level.cell_size, n_min)
-        del K2
-        at2, gs2 = np.cumsum(sizes2) - sizes2, np.diff(gb2)
-        u, q = _ranges(at2[members2], sizes2[members2])
-        h = np.repeat(np.arange(len(gs2)), gs2)[q]  # the fine group of each cell
+        u, h = _ranges((np.cumsum(sizes2) - sizes2)[members2], sizes2[members2])
+        h = np.searchsorted(gb2, h, side="right") - 1  # the fine group of each cell
         piece = coarse.at(xs[np.searchsorted(bounds2, members2[gb2[h]], side="right") - 1],
                           cells2[u] // K.level.base)
         group = np.full(len(coarse.cross) + 1, -1)  # the group of each piece; none at -1
-        group[coarse.order[coarse.cross[coarse.order]][members]] = \
-            np.repeat(np.arange(len(gs)), gs)
+        group[pieces[members]] = np.repeat(np.arange(len(gs)), gs)
         g = group[piece]
-        ok = np.zeros(len(gs), dtype=bool)
-        ok[g[(g >= 0) & (gs2[h] >= gs[g])]] = True
+        ok = np.isin(np.arange(len(gs)), g[(g >= 0) & (np.diff(gb2)[h] >= gs[g])])
         members, gs, gx = members[np.repeat(ok, gs)], gs[ok], gx[ok]
         gb = np.r_[0, np.cumsum(gs)]
     if not len(gs):
         return gx, []
     # each group's candidates: the cells of K near its region's window
     rx, gr = np.unique(gx, return_inverse=True)
-    kcells = K.cells()
-    pos, cb = _near_cells(kcells, np.array([windows[x].box for x in rx.tolist()]), delta, s)
-    limits = _limit_cells(kcells[pos], cb[gr], cb[gr + 1], cells, sizes, members, gb,
+    cand = [_near_cells(K, windows[x].box, delta, s) for x in rx.tolist()]
+    cb = np.r_[0, np.cumsum([len(c) for c in cand])]
+    limits = _limit_cells(np.concatenate(cand), cb[gr], cb[gr + 1], cells, sizes, members, gb,
                           (delta + 1e-9) / s, n_min)
-    full = np.array([len(c) > 0 for c in limits], dtype=bool)
-    return gx[full], [c for c in limits if len(c)]
+    return gx[[len(c) > 0 for c in limits]], [c for c in limits if len(c)]
 
 
 def _unit_pairs(blocks: _BlockRegions, ts: np.ndarray, coarse: _BlockRegions, factor: int,
@@ -344,27 +339,20 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
     emits its fracture locus: the cells touched by at least two fragments
     within delta, one connected patch per merge set.
 
-    The regions are counted in batches at the working level
-    (schoenflies._crossing_counts) and from one block labelling of the deep
-    raster (schoenflies._BlockRegions), and the gates read crossing counts,
-    in order: no coarse crossing, nothing; fewer than n_min crossing ids and
-    fewer than deep_children deep ones (deep counts are taken only for
-    regions with a coarse crossing), nothing.  The regions that pass a gate
-    are labelled together at the working level, by the same engine at
-    f = 1.  For the same-level route one bounding-box pass over them
-    (schoenflies._near) drops every region with fewer than n_min pieces
-    that have a near partner; only a region that is left is labelled alone
-    (schoenflies._region_core) for its pair query.  The deep split runs in
-    three batched phases (_fracture_loci): the (coarse piece, deep unit)
-    pairs of all its regions, read off the engines' components and first
-    pixels; one support query per run of regions with some _NODES pairs and
-    nodes, whose units, the engine's components or their annulus fusions,
-    no two regions share; and one labelling of all the loci, stacked as
-    tiles.  Both routes need K.source when they refine; without a source the
-    same-level route runs unfiltered and deep splitting is off.  A region is
-    labelled one level finer at most once, for all of its groups.  Merge
-    sets come in family order, a region's same-level sets before its deep
-    ones; `jobs` is accepted and has no effect.
+    No region is labelled alone.  Each window is built once, and the
+    regions are counted in batches at the working level
+    (schoenflies._crossing_counts): a region with fewer than n_min crossing
+    ids has no cluster, one with no crossing no witness.  Each route then
+    runs in three batched phases over the regions that pass its gate, from
+    block labellings (schoenflies._BlockRegions).  The same-level route
+    (_clusters) links the pieces of one labelling at f = 1, tests each
+    group's persistence against one labelling one level finer, and queries
+    the limit cells in runs.  The deep split (_fracture_loci) pairs coarse
+    pieces with the units of one deep labelling, queries the loci in runs
+    and labels them at once.  Both routes need K.source to refine; without
+    one, clusters are not filtered and deep splitting is off.  Merge sets
+    come by region in family order, a region's same-level sets (by smallest
+    id) before its deep ones; `jobs` is accepted and has no effect.
     """
     params = params or RelationParams()
     if K.is_empty:

@@ -497,26 +497,20 @@ def _near(box: np.ndarray, bounds: np.ndarray, delta: float, s: float) -> np.nda
 def _single_linkage(cells: Cells, sizes: np.ndarray, bounds: np.ndarray, delta: float,
                     s: float, at_least: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Single linkage at cut delta over the cell sets of many regions at
-    once: set p holds the next sizes[p] cells, region g the sets bounds[g]
-    .. bounds[g + 1] - 1.  The groups are the connected components of the
-    delta-graph, which joins two sets of one region when every cell of each
-    has a cell of the other within delta (symmetric Hausdorff distance <=
-    delta), that hold at least `at_least` sets: their sets ascending, and
-    the bounds of the groups, ordered by smallest set (by region, then by
-    smallest id).  One pair query finds the neighbours.  Only the cells of
-    sets with a near partner go to it, from regions with `at_least` such
-    sets; a region coordinate, 2 (delta + s) apart per region, keeps the
-    cells of two regions from ever pairing."""
-    m = len(sizes)
-    if not m:
-        return np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    at, region = np.cumsum(sizes) - sizes, np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    once (set p holds the next sizes[p] cells, region g the sets bounds[g]
+    .. bounds[g + 1] - 1): the connected components of the delta-graph,
+    which joins two sets of one region when every cell of each has a cell of
+    the other within delta (symmetric Hausdorff distance <= delta), that
+    hold at least `at_least` sets.  Their sets ascending, and the group
+    bounds, by smallest set.  One pair query takes the cells of the sets
+    with a near partner, from regions with `at_least` of them, and a region
+    coordinate 2 (delta + s) apart per region, so regions never pair."""
+    m, at = len(sizes), np.cumsum(sizes) - sizes
+    region = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
     near = _near(np.hstack([np.minimum.reduceat(cells, at), np.maximum.reduceat(cells, at)]),
                  bounds, delta, s)
     near &= (np.bincount(region[near], minlength=len(bounds) - 1) >= at_least)[region]
-    owner = np.repeat(np.arange(m), sizes)
-    keep = near[owner]
-    owner = owner[keep]
+    keep, owner = np.repeat(near, sizes), np.repeat(np.arange(m)[near], sizes[near])
     pts = np.hstack([(cells[keep] + 0.5) * s, region[owner, None] * (2 * (delta + s))])
     p, q = cKDTree(pts).query_pairs(delta + 1e-9, output_type="ndarray").T
     p, q = np.concatenate([p, q]), owner[np.concatenate([q, p])]
@@ -639,8 +633,7 @@ def _limit_cells(cand: Cells, c0: np.ndarray, c1: np.ndarray, cells: Cells, size
     units."""
     at, gs, nc, k = np.cumsum(sizes) - sizes, np.diff(gb), c1 - c0, np.broadcast_to(k, len(c0))
     out: list[Cells] = []
-    for ga, gz in _runs(nc * gs + np.bincount(np.repeat(np.arange(len(gs)), gs), sizes[members],
-                                              len(gs))):
+    for ga, gz in _runs(nc * gs + np.add.reduceat(sizes[members], gb[:-1])):
         rows, g = _ranges(c0[ga:gz], nc[ga:gz])
         g += ga
         pos, owner = _ranges(gb[g], gs[g])  # each row paired with each set of its group
@@ -653,21 +646,13 @@ def _limit_cells(cand: Cells, c0: np.ndarray, c1: np.ndarray, cells: Cells, size
     return out
 
 
-def _near_cells(kc: Cells, boxes: np.ndarray, delta: float, s: float) -> tuple[np.ndarray,
-                                                                               np.ndarray]:
-    """The cells of kc (row-major) within delta (plus a cell) of each box
-    (rows i0, j0, i1, j1, inclusive): their positions in kc, box by box and
-    row-major, and the bounds of each box's run.  A box row is one
-    searchsorted range of kc."""
-    reach = int(np.ceil(delta / s)) + 1
-    lo, hi = boxes[:, :2] - reach, boxes[:, 2:] + reach
-    row, b = _ranges(lo[:, 1], hi[:, 1] - lo[:, 1] + 1)
-    # row-major keys, columns clipped to a frame one wider than the boxes'
-    i0, w = lo[:, 0].min() - 1, hi[:, 0].max() - lo[:, 0].min() + 3
-    key = kc[:, 1] * w + (kc[:, 0] - i0).clip(0, w - 1)
-    start = np.searchsorted(key, row * w + lo[b, 0] - i0)
-    pos, x = _ranges(start, np.searchsorted(key, row * w + hi[b, 0] - i0, side="right") - start)
-    return pos, np.searchsorted(b[x], np.arange(len(boxes) + 1))
+def _near_cells(K: GridCompactum, box: tuple[int, int, int, int], delta: float,
+                s: float) -> Cells:
+    """The cells of K within delta (plus a cell) of a window's cells (i0,
+    j0, i1, j1), row-major."""
+    r = int(np.ceil(delta / s)) + 1
+    return _cells_of(_slab(K, box[0] - r, box[1] - r, box[2] + r, box[3] + r),
+                     (box[0] - r, box[1] - r))
 
 
 def crossing_components(K: GridCompactum, region: Region,
@@ -692,20 +677,18 @@ def crossing_components(K: GridCompactum, region: Region,
     # region (intersection mode reaches into K outside the region by delta;
     # difference mode stays inside the labeled window)
     if mode == "intersection":
-        kc = K.cells()
-        candidates = kc[_near_cells(kc, np.array([_window(K, region).box]), delta, s)[0]]
+        candidates = _near_cells(K, _window(K, region).box, delta, s)
     else:
         candidates = _cells_of(core.labels >= 0, core.origin)
-    ids, cells_of = np.array(core.crossing, dtype=np.int64), core.crossing_cells()
-    sizes = np.array([len(cells_of[c]) for c in core.crossing], dtype=np.int64)
-    cells = np.concatenate([np.zeros((0, 2), dtype=np.int64)] + list(cells_of.values()))
+    ids, sets = np.array(core.crossing, dtype=np.int64), list(core.crossing_cells().values())
+    sizes = np.array([len(c) for c in sets], dtype=np.int64)
+    cells = np.concatenate([np.zeros((0, 2), dtype=np.int64)] + sets)
     members, gb = _single_linkage(cells, sizes, np.array([0, len(ids)]), delta, s)
-    n = len(gb) - 1
-    limits = _limit_cells(candidates, np.zeros(n, dtype=np.int64), np.full(n, len(candidates)),
-                          cells, sizes, members, gb, (delta + 1e-9) / s,
-                          np.minimum(np.diff(gb), n_min))
+    gs = np.diff(gb)
+    limits = _limit_cells(candidates, np.zeros_like(gs), np.full_like(gs, len(candidates)), cells,
+                          sizes, members, gb, (delta + 1e-9) / s, np.minimum(gs, n_min))
     clusters = tuple(Cluster(tuple(ids[members[gb[g]:gb[g + 1]]].tolist()), limits[g])
-                     for g in range(n))
+                     for g in range(len(gs)))
     return CrossingReport(region, mode, K.level, core.snapped,
                           core.crossing, len(core.crossing), clusters)
 
