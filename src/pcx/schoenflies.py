@@ -548,20 +548,19 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _support(cells: Cells, f: int, bunit: np.ndarray, bcell: Cells, owner: np.ndarray,
              unit: np.ndarray, reach: float, k: int | np.ndarray,
              pixels: Callable[[np.ndarray], tuple] | None = None) -> np.ndarray:
-    """Mask of the cells that at least k (one for all, or one per cell) of
-    their pairs reach: pair p counts
-    for cells[owner[p]] when unit unit[p] has a fine cell centred within
-    `reach` fine cells of its centre (f fine cells per cell side).  Unit
-    bunit[q] has a fine cell in cell bcell[q]; pixels(qs) gives each such
-    fine cell of rows qs as the position in qs of its row and its row-major
-    index in the cell (for f = 1, None: the rows are the fine cells).  Each
-    unit a pair asks about has a row.  Exact in integers (see _spans): when
-    reach allows, a unit with a fine cell in the cell or a 4-neighbour
-    reaches it; then only the units of open pairs key their fine cells, some
-    _NODES at a time, and a row in reach is one column span, one
-    searchsorted in the sorted keys unit*H*W + row*W + col.  Units are any
-    integers, so one query answers many regions when each region's units
-    get ids of their own."""
+    """Mask of the cells that at least k of their pairs reach (k for all, or
+    per cell): pair p counts for cells[owner[p]] when unit unit[p] has a
+    fine cell centred within `reach` fine cells of its centre (f fine cells
+    per cell side).  Unit bunit[q] has a fine cell in cell bcell[q];
+    pixels(qs) gives each such fine cell of rows qs as the position in qs of
+    its row and its row-major index in the cell (for f = 1, None: the rows
+    are the fine cells).  Each unit a pair asks about has a row.  Exact in
+    integers (see _spans): when reach allows, a unit with a fine cell in the
+    cell or a 4-neighbour reaches it; then only the units of open pairs key
+    their fine cells, some _NODES at a time, and a row in reach is one
+    column span, one searchsorted in the sorted keys unit*H*W + row*W + col.
+    Units are any integers, so one query answers many regions when each
+    region's units get ids of their own."""
     lim, acc = int((2 * reach) ** 2), np.zeros(len(cells), dtype=np.int64)
     k = np.broadcast_to(k, len(cells))
     if not len(unit):
