@@ -13,7 +13,8 @@ the cluster limit cells for strips and square annuli in both modes,
 `schoenflies_relation` for a few parameter sets (a change in single linkage
 can show there while the closed classes hide it), and `close_equivalence` of
 seeded random merge sets on the carpet written as decompose JSON (which the
-CLI then compares), `schoenflies_scan` over windowed strips, including a
+CLI then compares, along with two documents that are no partition; stderr
+texts name the output directory as "{out}"), `schoenflies_scan` over windowed strips, including a
 window that does not contain K, the oracle route of `rasterize`: a
 fill-less box spec and its `transform_spec` images, and the loops and errors
 of `separating_curve` with the results and errors of `cut_wire`, and
@@ -119,6 +120,12 @@ CASES += [
     ("compare_closure_tol.json", ["compare", "--a", "{out}/closure_b.json",
                                   "--b", "{out}/closure_a.json",
                                   "--tol", repr(2 * 3.0 ** -4)]),
+    # documents that are no partition (written by _bad_documents): overlapping
+    # classes exit 3, and still do when the cells also span over the budget
+    ("error_compare_overlap.json", ["compare", "--a", "{out}/overlap.json",
+                                    "--b", "{out}/closure_a.json"]),
+    ("error_compare_overlap_far.json", ["compare", "--a", "{out}/overlap_far.json",
+                                        "--b", "{out}/overlap_far.json"]),
     ("error_nmin.json", ["decompose", "--gen", "bars", "--level", "3", "--nmin", "2"]),
     ("error_jobs.json", ["scan", "--gen", "bars", "--levels", "3", "--strip", "auto",
                          "--jobs", "0"]),
@@ -248,6 +255,14 @@ def _closures(out: Path) -> None:
                        ("closure_b.json", fine + merge_sets(K.count // 2, 2))):
         D = close_equivalence(K, RelationSeed(K.level, tuple(sets)))
         _dump_json(decomposition_to_payload(D), str(out / name))
+
+
+def _bad_documents(out: Path) -> None:
+    for name, classes in (("overlap.json", [[[0, 0], [1, 0]], [[1, 0]]]),
+                          ("overlap_far.json", [[[0, 0], [1, 0]],
+                                                [[1, 0], [10 ** 7, 10 ** 7]]])):
+        doc = {"level": 2, "base": 2, "classes": [{"cells": c} for c in classes]}
+        (out / name).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
 def _complement_scan(out: Path) -> None:
@@ -393,10 +408,11 @@ def emit(out: Path) -> None:
     manifest = {"pcx": str(Path(pcx.__file__).resolve().parent), "rc": {}, "stderr": {}}
     t0 = time.perf_counter()
     _closures(out)
+    _bad_documents(out)
     for name, argv in CASES:
         with contextlib.redirect_stderr(io.StringIO()) as err:
             manifest["rc"][name] = run(_argv(argv, out) + ["--out", str(out / name)])
-        manifest["stderr"][name] = err.getvalue()
+        manifest["stderr"][name] = err.getvalue().replace(str(out), "{out}")
     _complement_scan(out)
     _crossings(out)
     _relation_seeds(out)
