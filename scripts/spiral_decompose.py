@@ -28,16 +28,15 @@ def main() -> None:
     D = decompose(spec, level, jobs=args.jobs)
     dt = time.monotonic() - t0
 
-    sizes = np.array([c.size for c in D.classes])
-    diams = np.array([c.diameter for c in D.classes])
-    big = D.classes[int(diams.argmax())]
+    big = int(D.diameters.argmax())
+    cells = D.class_cells(big)
     print(f"spiral_disk at level {args.level} "
           f"(cell {s:.6g}): {D.cell_count} cells, "
-          f"{len(D.classes)} classes in {dt:.1f}s")
-    print(f"  singletons: {(sizes == 1).sum()}")
-    print(f"  largest class: size {big.size}, diameter {big.diameter:.4f} "
+          f"{D.class_count} classes in {dt:.1f}s")
+    print(f"  singletons: {(np.diff(D.bounds) == 1).sum()}")
+    print(f"  largest class: size {len(cells)}, diameter {D.diameters[big]:.4f} "
           f"(2 - 4s = {2 - 4 * s:.4f})")
-    rad = np.hypot(*((big.cells.astype(float) + 0.5) * s).T)
+    rad = np.hypot(*((cells.astype(float) + 0.5) * s).T)
     print(f"  its radial spread: [{rad.min():.4f}, {rad.max():.4f}] "
           "(should hug r = 1)")
 

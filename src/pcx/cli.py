@@ -166,12 +166,11 @@ def load_decomposition(path: str) -> Decomposition:
             raise ParseError(f"{path}: class {k} is not a non-empty list of integer cells")
     cells = np.concatenate([np.zeros((0, 2), dtype=np.int64)] + chunks)
     raw = np.repeat(np.arange(len(chunks)), [len(c) for c in chunks])
-    if len(np.unique(cells, axis=0)) != len(cells):
+    order = np.lexsort((cells[:, 0], cells[:, 1]))  # row-major, as from_cells has it
+    cells, raw = cells[order], raw[order]
+    if (cells[1:] == cells[:-1]).all(axis=1).any():  # checked before the budget
         raise ParseError(f"{path}: classes overlap — not a partition")
-    K = GridCompactum.from_cells(level, cells)
-    # realign raw ids with the row-major cell order from_cells produced
-    order = np.lexsort((cells[:, 0], cells[:, 1]))
-    return _partition_from_ids(K, cells[order], raw[order])
+    return _partition_from_ids(GridCompactum.from_cells(level, cells), cells, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +200,11 @@ def render_svg(K: GridCompactum, D: Decomposition | None = None) -> str:
     if D is None:
         groups: list[tuple[str, np.ndarray]] = [("#1a1a1a", K.cells())]
     else:
-        groups = [(_class_color(c.id), c.cells) for c in D.classes]
+        groups = [(_class_color(k), D.class_cells(k)) for k in range(D.class_count)]
     for color, cells in groups:
         lines.append(f'    <g fill="{color}">')
-        for i, j in cells:
-            lines.append(f'      <rect x="{int(i) - i0}" y="{j1 - int(j)}" '
-                         'width="1" height="1"/>')
+        lines += [f'      <rect x="{i - i0}" y="{j1 - j}" width="1" height="1"/>'
+                  for i, j in cells.tolist()]
         lines.append('    </g>')
     lines.append('  </g>')
     lines.append('</svg>')
@@ -269,12 +267,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.format == "svg":
         _emit_text(render_svg(K, D), args.out)
     elif args.format == "text":
-        lines = [f"{len(D.classes)} classes at level {K.level.n} "
+        lines = [f"{D.class_count} classes at level {K.level.n} "
                  f"(cell_size {K.level.cell_size:.8g})"]
-        for c in D.classes:
-            lines.append(f"  class {c.id}: size={c.size} "
-                         f"diameter={c.diameter:.8g} "
-                         f"rep=({c.representative[0]},{c.representative[1]})")
+        lines += [f"  class {c['id']}: size={c['size']} diameter={c['diameter']:.8g} "
+                  f"rep=({c['representative'][0]},{c['representative'][1]})"
+                  for c in D.to_dict()["classes"]]
         _emit_text("\n".join(lines) + "\n", args.out)
     else:
         _dump_json(decomposition_to_payload(D), args.out)
@@ -311,9 +308,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "a_refines_b": a_ref_b,
         "b_refines_a": b_ref_a,
         "equal": a_ref_b and b_ref_a and args.tol == 0.0,
-        "class_count_a": len(A.classes),
-        "class_count_b": len(B.classes),
-        "common_refinement_classes": len(common_refinement(A, B).classes),
+        "class_count_a": A.class_count,
+        "class_count_b": B.class_count,
+        "common_refinement_classes": common_refinement(A, B).class_count,
         "tol": args.tol,
     }
     _dump_json(payload, args.out)

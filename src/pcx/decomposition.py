@@ -22,8 +22,9 @@ partitions are byte-identical.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -95,14 +96,36 @@ class ClassInfo:
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
+    """A partition of K as columns: class k is grouped[bounds[k]:bounds[k + 1]],
+    its cells row-major, and diameters[k] is its diameter."""
     level: Level
     origin: tuple[int, int]
     class_map: np.ndarray  # int32 per cell; -1 outside K
-    classes: tuple[ClassInfo, ...]
+    grouped: Cells         # every cell, class by class
+    bounds: np.ndarray     # class_count + 1 offsets into grouped
+    diameters: np.ndarray  # float64 per class
+
+    @property
+    def class_count(self) -> int:
+        return len(self.bounds) - 1
 
     @property
     def cell_count(self) -> int:
-        return sum(c.size for c in self.classes)
+        return len(self.grouped)
+
+    def class_cells(self, k: int) -> Cells:
+        return self.grouped[self.bounds[k]:self.bounds[k + 1]]
+
+    def _rows(self) -> Iterator[tuple[int, int, list[int], float]]:
+        """(start, end, representative, diameter) per class, as Python values."""
+        b = self.bounds.tolist()
+        return zip(b, b[1:], self.grouped[self.bounds[:-1]].tolist(), self.diameters.tolist())
+
+    @functools.cached_property
+    def classes(self) -> tuple[ClassInfo, ...]:
+        """One ClassInfo per class, built on first read."""
+        return tuple(ClassInfo(k, tuple(r), self.grouped[i:j], j - i, d)
+                     for k, (i, j, r, d) in enumerate(self._rows()))
 
     def class_of(self, i: int, j: int) -> int:
         return int(_at(self.class_map, self.origin, i, j))
@@ -113,28 +136,19 @@ class Decomposition:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Decomposition):
             return NotImplemented
-        if self.level != other.level or len(self.classes) != len(other.classes):
-            return False
-        return all(np.array_equal(a.cells, b.cells)
-                   for a, b in zip(self.classes, other.classes))
+        return self.level == other.level and np.array_equal(self.bounds, other.bounds) \
+            and np.array_equal(self.grouped, other.grouped)
 
     def to_dict(self, include_cells: bool = False) -> dict:
-        classes = []
-        for c in self.classes:
-            row = {
-                "id": c.id,
-                "representative": list(c.representative),
-                "size": c.size,
-                "diameter": c.diameter,
-            }
-            if include_cells:
-                row["cells"] = c.cells.tolist()
-            classes.append(row)
+        cells = self.grouped.tolist() if include_cells else []
+        classes = [{"id": k, "representative": r, "size": j - i, "diameter": d}
+                   | ({"cells": cells[i:j]} if include_cells else {})
+                   for k, (i, j, r, d) in enumerate(self._rows())]
         return {
             "level": self.level.n,
             "base": self.level.base,
             "cell_size": self.level.cell_size,
-            "class_count": len(self.classes),
+            "class_count": self.class_count,
             "classes": classes,
         }
 
@@ -430,11 +444,8 @@ def _partition_from_ids(K: GridCompactum, cells: Cells,
     class_map[cells[:, 1] - oj, cells[:, 0] - oi] = class_ids.astype(np.int32)
 
     grouped, bounds = _group(class_ids, n, cells)
-    diams = diameters(grouped, bounds, K.level.cell_size).tolist()
-    reps, sizes = grouped[bounds[:-1]].tolist(), np.diff(bounds).tolist()
-    classes = tuple(ClassInfo(cid, tuple(reps[cid]), grouped[bounds[cid]:bounds[cid + 1]],
-                              sizes[cid], diams[cid]) for cid in range(n))
-    return Decomposition(K.level, K.origin, class_map, classes)
+    return Decomposition(K.level, K.origin, class_map, grouped, bounds,
+                         diameters(grouped, bounds, K.level.cell_size))
 
 
 def close_equivalence(K: GridCompactum, seed: RelationSeed) -> Decomposition:
@@ -453,9 +464,6 @@ def close_equivalence(K: GridCompactum, seed: RelationSeed) -> Decomposition:
     idxs = _at(index, K.origin, ms[:, 0], ms[:, 1])
     if (idxs < 0).any():
         raise GridError("merge set cell outside K")
-    if n == 0:
-        return Decomposition(K.level, K.origin,
-                             np.full(K.mask.shape, -1, dtype=np.int32), ())
     # a star per merge set: its first cell joined to each of its cells
     hubs = np.repeat(idxs[np.cumsum(sizes) - sizes], sizes)
     return _partition_from_ids(K, K.cells(), _components(n, hubs, idxs)[1])
@@ -507,7 +515,7 @@ def quotient_graph(K: GridCompactum, D: Decomposition) -> QuotientGraph:
     _check_partition(K, D)
     p, q, ids = _adjacencies(K, D)
     a, b = ids[p], ids[q]
-    n = len(D.classes)
+    n = D.class_count
     keys = np.unique((np.minimum(a, b) * n + np.maximum(a, b))[a != b])
     edges = np.stack([keys // n, keys % n], axis=1)
     comp_ids, count = _canonical(_components(n, a, b)[1])
@@ -516,13 +524,9 @@ def quotient_graph(K: GridCompactum, D: Decomposition) -> QuotientGraph:
                        for k in range(count))
     cells, cbounds = _group(comp_ids[ids], count, D.cells())
     comp_diams = tuple(diameters(cells, cbounds, K.level.cell_size).tolist())
-    reps = np.array([c.representative for c in D.classes],
-                    dtype=np.int64).reshape(n, 2)
-    return QuotientGraph(K.level, tuple(range(n)),
-                         tuple(c.size for c in D.classes),
-                         tuple(c.diameter for c in D.classes),
-                         reps, tuple(map(tuple, edges.tolist())),
-                         components, comp_diams)
+    return QuotientGraph(K.level, tuple(range(n)), tuple(np.diff(D.bounds).tolist()),
+                         tuple(D.diameters.tolist()), D.grouped[D.bounds[:-1]],
+                         tuple(map(tuple, edges.tolist())), components, comp_diams)
 
 
 def contract_degree_two(nodes: Iterable[int],
@@ -615,9 +619,9 @@ def monotone_check(K: GridCompactum, D: Decomposition) -> MonotoneReport:
     pieces = _components(len(ids), p[same], q[same])[1]
     # a class is one 8-connected piece when its cells share one piece label
     owners = np.unique(ids * len(ids) + pieces) // len(ids)
-    pieces_per_class = np.bincount(owners, minlength=len(D.classes))
+    pieces_per_class = np.bincount(owners, minlength=D.class_count)
     bad = tuple(np.flatnonzero(pieces_per_class > 1).tolist())
-    qcomp = _components(len(D.classes), ids[p], ids[q])[0]
+    qcomp = _components(D.class_count, ids[p], ids[q])[0]
     return MonotoneReport(not bad, bad, qcomp, _label_mask(K.mask, 8)[1])
 
 
@@ -696,20 +700,19 @@ def refines(D1: Decomposition, D2: Decomposition, tol: float = 0.0) -> bool:
     D2 class as long as every cell center stays within tol of it.
     """
     ids1, ids2 = _same_cells(D1, D2)
-    n2 = len(D2.classes) + 1
+    n2 = D2.class_count + 1
     pairs = np.unique(ids1 * n2 + ids2)
     owner = pairs // n2
-    split = np.flatnonzero(np.bincount(owner, minlength=len(D1.classes)) > 1)
+    split = np.flatnonzero(np.bincount(owner, minlength=D1.class_count) > 1)
     if len(split) and tol <= 0:
         return False
     s = D1.level.cell_size
-    bounds = np.searchsorted(owner, np.arange(len(D1.classes) + 1))
+    bounds = np.searchsorted(owner, np.arange(D1.class_count + 1))
     for c1 in split.tolist():
-        c = D1.classes[c1]
         ok = False
-        pts = (c.cells.astype(np.float64) + 0.5) * s
+        pts = (D1.class_cells(c1).astype(np.float64) + 0.5) * s
         for cand in pairs[bounds[c1]:bounds[c1 + 1]] % n2:
-            host = (D2.classes[int(cand)].cells.astype(np.float64) + 0.5) * s
+            host = (D2.class_cells(int(cand)).astype(np.float64) + 0.5) * s
             d = cKDTree(host).query(pts)[0]
             if (d <= tol + 1e-9).all():
                 ok = True
@@ -722,6 +725,6 @@ def refines(D1: Decomposition, D2: Decomposition, tol: float = 0.0) -> bool:
 def common_refinement(D1: Decomposition, D2: Decomposition) -> Decomposition:
     """Classes are the nonempty pairwise intersections of D1 and D2 classes."""
     ids1, ids2 = _same_cells(D1, D2)
-    keys = ids1 * (len(D2.classes) + 1) + ids2
+    keys = ids1 * (D2.class_count + 1) + ids2
     K = GridCompactum.from_cells(D1.level, D1.cells())
     return _partition_from_ids(K, K.cells(), keys)

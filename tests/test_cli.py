@@ -16,7 +16,9 @@ from hypothesis import example, given, strategies as st
 
 import pcx
 from pcx import GridCompactum, Level, parse_pbm, rasterize, from_pbm
-from pcx.cli import build_parser, json_text, load_decomposition, render_svg, run
+from pcx import decomposition
+from pcx.cli import (build_parser, decomposition_to_payload, json_text, load_decomposition,
+                     render_svg, run)
 
 
 def run_to_file(tmp_path, name, argv):
@@ -304,6 +306,47 @@ def test_compare_refuses_cells_spanning_over_budget(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("pcx: error:") and "budget" in err
     assert len(err.splitlines()) == 1
+
+
+def test_compare_reports_an_overlap_before_the_cell_budget(tmp_path, capsys):
+    """Overlapping classes whose cells also span over the budget are no
+    partition (exit 3): the overlap is found before any raster is sized."""
+    doc = {"level": 2, "base": 2, "classes": [
+        {"cells": [[0, 0], [1, 0]]}, {"cells": [[1, 0], [10 ** 7, 10 ** 7]]}]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["compare", "--a", str(bad), "--b", str(bad)]) == 3
+    assert capsys.readouterr().err == \
+        f"pcx: input error: {bad}: classes overlap — not a partition\n"
+
+
+def test_compare_quotient_and_emitters_build_no_class_info(tmp_path, monkeypatch):
+    """compare (with and without --tol), the decompose payload, quotient_graph,
+    monotone_check and render_svg read the class columns: none of them builds
+    a ClassInfo."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ClassInfo was built")
+
+    monkeypatch.setattr(decomposition, "ClassInfo", refuse)
+    comb = ["--gen", "cantor_comb", "--level", "3"]
+    a = run_to_file(tmp_path, "a.json", ["decompose", *comb, "--no-multi-level"])
+    b = run_to_file(tmp_path, "b.json", ["decompose", *comb, "--nmin", "3", "--delta",
+                                         repr(3 * 3.0 ** -3), "--family",
+                                         "strips-all-offsets"])
+    for tol in ([], ["--tol", "0.2"]):
+        verdict = load_json(run_to_file(tmp_path, "cmp.json",
+                                        ["compare", "--a", str(a), "--b", str(b), *tol]))
+        assert not verdict["equal"]
+    # b's classes split over a's, so the --tol run measures them against a's
+    assert verdict["a_refines_b"] and not verdict["b_refines_a"]
+    D = load_decomposition(str(a))
+    K = GridCompactum.from_cells(D.level, D.cells())
+    assert decomposition_to_payload(D)["class_count"] == D.class_count
+    assert len(decomposition.quotient_graph(K, D).nodes) == D.class_count
+    assert decomposition.monotone_check(K, D).ok
+    assert render_svg(K, D).count("<rect") == D.cell_count
+    with pytest.raises(AssertionError, match="ClassInfo"):
+        D.classes
 
 
 @pytest.mark.parametrize("edit", [

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
@@ -38,6 +40,8 @@ from pcx import (
 )
 
 from pcx import decomposition, schoenflies
+from pcx.cli import decomposition_to_payload, json_text, load_decomposition
+from pcx.decomposition import ClassInfo
 from pcx.decomposition import _annulus_family, _fracture_loci, _strip_family, _unit_pairs
 from pcx.grid import _canonical, _cells_by_label, _label_mask, _slab, coarsen
 from pcx.schoenflies import RectAnnulus, _BlockRegions, _crossing_counts, _region_core, _window
@@ -205,6 +209,75 @@ def test_closure_rejects_empty_and_stray_merge_sets():
         with pytest.raises(GridError):
             close_equivalence(E, RelationSeed(LVL, (bad,)))
     assert close_equivalence(E, RelationSeed(LVL, ())).classes == ()
+
+
+_CORNERS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int64)
+
+
+def eager_classes(D: Decomposition) -> list[tuple]:
+    """(id, representative, cells, size, diameter) of every class, rebuilt
+    from class_map alone: cells row-major, the diameter as the largest
+    distance between two cell corners."""
+    js, is_ = np.nonzero(D.class_map >= 0)
+    ids = D.class_map[js, is_]
+    cells = np.stack([is_ + D.origin[0], js + D.origin[1]], axis=1).astype(np.int64)
+    rows = []
+    for k in range(int(ids.max()) + 1 if len(ids) else 0):
+        c = cells[ids == k]
+        corners = (c[:, None] + _CORNERS).reshape(-1, 2) * D.level.cell_size
+        diam = np.sqrt(((corners[:, None] - corners[None]) ** 2).sum(axis=2)).max()
+        rows.append((k, (int(c[0, 0]), int(c[0, 1])), c, len(c), float(diam)))
+    return rows
+
+
+index_lists = st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=8),
+                       max_size=14)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.1, 0.5, 0.9]), index_lists,
+       index_lists, st.booleans(), st.sampled_from([LVL, Level(3, 3)]),
+       st.sampled_from(["close", "round trip", "common refinement"]))
+@example(0, 0.0, [], [], False, LVL, "close")
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_lazy_classes_match_an_eager_reference(seed, density, picks_a, picks_b, whole, level,
+                                               route):
+    """D.classes, built on first read from the class columns, equals the
+    ClassInfo tuple the closure built eagerly before: field by field, with
+    types and dtypes.  The raster is a random 12 x 12 mask; `whole` glues
+    every cell into one class, which can be over the 64 cells past which the
+    diameter kernel first cuts a class to its row extremes."""
+    mask = np.random.default_rng(seed).random((12, 12)) < density
+    cells = sort_cells(np.argwhere(mask) - 6)
+    K = GridCompactum.from_cells(level, cells)
+
+    def closure(picks) -> Decomposition:
+        sets = [cells[np.array(p) % len(cells)] for p in picks] if len(cells) else []
+        return close_equivalence(K, RelationSeed(level, tuple(sets)))
+
+    D = closure(picks_a + ([list(range(len(cells)))] if whole and len(cells) else []))
+    if route == "round trip":
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.json"
+            path.write_text(json_text(decomposition_to_payload(D)), encoding="utf-8")
+            D = load_decomposition(str(path))
+    elif route == "common refinement":
+        D = common_refinement(D, closure(picks_b))
+    want = eager_classes(D)
+    if not len(cells):
+        assert D.classes == () and want == []
+    reps = [(j, i) for _, (i, j), *_ in want]
+    assert reps == sorted(reps)  # ids ascend with the smallest row-major cell
+    assert type(D.classes) is tuple and len(D.classes) == len(want) == D.class_count
+    for c, (k, rep, cls_cells, size, diam) in zip(D.classes, want):
+        assert type(c) is ClassInfo
+        assert type(c.id) is int and c.id == k
+        assert type(c.representative) is tuple and c.representative == rep
+        assert all(type(v) is int for v in c.representative)
+        assert c.cells.dtype == np.int64 and np.array_equal(c.cells, cls_cells)
+        assert c.cells.shape == cls_cells.shape
+        assert type(c.size) is int and c.size == size
+        assert type(c.diameter) is float and c.diameter == diam
+    assert D.classes is D.classes  # built once
 
 
 # ---------------------------------------------------------------------------
