@@ -85,7 +85,7 @@ class RelationSeed:
         }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ClassInfo:
     id: int
     representative: tuple[int, int]  # smallest row-major cell
