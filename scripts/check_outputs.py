@@ -13,13 +13,13 @@ the cluster limit cells for strips and square annuli in both modes,
 `schoenflies_relation` for a few parameter sets (a change in single linkage
 can show there while the closed classes hide it), and `close_equivalence` of
 seeded random merge sets on the carpet written as decompose JSON (which the
-CLI then compares, along with two documents that are no partition; stderr
-texts name the output directory as "{out}"), `schoenflies_scan` over windowed strips, including a
-window that does not contain K, the oracle route of `rasterize`: a
-fill-less box spec and its `transform_spec` images, and the loops and errors
-of `separating_curve` with the results and errors of `cut_wire`, and
-`peano_check` over same-base quotient graphs of four sets.  Every output
-file, exit code and stderr text is compared byte for byte.
+CLI then compares, along with two documents that are no partition),
+`schoenflies_scan` over windowed strips, including a window that does not
+contain K, the oracle route of `rasterize`: a fill-less box spec and its
+`transform_spec` images, and the loops and errors of `separating_curve` with
+the results and errors of `cut_wire`, and `peano_check` over same-base
+quotient graphs of four sets.  Every output file, exit code and stderr text
+is compared byte for byte; stderr texts name the output directory "{out}".
 Prints one line per output and exits 0 when all are identical, 1 otherwise.
 Each checkout takes about 15 s on a 2-core machine.
 
@@ -258,6 +258,8 @@ def _closures(out: Path) -> None:
 
 
 def _bad_documents(out: Path) -> None:
+    """Decompose documents whose classes overlap: two cells, and two cells
+    plus one that puts the span over the cell budget."""
     for name, classes in (("overlap.json", [[[0, 0], [1, 0]], [[1, 0]]]),
                           ("overlap_far.json", [[[0, 0], [1, 0]],
                                                 [[1, 0], [10 ** 7, 10 ** 7]]])):
