@@ -49,14 +49,18 @@ ROOT = Path(__file__).resolve().parents[1]
 # (name, argv); "{out}" expands to the output directory.  Every case gets
 # `--out {out}/<name>` appended, so outputs never go through stdout.  A
 # spiral case without --t-max gets a short arm (--t-max 6): the default
-# arm's fill would dominate the run, so only one case keeps it.
+# arm's fill would dominate the run, so only one case keeps it.  Two more
+# spiral rasters reach a deeper level and the longest arm the CLI admits.
 _GEN_LEVELS = (("cantor_comb", 3), ("topologist_sine", 5), ("spiral_disk", 5),
                ("sierpinski_carpet", 3), ("unit_square", 4), ("bars", 4))
 _DECOMPOSE = (("cantor_comb", 3), ("topologist_sine", 5), ("spiral_disk", 4),
               ("sierpinski_carpet", 2), ("unit_square", 3), ("bars", 4))
 CASES: list[tuple[str, list[str]]] = [
     ("gen_spiral_default.pbm", ["gen", "--gen", "spiral_disk", "--level", "4",
-                                "--t-max", "40"])]
+                                "--t-max", "40"]),
+    ("gen_spiral_L9.pbm", ["gen", "--gen", "spiral_disk", "--level", "9"]),
+    ("gen_spiral_L7_t100.pbm", ["gen", "--gen", "spiral_disk", "--level", "7",
+                                "--t-max", "100"])]
 for _g, _n in _GEN_LEVELS:
     CASES.append((f"gen_{_g}.pbm", ["gen", "--gen", _g, "--level", str(_n)]))
     CASES.append((f"components_{_g}.json",
