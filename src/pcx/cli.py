@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 import zlib
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -158,14 +159,18 @@ def load_decomposition(path: str) -> Decomposition:
         if type(n) is not int or type(base) is not int:
             raise ParseError(f"{path}: level and base must be JSON integers")
         level = Level(n, base)
-        chunks = [np.asarray(cls["cells"]).reshape(-1, 2) for cls in data["classes"]]
+        lists = [cls["cells"] for cls in data["classes"]]
+        flat = list(chain.from_iterable(lists))
+        kinds = set(map(type, chain.from_iterable(flat)))
+        cells = np.array(flat, dtype=None if flat else np.int64).reshape(len(flat), 2)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path} is not a decomposition document: {exc}") from exc
-    for k, c in enumerate(chunks):  # no float, bool or over-int64 cells, no empty class
-        if c.dtype.kind != "i" or len(c) == 0:
-            raise ParseError(f"{path}: class {k} is not a non-empty list of integer cells")
-    cells = np.concatenate([np.zeros((0, 2), dtype=np.int64)] + chunks)
-    raw = np.repeat(np.arange(len(chunks)), [len(c) for c in chunks])
+    if kinds - {int} or cells.dtype.kind != "i" or not all(lists):
+        # no float, bool or over-int64 cells, no empty class: name the first culprit
+        k = next(k for k, c in enumerate(lists) if not c or np.asarray(c).dtype.kind != "i"
+                 or set(map(type, chain.from_iterable(c))) - {int})
+        raise ParseError(f"{path}: class {k} is not a non-empty list of integer cells")
+    raw = np.repeat(np.arange(len(lists)), [len(c) for c in lists])
     order = np.lexsort((cells[:, 0], cells[:, 1]))  # row-major, as from_cells has it
     cells, raw = cells[order], raw[order]
     if (cells[1:] == cells[:-1]).all(axis=1).any():  # checked before the budget

@@ -253,11 +253,12 @@ def topologist_sine() -> SetSpec:
 # spiral accumulating on the unit circle, glued to the closed unit disk
 
 _SPIRAL_STEP = 2.0 ** -12 / 3.0  # canonical arc step shared by all levels
+_SPIRAL_LEVEL = 12  # above 11, the deepest level the cell budget admits on the spiral box
 
 
-@lru_cache(maxsize=4)
-def _spiral_samples(t_max: float) -> np.ndarray:
-    chunks = []
+def _spiral_points(t_max: float):
+    """The canonical spiral samples in arc order: one (m, 2) chunk per unit
+    of t, then the end point."""
     t = 0.0
     while t < t_max:
         t2 = min(t + 1.0, t_max)
@@ -265,11 +266,25 @@ def _spiral_samples(t_max: float) -> np.ndarray:
         ts = np.arange(t, t2, _SPIRAL_STEP / speed)
         r = 1.0 + np.exp(-ts)
         th = 2.0 * np.pi * ts
-        chunks.append(np.stack([r * np.cos(th), r * np.sin(th)], axis=1))
+        yield np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
         t = t2
     r_end = 1.0 + math.exp(-t_max)
     th_end = 2.0 * math.pi * t_max
-    chunks.append(np.array([[r_end * math.cos(th_end), r_end * math.sin(th_end)]]))
+    yield np.array([[r_end * math.cos(th_end), r_end * math.sin(th_end)]])
+
+
+@lru_cache(maxsize=4)
+def _spiral_cells(t_max: float) -> np.ndarray:
+    """Level-12 cells (i, j) of the spiral samples in arc order, one per run of
+    samples in one cell: read-only int32 (n, 2), 1.6 / 9.4 / 23 MiB at t_max
+    6 / 40 / 100.  x * 2**12 is exact in binary floating point, so the cells
+    at level n <= 12 are floor(x * 2**12) >> (12 - n) == floor(x * 2**n)."""
+    chunks, last = [], np.iinfo(np.int64).min  # the key of no cell
+    for pts in _spiral_points(t_max):
+        cells = np.floor(pts * 2.0 ** _SPIRAL_LEVEL).astype(np.int32)
+        key = cells.view(np.int64)[:, 0]  # both coordinates of a cell in one word
+        chunks.append(cells[np.diff(key, prepend=last) != 0])
+        last = key[-1]
     out = np.concatenate(chunks)
     out.setflags(write=False)
     return out
@@ -288,20 +303,19 @@ def spiral_disk(t_max: float = 40.0) -> SetSpec:
         s = level.cell_size
         i0, j0, i1, j1 = window_cell_range(bbox, level)
         mask = np.zeros((j1 - j0 + 1, i1 - i0 + 1), dtype=bool)
-        # disk: positive-area overlap <=> nearest point of the cell box < 1
+        # disk: positive-area overlap <=> nearest point of the cell box < 1,
+        # written into its di x di block of the mask in bands of rows
         di = np.arange(int(np.floor(-1.0 / s)) - 1, int(np.ceil(1.0 / s)) + 1)
-        xs_lo, xs_hi = di * s, (di + 1) * s
-        nearest_x = np.clip(0.0, xs_lo, xs_hi)
-        ny = np.clip(0.0, xs_lo, xs_hi)  # same coordinates vertically
-        d2 = nearest_x[None, :] ** 2 + ny[:, None] ** 2
-        jj, ii = np.nonzero(d2 < 1.0)
-        mask[di[jj] - j0, di[ii] - i0] = True
-        # spiral: canonical sample cloud shared across levels so coarsening
-        # one level equals rasterizing at the parent level; repeated cells
-        # just set the same entry again, so no deduplication is needed
-        pts = _spiral_samples(t_max)
-        idx = np.floor(pts / s).astype(np.int64)
-        mask[idx[:, 1] - j0, idx[:, 0] - i0] = True
+        nearest2 = np.clip(0.0, di * s, (di + 1) * s) ** 2  # same on both axes
+        block = mask[di[0] - j0:di[-1] - j0 + 1, di[0] - i0:di[-1] - i0 + 1]
+        for r in range(0, len(di), 128):
+            block[r:r + 128] = nearest2[None, :] + nearest2[r:r + 128, None] < 1.0
+        # spiral: the cached level-12 cells shifted to this level, so
+        # coarsening one level equals rasterizing at the parent level;
+        # repeated cells just set the same entry again
+        cells = _spiral_cells(t_max) >> (_SPIRAL_LEVEL - level.n)
+        cells -= np.array([i0, j0], dtype=np.int32)
+        mask[cells[:, 1], cells[:, 0]] = True
         return (i0, j0), mask
 
     return SetSpec("spiral_disk", bbox, fill=fill)

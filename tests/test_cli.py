@@ -356,8 +356,10 @@ def test_compare_quotient_and_emitters_build_no_class_info(tmp_path, monkeypatch
     lambda doc: doc.__setitem__("level", 1.7),
     lambda doc: doc.__setitem__("base", 2.0),
     lambda doc: doc["classes"].append({"cells": []}),
+    lambda doc: doc["classes"][0]["cells"].append([True, False]),
+    lambda doc: doc["classes"][0].__setitem__("cells", [[5, 5, 5], [6, 6, 6]]),
 ], ids=["huge-cell", "float-cell", "bool-cell", "float-level", "float-base",
-        "empty-class"])
+        "empty-class", "bool-among-int-cells", "three-value-cells"])
 def test_compare_refuses_documents_it_cannot_round_trip(tmp_path, capsys, edit):
     good = run_to_file(tmp_path, "good.json",
                        ["decompose", "--gen", "bars", "--level", "2"])

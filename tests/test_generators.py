@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pcx import (
     GENERATOR_NAMES,
+    Box,
     GeneratorParams,
     GridError,
     Level,
@@ -19,7 +21,9 @@ from pcx import (
     make_spec,
     parse_pbm,
     rasterize,
+    window_cell_range,
 )
+from pcx import generators
 
 from conftest import ternary_intervals
 
@@ -161,6 +165,90 @@ def test_spiral_is_deterministic():
     a = rasterize(spec_for("spiral_disk"), Level(5, 2))
     b = rasterize(spec_for("spiral_disk"), Level(5, 2))
     assert a == b
+
+
+def _float_spiral(t_max):
+    """The spiral samples as float64 points: one chunk of arc per unit of t
+    at the canonical step, then the end point."""
+    step, chunks, t = 2.0 ** -12 / 3.0, [], 0.0
+    while t < t_max:
+        t2 = min(t + 1.0, t_max)
+        speed = math.sqrt(math.exp(-2 * t) + 4 * math.pi ** 2 * (1 + math.exp(-t)) ** 2)
+        ts = np.arange(t, t2, step / speed)
+        r, th = 1.0 + np.exp(-ts), 2.0 * np.pi * ts
+        chunks.append(np.stack([r * np.cos(th), r * np.sin(th)], axis=1))
+        t = t2
+    r, th = 1.0 + math.exp(-t_max), 2.0 * math.pi * t_max
+    chunks.append(np.array([[r * math.cos(th), r * math.sin(th)]]))
+    return np.concatenate(chunks)
+
+
+def _reference_disk(n):
+    """The unit disk at level n over the spiral box: the cells whose box has
+    its nearest point to the centre at distance < 1."""
+    lvl = Level(n, 2)
+    s = lvl.cell_size
+    i0, j0, i1, j1 = window_cell_range(Box(-17 / 8, -17 / 8, 17 / 8, 17 / 8), lvl)
+    mask = np.zeros((j1 - j0 + 1, i1 - i0 + 1), dtype=bool)
+    di = np.arange(int(np.floor(-1.0 / s)) - 1, int(np.ceil(1.0 / s)) + 1)
+    nearest = np.clip(0.0, di * s, (di + 1) * s)
+    for rows in np.array_split(np.arange(len(di)), 1 + len(di) // 256):
+        mask[np.ix_(di[rows] - j0, di - i0)] = \
+            nearest[None, :] ** 2 + nearest[rows, None] ** 2 < 1.0
+    return (i0, j0), mask
+
+
+def test_spiral_fill_matches_the_float_samples():
+    """Each fill equals the disk plus floor(pts / s) of the float samples, at
+    every level the cell budget admits; and the cached cells are the samples'
+    level-12 cells with each run of one cell kept once, in arc order."""
+    disks = {n: _reference_disk(n) for n in range(1, 12)}
+    for t_max, levels in ((1.5, disks), (6.0, disks), (40.0, disks), (100.0, (3, 10))):
+        pts = _float_spiral(t_max)
+        if t_max < 40:
+            ref = np.floor(pts * 2.0 ** 12).astype(np.int32)
+            keep = np.r_[True, (ref[1:] != ref[:-1]).any(axis=1)]
+            got = generators._spiral_cells(t_max)
+            assert got.dtype == np.int32 and np.array_equal(got, ref[keep]), t_max
+            del ref, keep, got
+        fill = spec_for("spiral_disk", t_max=t_max).fill
+        for n in levels:
+            (i0, j0), mask = disks[n]
+            mask, width = mask.copy(), mask.shape[1]
+            for part in np.array_split(pts, 1 + len(pts) // 2 ** 20):
+                ij = np.floor(part / Level(n, 2).cell_size)  # flat index of (i, j):
+                mask.ravel()[(ij @ [1.0, width] - (i0 + j0 * width)).astype(np.intp)] = True
+            got_origin, got_mask = fill(Level(n, 2))
+            assert got_origin == (i0, j0) and got_mask.dtype == bool, (t_max, n)
+            assert got_mask.shape == mask.shape, (t_max, n)
+            assert not np.logical_xor(got_mask, mask, out=mask).any(), (t_max, n)
+            del mask, got_mask
+
+
+def test_spiral_level_12_is_over_the_cell_budget(monkeypatch):
+    """The cached cells are at level 12, which no spiral raster reaches:
+    the cell budget stops rasterize there even when the level cap allows it."""
+    monkeypatch.setenv("PCX_MAX_LEVEL", "12")
+    with pytest.raises(GridError, match="over the budget"):
+        rasterize(spec_for("spiral_disk", t_max=1.5), Level(12, 2))
+
+
+def test_spiral_fill_memory():
+    """The cached cells are int32, read-only and small; a warm fill holds one
+    shifted copy of them, and building them holds a few arrays their size."""
+    cells = generators._spiral_cells(40.0)
+    assert cells.dtype == np.int32 and not cells.flags.writeable
+    assert cells.nbytes <= 12 * 2 ** 20
+    fill = spec_for("spiral_disk", t_max=40.0).fill
+    tracemalloc.start()
+    try:
+        fill(Level(7, 2))
+        assert tracemalloc.get_traced_memory()[1] < 16 * 2 ** 20
+        tracemalloc.reset_peak()
+        generators._spiral_cells.__wrapped__(40.0)  # a cold build, cache untouched
+        assert tracemalloc.get_traced_memory()[1] < 32 * 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_random_compactum_seeding():
