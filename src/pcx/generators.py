@@ -257,8 +257,7 @@ _SPIRAL_LEVEL = 12  # above 11, the deepest level the cell budget admits on the 
 
 
 def _spiral_points(t_max: float):
-    """The canonical spiral samples in arc order: one (m, 2) chunk per unit
-    of t, then the end point."""
+    """The spiral samples in arc order: one (m, 2) chunk per unit of t, then the end point."""
     t = 0.0
     while t < t_max:
         t2 = min(t + 1.0, t_max)
@@ -313,9 +312,11 @@ def spiral_disk(t_max: float = 40.0) -> SetSpec:
         # spiral: the cached level-12 cells shifted to this level, so
         # coarsening one level equals rasterizing at the parent level;
         # repeated cells just set the same entry again
-        cells = _spiral_cells(t_max) >> (_SPIRAL_LEVEL - level.n)
-        cells -= np.array([i0, j0], dtype=np.int32)
-        mask[cells[:, 1], cells[:, 0]] = True
+        k, cells, width = _SPIRAL_LEVEL - level.n, _spiral_cells(t_max), mask.shape[1]
+        flat = (cells[:, 1] >> k) * width  # int32: the cell budget keeps it below 10**8
+        flat += cells[:, 0] >> k
+        flat -= j0 * width + i0
+        mask.ravel()[flat] = True
         return (i0, j0), mask
 
     return SetSpec("spiral_disk", bbox, fill=fill)
