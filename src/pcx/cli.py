@@ -26,7 +26,7 @@ from .decomposition import (Decomposition, RelationParams, _check_partition,
 from .generators import (GENERATOR_NAMES, GeneratorParams, ParseError,
                          emit_pbm, from_pbm, make_spec)
 from .grid import (DepthExceeded, GridCompactum, GridError, Level, SetSpec,
-                   WindowError, label_components, rasterize)
+                   WindowError, label_components, max_level, rasterize)
 from .schoenflies import Strip, default_strip_family, schoenflies_scan
 
 SCHEMA = "pcx/1"
@@ -44,7 +44,7 @@ def _parse_levels(text: str) -> tuple[int, ...]:
             lo, hi = int(a), int(b)
             if hi < lo:
                 raise ValueError(f"empty level range {tok!r}")
-            out.extend(range(lo, hi + 1))
+            out.extend(range(lo, max(lo, min(hi, max_level() + 1)) + 1))  # scans fail past it
         else:
             out.append(int(tok))
     if not out or any(n < 0 for n in out):

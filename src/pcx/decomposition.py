@@ -34,8 +34,7 @@ from .grid import (Box, Cells, GridCompactum, GridError, Level, SetSpec,
                    _label_mask, diameters, max_level, rasterize)
 from .schoenflies import (RectAnnulus, Region, Strip, _band_strips, _BlockRegions,
                           _crossing_counts, _limit_cells, _near_cells, _ranges, _runs,
-                          _single_linkage, _support, _strictly_increasing_tail, _window,
-                          _Window)
+                          _single_linkage, _support, _strictly_increasing_tail, _window)
 
 _FAMILIES = ("strips-all-offsets", "rect-annuli-sampled", "both")
 
@@ -221,17 +220,17 @@ def _crossing_pieces(blocks: _BlockRegions) -> tuple[np.ndarray, Cells, np.ndarr
             np.r_[0, np.cumsum(blocks.counts)])
 
 
-def _clusters(K: GridCompactum, regions: Sequence[Region], windows: Sequence[_Window],
+def _clusters(K: GridCompactum, regions: Sequence[Region], coarse: _BlockRegions,
               params: RelationParams, delta: float) -> tuple[np.ndarray, list[Cells]]:
-    """The same-level merge sets of the regions, with their windows at K:
-    the position of each set's region and its cells, row-major; by region,
-    then by smallest id.  Three phases serve all regions at once: the gated
-    groups of one labelling at f = 1, from one single linkage; the
-    persistence of every group, from one labelling one level finer of the
-    regions with a group, one more linkage and one lookup of the parents;
-    and the limit cells, one support query per run of groups."""
-    s, n_min = K.level.cell_size, params.n_min
-    coarse = _BlockRegions().label(K, 1, windows)
+    """The same-level merge sets of the regions that coarse, a labelling at
+    f = 1 at K, lists: the position of each set's region and its cells,
+    row-major; by region, then by smallest id.  A region with fewer than
+    n_min crossing pieces has no group and never reaches the pair query.
+    Three phases serve all regions at once: the gated groups, from one
+    single linkage; the persistence of every group, from one labelling one
+    level finer of the regions with a group, one more linkage and one lookup
+    of the parents; and the limit cells, one support query per run of groups."""
+    s, n_min, windows = K.level.cell_size, params.n_min, coarse.windows
     pieces, cells, sizes, bounds = _crossing_pieces(coarse)
     members, gb = _single_linkage(cells, sizes, bounds, delta, s, n_min)
     gs = np.diff(gb)
@@ -269,15 +268,16 @@ def _clusters(K: GridCompactum, regions: Sequence[Region], windows: Sequence[_Wi
 def _unit_pairs(blocks: _BlockRegions, ts: np.ndarray, coarse: _BlockRegions, factor: int,
                 unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct (coarse piece, deep unit) pairs of the block regions ts,
-    sorted, as two arrays; the pieces are the components of coarse, the
-    same regions labelled at f = 1.  A unit counts under the piece that
-    holds the parent of the first pixel of one of its crossing components:
-    those parents stay 8-connected inside the region, hence in one coarse
-    piece.  An annulus ring cuts a curve threading its hole into two crossing
-    components, but for fragment identity the curve is one object (else one
-    arc vouches for itself twice), so components of one `unit`, their
-    component in the whole deep window (_BlockRegions.units), are one unit,
-    which can count under several pieces."""
+    sorted, as two arrays; the pieces are the components of coarse, whose
+    first len(ts) regions are the regions ts at f = 1.  A unit counts under
+    the piece that holds the parent of the first pixel of one of its
+    crossing components: those parents stay 8-connected inside the region,
+    hence in one coarse piece.  An annulus ring cuts a curve threading its
+    hole into two crossing components, but for fragment identity the curve
+    is one object (else one arc vouches for itself twice), so components of
+    one `unit`, their component in the whole deep window
+    (_BlockRegions.units), are one unit, which can count under several
+    pieces."""
     c, x = _ranges(blocks.cbounds[ts], blocks.cbounds[ts + 1] - blocks.cbounds[ts])
     cross = blocks.cross[blocks.order[c]]
     comp, x = blocks.order[c][cross], x[cross]
@@ -290,17 +290,17 @@ def _unit_pairs(blocks: _BlockRegions, ts: np.ndarray, coarse: _BlockRegions, fa
 def _fracture_loci(blocks: _BlockRegions, ts: np.ndarray, coarse: _BlockRegions,
                    factor: int, reach: float, children: int) -> tuple[np.ndarray, list[Cells]]:
     """The fracture-locus patches of the block regions ts (ascending), with
-    coarse the same regions labelled at f = 1 at the working level: the
-    position in ts of each patch's region and the patch's cells, row-major;
-    by region, piece and first cell.  Three phases serve all regions at
-    once: the (piece, unit) pairs, one support query per _NODES pairs and
-    nodes, and one labelling of the loci."""
+    coarse a labelling at f = 1 at the working level whose first len(ts)
+    regions are the regions ts: the position in ts of each patch's region
+    and the patch's cells, row-major; by region, piece and first cell.
+    Three phases serve all regions at once: the (piece, unit) pairs, one
+    support query per _NODES pairs and nodes, and one labelling of the loci."""
     unit = blocks.units([t for t in ts.tolist() if blocks.windows[t].hole is not None])
     piece_of, unit_of = _unit_pairs(blocks, ts, coarse, factor, unit)
     nk = np.bincount(piece_of, minlength=len(coarse.cross))
     # the cells of each piece with enough units (only a crossing piece holds
     # one), row-major per region (at f = 1 labels run so), to pair with each
-    nodes, x = _ranges(coarse.bounds[:-1], np.diff(coarse.bounds))
+    nodes, x = _ranges(coarse.bounds[:len(ts)], np.diff(coarse.bounds[:len(ts) + 1]))
     sel = (nk >= children)[coarse.comp[nodes]]
     x, piece, cells = x[sel], coarse.comp[nodes[sel]], coarse.block(nodes[sel])
     if not len(cells):
@@ -353,20 +353,19 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
     emits its fracture locus: the cells touched by at least two fragments
     within delta, one connected patch per merge set.
 
-    No region is labelled alone.  Each window is built once, and the
+    No region is labelled alone, and each raster is labelled once.  The
     regions are counted in batches at the working level
     (schoenflies._crossing_counts): a region with fewer than n_min crossing
-    ids has no cluster, one with no crossing no witness.  Each route then
-    runs in three batched phases over the regions that pass its gate, from
-    block labellings (schoenflies._BlockRegions).  The same-level route
-    (_clusters) links the pieces of one labelling at f = 1, tests each
-    group's persistence against one labelling one level finer, and queries
-    the limit cells in runs.  The deep split (_fracture_loci) pairs coarse
-    pieces with the units of one deep labelling, queries the loci in runs
-    and labels them at once.  Both routes need K.source to refine; without
-    one, clusters are not filtered and deep splitting is off.  Merge sets
-    come by region in family order, a region's same-level sets (by smallest
-    id) before its deep ones; `jobs` is accepted and has no effect.
+    ids has no cluster, one with no crossing no witness.  The deep raster is
+    labelled in blocks (schoenflies._BlockRegions) for the regions that
+    cross; then one labelling at f = 1 lists the regions the deep count
+    passes, then the others with n_min crossing ids.  The deep split
+    (_fracture_loci) reads its first regions, and the deep labelling is
+    freed; the same-level route (_clusters) reads all of them, and labels
+    one level finer to test persistence.  Both routes need K.source to
+    refine; without one, clusters are not filtered and deep splitting is
+    off.  Merge sets come by region in family order, a region's same-level
+    sets (by smallest id) before its deep ones; `jobs` has no effect.
     """
     params = params or RelationParams()
     if K.is_empty:
@@ -383,53 +382,49 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
     if params.annulus_family in ("rect-annuli-sampled", "both"):
         regions.extend(_annulus_family(K, params.stride))
 
-    # the deep raster, in a list so that the block labelling can take it over
-    # and free it once labelled
+    # the deep raster, in a list so that the block labelling can take it over and
+    # free it once labelled; made even if no region crosses, to check its budget
     deep: list[GridCompactum] = []
-    factor = 1
-    if params.multi_level and K.source is not None:
-        deep_n = min(K.level.n + params.deep_levels, max_level())
-        if deep_n > K.level.n:
-            deep.append(rasterize(K.source, Level(deep_n, base)))
-            factor = base ** (deep_n - K.level.n)
+    deep_n = min(K.level.n + params.deep_levels, max_level())
+    if params.multi_level and K.source is not None and deep_n > K.level.n:
+        deep.append(rasterize(K.source, Level(deep_n, base)))
 
     # crossing counts of every region
     windows = [_window(K, r) for r in regions]
     counts = _crossing_counts(K, windows, "intersection")
 
-    # same-level accumulation: big clusters glue their limit cells.  With
-    # fewer crossing ids than n_min no group can reach the gate
-    seeds: dict[int, list[Cells]] = {}
-    same = np.flatnonzero(counts >= params.n_min)
-    if len(same):
-        xs, sets = _clusters(K, [regions[k] for k in same], [windows[k] for k in same],
-                             params, delta)
-        for x, ms in zip(xs.tolist(), sets):
-            seeds.setdefault(int(same[x]), []).append(ms)
-
-    live = np.flatnonzero(counts > 0)
+    # the deep split is taken for regions with a coarse crossing; a piece
+    # counts a unit once and units never outnumber deep crossing ids, so a
+    # region with too few ids has no witness.  Every such region is a union
+    # of whole coarse cells of the deep raster
+    live, ts, blocks = np.flatnonzero(counts > 0), np.zeros(0, dtype=np.int64), None
     if deep and len(live):
-        # the deep split is taken for regions with a coarse crossing; a
-        # piece counts a unit once and units never outnumber deep crossing
-        # ids, so a region with too few ids has no witness.  Every such
-        # region is a union of whole coarse cells of the deep raster.  A
-        # member exploding into many deep crossing components is an
-        # accumulation witness: glue its approximate limit (coarse cells
-        # supported by enough deep pieces), not the whole coarse component,
-        # which can also hold well-resolved geometry that merely touches the
-        # blob at this resolution
-        dcell = deep[0].level.cell_size
+        dcell, factor = deep[0].level.cell_size, base ** (deep_n - K.level.n)
         dwins = [_window(deep[0], regions[k]) for k in live]
         blocks = _BlockRegions().label(deep.pop(), factor, dwins)
         ts = np.flatnonzero(blocks.counts >= params.deep_children)
-        if len(ts):
-            coarse = _BlockRegions().label(K, 1, [windows[k] for k in live[ts]])
-            xs, patches = _fracture_loci(blocks, ts, coarse, factor, (delta + 1e-9) / dcell,
-                                         params.deep_children)
-            for t, patch in zip(ts[xs].tolist(), patches):
-                seeds.setdefault(int(live[t]), []).append(patch)
-    merge_sets = tuple(ms for k in sorted(seeds) for ms in seeds[k])
-    return RelationSeed(K.level, merge_sets)
+    # one labelling at f = 1 for both routes: the deep-gated regions first,
+    # then those only the same-level gate passes
+    same = np.flatnonzero(counts >= params.n_min)
+    picked = np.r_[live[ts], np.setdiff1d(same, live[ts])]
+    if not len(picked):
+        return RelationSeed(K.level, ())
+    coarse = _BlockRegions().label(K, 1, [windows[k] for k in picked])
+    xs, sets = np.zeros(0, dtype=np.int64), []
+    if len(ts):
+        # a piece exploding into many deep crossing components is a witness:
+        # glue its approximate limit (coarse cells supported by enough deep
+        # pieces), not the whole piece, which can hold well-resolved geometry
+        xs, sets = _fracture_loci(blocks, ts, coarse, factor, (delta + 1e-9) / dcell,
+                                  params.deep_children)
+    blocks = None  # the deep labelling is freed before the same-level route
+    if len(same):
+        # same-level accumulation: big clusters glue their limit cells
+        ys, clusters = _clusters(K, [regions[k] for k in picked], coarse, params, delta)
+        xs, sets = np.r_[ys, xs], clusters + sets
+    # by region in family order; stable, so same-level sets stay first
+    order = np.argsort(picked[xs], kind="stable")
+    return RelationSeed(K.level, tuple(sets[i] for i in order.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -507,6 +507,8 @@ def _single_linkage(cells: Cells, sizes: np.ndarray, bounds: np.ndarray, delta: 
     coordinate 2 (delta + s) apart per region, so regions never pair."""
     m, at = len(sizes), np.cumsum(sizes) - sizes
     region = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    if m:  # every centre distance lies below the cells' diagonal: a longer cut joins as it does
+        delta = min(delta, s * math.hypot(*(np.ptp(cells, axis=0) + 1).tolist()))
     near = _near(np.hstack([np.minimum.reduceat(cells, at), np.maximum.reduceat(cells, at)]),
                  bounds, delta, s)
     near &= (np.bincount(region[near], minlength=len(bounds) - 1) >= at_least)[region]
@@ -561,10 +563,12 @@ def _support(cells: Cells, f: int, bunit: np.ndarray, bcell: Cells, owner: np.nd
     column span, one searchsorted in the sorted keys unit*H*W + row*W + col.
     Units are any integers, so one query answers many regions when each
     region's units get ids of their own."""
-    lim, acc = int((2 * reach) ** 2), np.zeros(len(cells), dtype=np.int64)
-    k = np.broadcast_to(k, len(cells))
+    acc, k = np.zeros(len(cells), dtype=np.int64), np.broadcast_to(k, len(cells))
     if not len(unit):
         return acc >= k
+    # a reach past the diagonal of the cells' and units' frame counts as it does
+    frame = np.ptp([fn(c, axis=0) for c in (cells, bcell) for fn in (np.min, np.max)], axis=0) + 1
+    lim = int(min(2 * reach, math.hypot(*(2 * f * frame).tolist())) ** 2)
     t, lo, hi = _spans(f, lim)
     # only the rows of units some pair asks about, units as 0..n-1
     used, unit = np.unique(unit, return_inverse=True)
@@ -648,10 +652,11 @@ def _limit_cells(cand: Cells, c0: np.ndarray, c1: np.ndarray, cells: Cells, size
 def _near_cells(K: GridCompactum, box: tuple[int, int, int, int], delta: float,
                 s: float) -> Cells:
     """The cells of K within delta (plus a cell) of a window's cells (i0,
-    j0, i1, j1), row-major."""
-    r = int(np.ceil(delta / s)) + 1
-    return _cells_of(_slab(K, box[0] - r, box[1] - r, box[2] + r, box[3] + r),
-                     (box[0] - r, box[1] - r))
+    j0, i1, j1), row-major, from a slab cut to K's box."""
+    r, (oi, oj), (H, W) = np.ceil(delta / s) + 1, K.origin, K.mask.shape  # r may be inf
+    i0, j0, i1, j1 = np.clip(np.add(box, [-r, -r, r, r]), [oi, oj, oi - 1, oj - 1],
+                             [oi + W, oj + H, oi + W - 1, oj + H - 1]).astype(np.int64).tolist()
+    return _cells_of(_slab(K, i0, j0, i1, j1), (i0, j0))
 
 
 def crossing_components(K: GridCompactum, region: Region,
@@ -669,7 +674,7 @@ def crossing_components(K: GridCompactum, region: Region,
     s = K.level.cell_size
     if delta is None:
         delta = 2.0 * s
-    if delta < s - 1e-12:
+    if not delta >= s - 1e-12:  # nan too
         raise GridError(f"delta {delta} is below one cell ({s})")
     core = _region_core(K, region, mode)
     # candidate universe for approximate limits: occupied cells near the

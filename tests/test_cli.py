@@ -128,6 +128,31 @@ def test_out_of_range_numbers_give_one_error_line(argv, capsys):
     assert re.fullmatch(r"pcx: error: [^\n]+\n", captured.err), captured.err
 
 
+def test_a_delta_past_the_extent_glues_as_the_extent_does(capsys):
+    """A delta beyond the set's extent is saturated: every distance the
+    relation compares lies below it, so each accepted delta, however large,
+    gives the bytes of a delta as wide as the set."""
+    for gen, level, deltas in (("cantor_comb", "2", ("2", "1e6", "1e200")),
+                               ("topologist_sine", "3", ("2", "1e6"))):
+        outs = []
+        for delta in deltas:
+            assert run(["decompose", "--gen", gen, "--level", level, "--delta", delta]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outs.append(captured.out)
+        assert outs[0] and outs.count(outs[0]) == len(outs)
+
+
+def test_a_huge_level_range_stops_past_the_cap(monkeypatch, capsys):
+    """A range is cut one level past the cap, where the scan fails anyway:
+    the scan exits 2 with the cap error instead of listing every level."""
+    monkeypatch.setenv("PCX_MAX_LEVEL", "4")
+    assert run(["scan", "--gen", "bars", "--levels", "2..1000000000000",
+                "--strip", "auto"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "pcx: error: level 5 exceeds cap 4\n")
+
+
 def test_parse_error_on_garbage_pbm(tmp_path):
     bad = tmp_path / "bad.pbm"
     bad.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 16)

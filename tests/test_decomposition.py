@@ -678,6 +678,38 @@ def test_same_level_prefilter_drops_only_regions_without_a_group(gen, n, fields)
     assert cell_sizes in (([s], [s, s / spec.base]) if gated else ([],))
 
 
+def test_each_raster_is_labelled_in_blocks_once():
+    """Both routes read one labelling at f = 1 of the working raster, the
+    deep-gated regions first, then those only the same-level gate passes.
+    On comb L3 with n_min 3 and delta 4 cells both routes emit, and the
+    deep raster, the working raster and the raster one level finer that
+    tests persistence are each labelled once."""
+    spec = make_spec(GeneratorParams("cantor_comb"))
+    K = rasterize(spec, Level(3, spec.base))
+    params = RelationParams(n_min=3, delta=4 * K.level.cell_size)
+    calls, emitted, label = [], {}, _BlockRegions.label
+
+    def record(self, R, f, windows):
+        calls.append((R.level.n, f))
+        return label(self, R, f, windows)
+
+    def count(name):
+        route = getattr(decomposition, name)
+
+        def call(*args):
+            xs, sets = route(*args)
+            emitted[name] = len(sets)
+            return xs, sets
+        return mock.patch.object(decomposition, name, call)
+
+    with mock.patch.object(_BlockRegions, "label", record), count("_clusters"), \
+            count("_fracture_loci"):
+        seed = schoenflies_relation(K, params)
+    assert emitted["_clusters"] > 0 and emitted["_fracture_loci"] > 0
+    assert len(seed.merge_sets) == sum(emitted.values())
+    assert sorted(calls) == [(3, 1), (4, 1), (6, 27)]
+
+
 def _random_fill(seed: int, kind: str, top: int):
     """A seeded fill of base 2 over [0, 2] x [0, 1], drawn at level `top`
     and coarsened to each level at or below it (a cell holds when a finer

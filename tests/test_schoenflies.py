@@ -156,6 +156,24 @@ def test_crossing_clusters_and_limit_cells():
         rows([8, 10, 11, 12, 13, 15]), rows([13, 15, 16])]
 
 
+def test_a_delta_past_the_extent_is_saturated():
+    """Every distance compared lies within K's and the region's frame, so a
+    delta far beyond it (whose slab, spans and cut would outgrow memory or
+    floats) gives the clusters and limit cells of one just past it; a nan
+    delta is refused."""
+    K = GridCompactum.from_cells(LVL, [(i, j) for i in (0, 2, 4, 9, 14)
+                                       for j in range(10)])
+    for region in (Strip("h", 3 * S, 5 * S),
+                   RectAnnulus(Box(-S, -S, 16 * S, 11 * S), Box(3 * S, 3 * S, 6 * S, 7 * S))):
+        for mode in ("intersection", "difference"):
+            reps = [crossing_components(K, region, mode, d) for d in (40 * S, 1e6, 1e200)]
+            assert all(r.to_dict() == reps[0].to_dict() for r in reps)
+            assert all([c.limit.tolist() for c in r.clusters]
+                       == [c.limit.tolist() for c in reps[0].clusters] for r in reps)
+        with pytest.raises(GridError, match="below one cell"):  # no clip makes nan a size
+            crossing_components(K, region, delta=math.nan)
+
+
 def _linkage_reference(cells_of, delta, s):
     """Pairwise Hausdorff <= delta, then BFS from each smallest unvisited id."""
     ids = sorted(cells_of)
