@@ -17,8 +17,8 @@ CLI then compares, along with two documents that are no partition),
 `schoenflies_scan` over windowed strips, including a window that does not
 contain K, the oracle route of `rasterize`: a fill-less box spec and its
 `transform_spec` images, and the loops and errors of `separating_curve` with
-the results and errors of `cut_wire`, and `peano_check` over same-base
-quotient graphs of four sets.  Every output file, exit code and stderr text
+the results and errors of `cut_wire`, `peano_check` over same-base
+quotient graphs of four sets, and the paths of `crossing_path`.  Every output file, exit code and stderr text
 is compared byte for byte; stderr texts name the output directory "{out}".
 Prints one line per output and exits 0 when all are identical, 1 otherwise.
 Each checkout takes about 15 s on a 2-core machine.
@@ -144,7 +144,7 @@ CASES += [
 LIBRARY_OUTPUTS = ("closure_a.json", "closure_b.json", "complement_scan_carpet.json",
                    "crossing_components.json", "relation_seeds.json",
                    "scan_windowed.json", "oracle_route.json", "separation.json",
-                   "peano.json")
+                   "peano.json", "crossing_paths.json")
 # rasters for the crossing_components dump: (generator, level)
 CROSSING_RASTERS = (("cantor_comb", 3), ("topologist_sine", 5), ("spiral_disk", 4),
                     ("sierpinski_carpet", 2), ("bars", 4), ("random_blobs", 5))
@@ -399,6 +399,36 @@ def _peano(out: Path) -> None:
         json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _crossing_paths(out: Path) -> None:
+    """Paths of `crossing_path` through seeded random rects with random
+    blockers (a path or None each), and through a 512 x 512 rect whose two
+    walls force the path up one side, across and up the other."""
+    import numpy as np
+    from pcx import Box, Level, crossing_path
+    lvl = Level(9, 2)
+    s = lvl.cell_size
+    rng = np.random.default_rng(5)
+    paths = []
+    for _ in range(60):
+        i0, j0 = (int(v) for v in rng.integers(-8, 8, size=2))
+        w, h = (int(v) for v in rng.integers(2, 24, size=2))
+        free = rng.random((h, w)) >= rng.uniform(0.1, 0.6)
+        side = rng.random((h, w)) < 0.5
+        side[:, -1], side[:, 0] = False, True  # A misses the right column, B the left
+        js, is_ = np.nonzero(~free & side)
+        A = np.stack([is_ + i0, js + j0], axis=1)
+        js, is_ = np.nonzero(~free & ~side)
+        B = np.stack([is_ + i0, js + j0], axis=1)
+        path = crossing_path(Box(i0 * s, j0 * s, (i0 + w) * s, (j0 + h) * s), A, B, lvl)
+        paths.append(None if path is None else path.tolist())
+    n = 512
+    A = np.array([[i, n // 3] for i in range(n - 1)])
+    B = np.array([[i, 2 * n // 3] for i in range(1, n)])
+    doc = {"random": paths, "walled": crossing_path(Box(0, 0, n * s, n * s), A, B, lvl).tolist()}
+    (out / "crossing_paths.json").write_text(
+        json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _argv(argv: list[str], out: Path) -> list[str]:
     argv = [a.replace("{out}", str(out)) for a in argv]
     if "spiral_disk" in argv and "--t-max" not in argv:
@@ -426,6 +456,7 @@ def emit(out: Path) -> None:
     _oracle_route(out)
     _separations(out)
     _peano(out)
+    _crossing_paths(out)
     manifest["seconds"] = round(time.perf_counter() - t0, 1)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 

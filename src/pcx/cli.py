@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .decomposition import (Decomposition, RelationParams, _check_partition,
+from .decomposition import (_FAMILIES, Decomposition, RelationParams, _check_partition,
                             _partition_from_ids, close_equivalence, contract_degree_two,
                             is_simple_path, monotone_check, quotient_graph,
                             schoenflies_relation)
@@ -359,8 +359,7 @@ def _add_relation_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nmin", type=int, default=4)
     p.add_argument("--delta", type=float, default=None,
                    help="cluster distance in scene units (default: 2 cells)")
-    p.add_argument("--family", default="both",
-                   choices=("strips-all-offsets", "rect-annuli-sampled", "both"))
+    p.add_argument("--family", default="both", choices=_FAMILIES)
     p.add_argument("--stride", type=int, default=8)
     p.add_argument("--no-multi-level", dest="multi_level", action="store_false")
     p.add_argument("--deep-levels", type=int, default=3)

@@ -31,7 +31,7 @@ from scipy.spatial import cKDTree
 
 from .grid import (Box, Cells, GridCompactum, GridError, Level, SetSpec,
                    _as_cells, _at, _canonical, _cells_of, _components, _group,
-                   _label_mask, diameters, max_level, rasterize)
+                   _label_mask, _raster_range, diameters, max_level, rasterize)
 from .schoenflies import (RectAnnulus, Region, Strip, _band_strips, _BlockRegions,
                           _crossing_counts, _limit_cells, _near_cells, _ranges, _runs,
                           _single_linkage, _support, _strictly_increasing_tail, _window)
@@ -294,7 +294,7 @@ def _fracture_loci(blocks: _BlockRegions, ts: np.ndarray, coarse: _BlockRegions,
     regions are the regions ts: the position in ts of each patch's region
     and the patch's cells, row-major; by region, piece and first cell.
     Three phases serve all regions at once: the (piece, unit) pairs, one
-    support query per _NODES pairs and nodes, and one labelling of the loci."""
+    support query per _NODES pairs and nodes, and one graph of the loci."""
     unit = blocks.units([t for t in ts.tolist() if blocks.windows[t].hole is not None])
     piece_of, unit_of = _unit_pairs(blocks, ts, coarse, factor, unit)
     nk = np.bincount(piece_of, minlength=len(coarse.cross))
@@ -318,21 +318,18 @@ def _fracture_loci(blocks: _BlockRegions, ts: np.ndarray, coarse: _BlockRegions,
         ok[ca:cb] = _support(cells[ca:cb], factor, unit[blocks.comp[run]], blocks.block(run),
                              owner, unit_of[at], reach, 2, lambda q: blocks.pixels(run[q]))
     x, piece, cells = x[ok], piece[ok], cells[ok]
-    # each connected patch of a locus stands for its own limit continuum.  The
-    # loci, cut to their bounding boxes and turned to lie flat, are tiles with
-    # a blank guard row under each, labelled at once
-    bounds, lo, hi = np.searchsorted(x, np.arange(len(ts) + 1)), *np.zeros((2, len(ts), 2), int)
-    full = bounds[:-1] < bounds[1:]
-    lo[full], hi[full] = (fn.reduceat(cells, bounds[:-1][full]) for fn in (np.minimum, np.maximum))
-    local, turned = (cells - lo[x])[:, ::-1], ((hi - lo)[:, 1] > (hi - lo)[:, 0])[x]
-    local[turned] = local[turned, ::-1]
-    rows = np.where(full, (hi - lo).min(axis=1) + 2, 0)
-    top = np.cumsum(rows) - rows
-    canvas = np.zeros((int(rows.sum()), int((hi - lo).max()) + 1), dtype=bool)
-    canvas[top[x] + local[:, 0], local[:, 1]] = True
+    # each connected patch of a locus stands for its own limit continuum: the
+    # 8-adjacent cells of one region joined.  Keys by region, then row-major,
+    # in a frame a cell wider than the cells on every side, are ascending
+    lo = cells.min(axis=0, initial=0) - 1
+    w, h = (cells.max(axis=0, initial=0) - lo + 2).tolist()
+    key = (x * h + cells[:, 1] - lo[1]) * w + cells[:, 0] - lo[0]
+    to = key[:, None] + [1, w - 1, w, w + 1]
+    at = np.searchsorted(key, to).clip(max=len(key) - 1)
+    hit = key[at] == to
     # patch ids by first cell; a patch lies in one piece, as distinct pieces
     # are never 8-adjacent, and pieces rank by first cell too
-    patch, n = _canonical(_label_mask(canvas, 8)[0][top[x] + local[:, 0], local[:, 1]])
+    patch, n = _canonical(_components(len(key), np.nonzero(hit)[0], at[hit])[1])
     first = np.unique(patch, return_index=True)[1]
     order = np.lexsort((np.arange(n), coarse.first[piece[first]], x[first]))
     rank = np.empty(n, dtype=np.int64)
@@ -356,9 +353,10 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
     No region is labelled alone, and each raster is labelled once.  The
     regions are counted in batches at the working level
     (schoenflies._crossing_counts): a region with fewer than n_min crossing
-    ids has no cluster, one with no crossing no witness.  The deep raster is
-    labelled in blocks (schoenflies._BlockRegions) for the regions that
-    cross; then one labelling at f = 1 lists the regions the deep count
+    ids has no cluster, one with no crossing no witness.  The deep raster's
+    budget is checked first, but it is filled only once some region
+    crosses, and labelled in blocks (schoenflies._BlockRegions) for those
+    regions; then one labelling at f = 1 lists the regions the deep count
     passes, then the others with n_min crossing ids.  The deep split
     (_fracture_loci) reads its first regions, and the deep labelling is
     freed; the same-level route (_clusters) reads all of them, and labels
@@ -382,12 +380,11 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
     if params.annulus_family in ("rect-annuli-sampled", "both"):
         regions.extend(_annulus_family(K, params.stride))
 
-    # the deep raster, in a list so that the block labelling can take it over and
-    # free it once labelled; made even if no region crosses, to check its budget
-    deep: list[GridCompactum] = []
+    # the deep level's budget is checked up front, even if no region crosses
     deep_n = min(K.level.n + params.deep_levels, max_level())
-    if params.multi_level and K.source is not None and deep_n > K.level.n:
-        deep.append(rasterize(K.source, Level(deep_n, base)))
+    deep = params.multi_level and K.source is not None and deep_n > K.level.n
+    if deep:
+        _raster_range(K.source, Level(deep_n, base))
 
     # crossing counts of every region
     windows = [_window(K, r) for r in regions]
@@ -399,9 +396,11 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
     # of whole coarse cells of the deep raster
     live, ts, blocks = np.flatnonzero(counts > 0), np.zeros(0, dtype=np.int64), None
     if deep and len(live):
-        dcell, factor = deep[0].level.cell_size, base ** (deep_n - K.level.n)
-        dwins = [_window(deep[0], regions[k]) for k in live]
-        blocks = _BlockRegions().label(deep.pop(), factor, dwins)
+        # in a list, so that the block labelling can take it over and free it
+        held = [rasterize(K.source, Level(deep_n, base))]
+        dcell, factor = held[0].level.cell_size, base ** (deep_n - K.level.n)
+        dwins = [_window(held[0], regions[k]) for k in live]
+        blocks = _BlockRegions().label(held.pop(), factor, dwins)
         ts = np.flatnonzero(blocks.counts >= params.deep_children)
     # one labelling at f = 1 for both routes: the deep-gated regions first,
     # then those only the same-level gate passes

@@ -24,14 +24,19 @@ class ParseError(Exception):
     """Unreadable input file (PBM or JSON payloads)."""
 
 
-GENERATOR_NAMES = ("cantor_comb", "topologist_sine", "spiral_disk",
-                   "sierpinski_carpet", "cantor_dust", "unit_square",
-                   "bars", "random_blobs")
-
-# Ternary-digit sets force base 3; everything else lives on the dyadic grid.
-GENERATOR_BASES = {"cantor_comb": 3, "sierpinski_carpet": 3, "cantor_dust": 3,
-                   "topologist_sine": 2, "spiral_disk": 2, "unit_square": 2,
-                   "bars": 2, "random_blobs": 2}
+# name: (grid base, spec maker); ternary-digit sets force base 3, the rest base 2
+_GENERATORS = {
+    "cantor_comb": (3, lambda p: cantor_comb()),
+    "topologist_sine": (2, lambda p: topologist_sine()),
+    "spiral_disk": (2, lambda p: spiral_disk(t_max=p.t_max)),
+    "sierpinski_carpet": (3, lambda p: sierpinski_carpet()),
+    "cantor_dust": (3, lambda p: cantor_dust(dim=p.dust_dim)),
+    "unit_square": (2, lambda p: unit_square()),
+    "bars": (2, lambda p: bars()),
+    "random_blobs": (2, lambda p: random_compactum(p.seed)),
+}
+GENERATOR_NAMES = tuple(_GENERATORS)
+GENERATOR_BASES = {name: base for name, (base, _) in _GENERATORS.items()}
 
 
 @dataclass(frozen=True)
@@ -53,21 +58,7 @@ class GeneratorParams:
 
 
 def make_spec(params: GeneratorParams) -> SetSpec:
-    if params.name == "cantor_comb":
-        return cantor_comb()
-    if params.name == "topologist_sine":
-        return topologist_sine()
-    if params.name == "spiral_disk":
-        return spiral_disk(t_max=params.t_max)
-    if params.name == "sierpinski_carpet":
-        return sierpinski_carpet()
-    if params.name == "cantor_dust":
-        return cantor_dust(dim=params.dust_dim)
-    if params.name == "unit_square":
-        return unit_square()
-    if params.name == "bars":
-        return bars()
-    return random_compactum(params.seed)
+    return _GENERATORS[params.name][1](params)
 
 
 def generator_base(name: str) -> int:
@@ -195,14 +186,11 @@ def cantor_dust(dim: int = 2) -> SetSpec:
 def sierpinski_carpet() -> SetSpec:
     def fill(level: Level) -> tuple[tuple[int, int], np.ndarray]:
         _require_base(level, 3, "sierpinski_carpet")
-        n = level.n
-        side = 3 ** n
-        idx = np.arange(side, dtype=np.int64)
-        removed = np.zeros((side, side), dtype=bool)
-        for g in range(1, n + 1):
-            mid = (idx // (3 ** (n - g))) % 3 == 1
-            removed |= np.outer(mid, mid)
-        return (0, 0), ~removed
+        mask = np.ones((1, 1), dtype=bool)
+        for k in range(level.n):  # level k + 1: level k tiled 3 x 3, the centre blank
+            mask = np.tile(mask, (3, 3))
+            mask[3 ** k:2 * 3 ** k, 3 ** k:2 * 3 ** k] = False
+        return (0, 0), mask
 
     return SetSpec("sierpinski_carpet", Box(0, 0, 1, 1), fill=fill, base=3)
 

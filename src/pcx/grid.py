@@ -292,14 +292,9 @@ def _slab(K: GridCompactum, i0: int, j0: int, i1: int, j1: int) -> np.ndarray:
     return out
 
 
-def rasterize(spec: SetSpec, level: Level) -> GridCompactum:
-    """Outer cover of spec at the given level.
-
-    An exact fill, which every built-in set has, gives the raster directly.
-    Otherwise the conservative oracle drives a subdivision search over the
-    spec bounding box (boxes reported disjoint are pruned, unknowns are
-    refined down to single cells and kept): closed-box semantics.
-    """
+def _raster_range(spec: SetSpec, level: Level) -> tuple[int, int, int, int]:
+    """The cells (i0, j0, i1, j1), inclusive, that rasterize searches, once
+    the depth cap and the cell budget admit them, before any fill."""
     if level.n > max_level():
         raise DepthExceeded(f"level {level.n} exceeds cap {max_level()}")
     s = level.cell_size
@@ -313,6 +308,19 @@ def rasterize(spec: SetSpec, level: Level) -> GridCompactum:
     if span > MAX_RASTER_CELLS:
         raise GridError(f"{spec.name} at level {level.n} (base {level.base}) spans "
                         f"{span} cells, over the budget of {MAX_RASTER_CELLS}")
+    return i0, j0, i1, j1
+
+
+def rasterize(spec: SetSpec, level: Level) -> GridCompactum:
+    """Outer cover of spec at the given level.
+
+    An exact fill, which every built-in set has, gives the raster directly.
+    Otherwise the conservative oracle drives a subdivision search over the
+    spec bounding box (boxes reported disjoint are pruned, unknowns are
+    refined down to single cells and kept): closed-box semantics.
+    """
+    i0, j0, i1, j1 = _raster_range(spec, level)
+    s = level.cell_size
     if spec.fill is not None:
         origin, mask = spec.fill(level)
         return GridCompactum.from_mask(level, origin, mask, source=spec)

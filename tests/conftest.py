@@ -2,19 +2,24 @@
 
 Everything here is deliberately naive: dict/set BFS, O(n^2) distance scans,
 fraction arithmetic.  The oracles never touch the library's own labeling,
-distance, or winding code, so a bug in pcx cannot hide behind itself.
+distance, or winding code, so a bug in pcx cannot hide behind itself; only
+`reference_core` labels one plain mask with `_label_mask`, and it builds that
+mask without the library's window, ring or batching code.
 """
 from __future__ import annotations
 
 import textwrap
 from collections import deque
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from pcx import GridCompactum, Level
+from pcx import GridCompactum, Level, Strip
+from pcx.grid import _cells_by_label, _label_mask, _slab
+from pcx.schoenflies import _lateral_range
 
 settings.register_profile("pcx", deadline=None, max_examples=60)
 settings.load_profile("pcx")
@@ -120,6 +125,47 @@ def bfs_crossing_exists(rect_cells: set, blocked: set) -> bool:
                 seen.add(nb)
                 frontier.append(nb)
     return False
+
+
+# ---------------------------------------------------------------------------
+# one region labelled alone
+
+class RegionCore(NamedTuple):
+    origin: tuple[int, int]  # the cell of labels[0, 0]
+    labels: np.ndarray       # int32 ids by first pixel, row-major; -1 outside
+    n: int
+    crossing: tuple[int, ...]
+
+    def crossing_cells(self) -> dict[int, np.ndarray]:
+        """Cells of each crossing component, row-major."""
+        groups = _cells_by_label(self.labels, self.n, self.origin)
+        return {cid: groups[cid] for cid in self.crossing}
+
+
+def reference_core(K, region, mode) -> RegionCore:
+    """The region labelled alone: its rectangle cut out with _slab, masked to
+    the ring for an annulus, labelled with _label_mask; crossing ids are the
+    labels on both boundaries."""
+    slab_of = (lambda m: m) if mode == "intersection" else np.logical_not
+    conn = 8 if mode == "intersection" else 4
+    if isinstance(region, Strip):
+        r1, r2 = region.snapped_lines(K.level)
+        lo, hi = _lateral_range(K, region, K.level)
+        rect = (lo, r1, hi, r2 - 1) if region.axis == "h" else (r1, lo, r2 - 1, hi)
+        labels, n = _label_mask(slab_of(_slab(K, *rect)), conn)
+        a, b = (labels[0], labels[-1]) if region.axis == "h" else (labels[:, 0], labels[:, -1])
+    else:
+        (oi0, oj0, oi1, oj1), (ii0, ij0, ii1, ij1) = region.snapped_rects(K.level)
+        rect = (oi0, oj0, oi1, oj1)
+        ring = np.ones((oj1 - oj0 + 1, oi1 - oi0 + 1), dtype=bool)
+        ring[ij0 - oj0:ij1 - oj0 + 1, ii0 - oi0:ii1 - oi0 + 1] = False
+        labels, n = _label_mask(slab_of(_slab(K, *rect)) & ring, conn)
+        inner = np.zeros_like(ring)
+        inner[max(ij0 - oj0 - 1, 0):ij1 - oj0 + 2, max(ii0 - oi0 - 1, 0):ii1 - oi0 + 2] = True
+        a = np.concatenate([labels[0], labels[-1], labels[:, 0], labels[:, -1]])
+        b = labels[inner & ring]
+    crossing = np.intersect1d(a[a >= 0], b[b >= 0])
+    return RegionCore((rect[0], rect[1]), labels, n, tuple(crossing.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -44,9 +45,9 @@ from pcx.cli import decomposition_to_payload, json_text, load_decomposition
 from pcx.decomposition import ClassInfo
 from pcx.decomposition import _annulus_family, _fracture_loci, _strip_family, _unit_pairs
 from pcx.grid import _canonical, _cells_by_label, _label_mask, _slab, coarsen
-from pcx.schoenflies import RectAnnulus, _BlockRegions, _crossing_counts, _region_core, _window
+from pcx.schoenflies import RectAnnulus, _BlockRegions, _crossing_counts, _window
 
-from conftest import bfs_components, cells_from_art, grid_from_art
+from conftest import bfs_components, cells_from_art, grid_from_art, reference_core
 
 LVL = Level(6, 2)
 S = LVL.cell_size
@@ -333,7 +334,7 @@ def test_deep_children_match_cell_list_count(family):
         regions = _strip_family(K) if family == "strips" else _annulus_family(K, 8)
         blocks = _BlockRegions().label(deep, factor, [_window(deep, r) for r in regions])
         ts = np.arange(len(regions))
-        core_list = [_region_core(K, region, "intersection") for region in regions]
+        core_list = [reference_core(K, region, "intersection") for region in regions]
         # the coarse pieces: components of the same regions labelled at f = 1,
         # as (region, id) through the region's components by first pixel
         coarse = _BlockRegions().label(K, 1, [_window(K, r) for r in regions])
@@ -345,7 +346,7 @@ def test_deep_children_match_cell_list_count(family):
         units = [blocks.units(ts.tolist() if family == "annuli" else [])]
         reference, by_full = {}, np.arange(nc)
         for t, region in enumerate(regions):
-            dcore = _region_core(deep, region, "intersection")
+            dcore = reference_core(deep, region, "intersection")
             if not dcore.crossing:
                 continue
             comps = blocks.order[blocks.cbounds[t]:blocks.cbounds[t + 1]]
@@ -406,7 +407,7 @@ def reference_fracture_loci(K, deep, region, factor, delta, children):
     """One region's deep split in plain tools: both rasters labelled alone,
     units from the cell-list count, a k-d tree per unit, and the locus split
     by _label_mask; patches by piece, then by first cell."""
-    core, dcore = (_region_core(R, region, "intersection") for R in (K, deep))
+    core, dcore = (reference_core(R, region, "intersection") for R in (K, deep))
     full = None
     if isinstance(region, RectAnnulus):
         (i0, j0, i1, j1), _ = region.snapped_rects(deep.level)
@@ -509,6 +510,16 @@ def test_relation_on_locally_connected_square_is_empty():
     assert seed.merge_sets == ()
 
 
+def test_relation_fills_the_deep_raster_only_once_a_region_crosses():
+    """No region of dust L4 crosses, so decompose fills its working level
+    only: the deep level's budget is checked, but its raster is never made."""
+    spec = make_spec(GeneratorParams("cantor_dust"))
+    spec = replace(spec, fill=mock.Mock(wraps=spec.fill))
+    D = decompose(spec, Level(4, 3))
+    assert [c.args for c in spec.fill.call_args_list] == [(Level(4, 3),)]
+    assert D.class_count == D.cell_count == 4 ** 4
+
+
 def test_relation_labels_alone_only_the_regions_that_pass_the_count_gate():
     """Same-level only, no region is labelled alone: the batched counts
     settle the regions below the gate, and those that pass it are labelled
@@ -522,10 +533,8 @@ def test_relation_labels_alone_only_the_regions_that_pass_the_count_gate():
                                 **dict(fields, delta=fields.get("delta", 2) * K.level.cell_size))
         windows = [_window(K, r) for r in _strip_family(K) + _annulus_family(K, params.stride)]
         gated = np.flatnonzero(_crossing_counts(K, windows, "intersection") >= params.n_min)
-        with mock.patch.object(schoenflies, "_region_core",
-                               side_effect=AssertionError("a region labelled alone")), \
-                mock.patch.object(schoenflies.ndimage, "label",
-                                  wraps=schoenflies.ndimage.label) as label:
+        with mock.patch.object(schoenflies.ndimage, "label",
+                               wraps=schoenflies.ndimage.label) as label:
             seed = schoenflies_relation(K, params)
         assert 0 < len(gated) < len(windows)
         assert label.call_count == len({(w.shape, w.hole) for w in windows}) + 1 < len(gated)
@@ -656,10 +665,9 @@ def test_deep_split_does_not_depend_on_its_chunks(gp, n):
     ("random_blobs", 5, {"n_min": 3, "delta": 6, "multi_level": False})])
 def test_same_level_prefilter_drops_only_regions_without_a_group(gen, n, fields):
     """The bounding-box pass only spares pair-query points: with it passing
-    every piece, the merge sets are the same.  Either way no region is
-    labelled alone, and single linkage runs once at the working level when
-    some region passes the count gate, and at most once more one level
-    finer, for all regions."""
+    every piece, the merge sets are the same.  Either way single linkage
+    runs once at the working level when some region passes the count gate,
+    and at most once more one level finer, for all regions."""
     spec = make_spec(GeneratorParams(gen))
     K = rasterize(spec, Level(n, spec.base))
     s = K.level.cell_size
@@ -667,8 +675,6 @@ def test_same_level_prefilter_drops_only_regions_without_a_group(gen, n, fields)
     want = schoenflies_relation(K, params).to_dict()
     with mock.patch.object(schoenflies, "_near",
                            lambda box, bounds, delta, s: np.ones(len(box), dtype=bool)), \
-            mock.patch.object(schoenflies, "_region_core",
-                              side_effect=AssertionError("a region labelled alone")), \
             mock.patch.object(decomposition, "_single_linkage",
                               wraps=decomposition._single_linkage) as linkage:
         assert schoenflies_relation(K, params).to_dict() == want

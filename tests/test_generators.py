@@ -96,6 +96,22 @@ def test_carpet_cell_count(n):
     assert K.count == 8 ** n
 
 
+def test_carpet_fill_matches_the_digit_loop():
+    """The carpet built from its self-similarity against the cells whose
+    ternary digits are 1 on both axes at some position, removed digit by
+    digit with np.outer."""
+    fill = spec_for("sierpinski_carpet").fill
+    for n in range(1, 8):
+        side = 3 ** n
+        idx = np.arange(side, dtype=np.int64)
+        removed = np.zeros((side, side), dtype=bool)
+        for g in range(1, n + 1):
+            mid = (idx // (3 ** (n - g))) % 3 == 1
+            removed |= np.outer(mid, mid)
+        origin, mask = fill(Level(n, 3))
+        assert origin == (0, 0) and mask.dtype == bool and np.array_equal(mask, ~removed)
+
+
 def test_square_and_bars_shapes():
     K = rasterize(spec_for("unit_square"), Level(4, 2))
     assert K.count == 16 * 16

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.spatial import cKDTree
 
 from pcx import (
     Box,
+    DepthExceeded,
     GeneratorParams,
     GridCompactum,
     GridError,
@@ -35,8 +37,8 @@ from pcx import (
 from pcx import schoenflies
 from pcx.grid import _label_mask, _slab
 from pcx.decomposition import _annulus_family, _strip_family
-from pcx.schoenflies import (_BlockRegions, _crossing_counts, _lateral_range, _near,
-                             _region_core, _single_linkage, _support, _window)
+from pcx.schoenflies import (_BlockRegions, _crossing_counts, _near, _single_linkage,
+                             _support, _window)
 
 from conftest import (
     HAND_PATTERNS,
@@ -49,6 +51,7 @@ from conftest import (
     pattern_art_size,
     pattern_cells,
     ray_winding,
+    reference_core,
 )
 
 LVL = Level(6, 2)
@@ -372,40 +375,14 @@ def test_batched_support_matches_per_region_support(f, d, regions, seed):
         assert np.array_equal(got, want), (k, got, want)
 
 
-def _reference_core(K, region, mode):
-    """The region labelled alone: its rectangle cut out with _slab, masked to
-    the ring for an annulus, labelled with _label_mask; crossing ids are the
-    labels on both boundaries."""
-    slab_of = (lambda m: m) if mode == "intersection" else np.logical_not
-    conn = 8 if mode == "intersection" else 4
-    if isinstance(region, Strip):
-        r1, r2 = region.snapped_lines(K.level)
-        lo, hi = _lateral_range(K, region, K.level)
-        rect = (lo, r1, hi, r2 - 1) if region.axis == "h" else (r1, lo, r2 - 1, hi)
-        labels, n = _label_mask(slab_of(_slab(K, *rect)), conn)
-        a, b = (labels[0], labels[-1]) if region.axis == "h" else (labels[:, 0], labels[:, -1])
-    else:
-        (oi0, oj0, oi1, oj1), (ii0, ij0, ii1, ij1) = region.snapped_rects(K.level)
-        rect = (oi0, oj0, oi1, oj1)
-        ring = np.ones((oj1 - oj0 + 1, oi1 - oi0 + 1), dtype=bool)
-        ring[ij0 - oj0:ij1 - oj0 + 1, ii0 - oi0:ii1 - oi0 + 1] = False
-        labels, n = _label_mask(slab_of(_slab(K, *rect)) & ring, conn)
-        inner = np.zeros_like(ring)
-        inner[max(ij0 - oj0 - 1, 0):ij1 - oj0 + 2, max(ii0 - oi0 - 1, 0):ii1 - oi0 + 2] = True
-        a = np.concatenate([labels[0], labels[-1], labels[:, 0], labels[:, -1]])
-        b = labels[inner & ring]
-    crossing = np.intersect1d(a[a >= 0], b[b >= 0])
-    return (rect[0], rect[1]), labels, n, tuple(crossing.tolist())
-
-
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 40, 200, 1 << 18]),
        st.sampled_from(["intersection", "difference"]))
 @settings(max_examples=120, deadline=None)
 def test_batched_regions_match_per_region_labelling(seed, budget, mode):
     """Batched crossing counts, with canvases small enough to split a family
     and to leave windows larger than the budget alone, and each region's
-    core against the window labelled alone: windowed strips and annuli
-    partly or wholly off the raster included."""
+    crossing_components report against the window labelled alone: windowed
+    strips and annuli partly or wholly off the raster included."""
     rng = np.random.default_rng(seed)
     cells = rng.integers(0, 14, size=(int(rng.integers(1, 90)), 2))
     K = GridCompactum.from_cells(LVL, np.unique(cells, axis=0))
@@ -424,14 +401,13 @@ def test_batched_regions_match_per_region_labelling(seed, budget, mode):
         regions.append(RectAnnulus(Box((i - o) * S, (j - o) * S, (i + o + 1) * S, (j + o + 1) * S),
                                    Box((i - h) * S, (j - h) * S, (i + h + 1) * S, (j + h + 1) * S)))
     windows = [_window(K, r) for r in regions]
-    want = [_reference_core(K, r, mode) for r in regions]
+    want = [reference_core(K, r, mode) for r in regions]
     with mock.patch.object(schoenflies, "_CANVAS_PIXELS", budget):
-        assert _crossing_counts(K, windows, mode).tolist() == [len(w[3]) for w in want]
-    for region, win, (origin, labels, n, crossing) in zip(regions, windows, want):
-        core = _region_core(K, region, mode)
-        assert (core.origin, core.n, core.crossing, core.snapped) == \
-            (origin, n, crossing, win.snapped)
-        assert core.labels.dtype == labels.dtype and np.array_equal(core.labels, labels)
+        assert _crossing_counts(K, windows, mode).tolist() == [len(w.crossing) for w in want]
+    for region, win, core in zip(regions, windows, want):
+        rep = crossing_components(K, region, mode)
+        assert (rep.crossing_ids, rep.m, rep.snapped) == \
+            (core.crossing, len(core.crossing), win.snapped)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 3, 4, 8, 9, 16, 27, 81]))
@@ -475,7 +451,7 @@ def test_block_engine_matches_per_window_labelling(seed, f):
     probes, owner = [], np.repeat(np.arange(len(regions)), np.diff(blocks.cbounds))[
         np.argsort(blocks.order)]
     for t, region in enumerate(regions):
-        origin, labels, n, crossing = _reference_core(K, region, "intersection")
+        origin, labels, n, crossing = reference_core(K, region, "intersection")
         # each region's id image from the node table: a node's pixels carry
         # the rank of its component
         nodes = np.arange(blocks.bounds[t], blocks.bounds[t + 1])
@@ -733,6 +709,21 @@ def test_scan_requires_levels():
     spec = make_spec(GeneratorParams("unit_square"))
     with pytest.raises(GridError):
         schoenflies_scan(spec, [Strip("h", 0.25, 0.75)], [])
+
+
+def test_refused_scan_fills_no_level(monkeypatch):
+    """Every level's depth cap and cell budget are checked, level by level,
+    before any fill: the carpet's levels 2..13 stop at level 9's budget, not
+    at level 13's cap, and levels 2 and 13 stop at the cap; either way no
+    level is filled."""
+    monkeypatch.delenv("PCX_MAX_LEVEL", raising=False)
+    spec = make_spec(GeneratorParams("sierpinski_carpet"))
+    spec = replace(spec, fill=mock.Mock(wraps=spec.fill))
+    with pytest.raises(GridError, match=r"at level 9 \(base 3\) spans \d+ cells, over the budget"):
+        schoenflies_scan(spec, [Strip("h", 0.3, 0.4)], range(2, 14))
+    with pytest.raises(DepthExceeded, match="level 13 exceeds cap 12"):
+        schoenflies_scan(spec, [Strip("h", 0.3, 0.4)], [2, 13])
+    assert spec.fill.call_count == 0
 
 
 def test_complement_diameter_scan_smoke():
