@@ -9,7 +9,11 @@ default RelationParams:
 * a timed run: the wall time of `decompose(spec, Level(n))` and the peak
   resident memory (`ru_maxrss`) of that process, imports included;
 * a counting run, with `scipy.ndimage.label` wrapped to sum the pixels and
-  foreground pixels it is given, its calls and the seconds spent in it.
+  foreground pixels it is given, its calls and the seconds spent in it, and
+  under `tracemalloc` the largest peak of any block labelling
+  (`schoenflies._BlockRegions.label`) and of any support query
+  (`_support`, as `schoenflies` and `decomposition` call it) above the
+  call's start.
 
 The pixels are reported as multiples of the deep raster, the raster
 `deep_levels` (3) finer that the deep split refines to.  The default rows
@@ -25,6 +29,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -36,8 +41,23 @@ def _child(name: str, level: int, count: bool) -> dict:
     from scipy import ndimage
 
     from pcx import GeneratorParams, Level, RelationParams, decompose, make_spec, rasterize
-    tally = {"calls": 0, "px": 0, "fg": 0, "label_s": 0.0}
+    from pcx import decomposition, schoenflies
+    tally = {"calls": 0, "px": 0, "fg": 0, "label_s": 0.0, "label_mib": 0.0, "support_mib": 0.0}
     if count:
+        def traced(fn, key):
+            def run(*args, **kwargs):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = fn(*args, **kwargs)
+                peak = (tracemalloc.get_traced_memory()[1] - start) / 2 ** 20
+                tally[key] = max(tally[key], peak)
+                return out
+            return run
+
+        schoenflies._BlockRegions.label = traced(schoenflies._BlockRegions.label, "label_mib")
+        schoenflies._support = decomposition._support = traced(schoenflies._support,
+                                                               "support_mib")
+        tracemalloc.start()
         label = ndimage.label
 
         def counted(input, *args, **kwargs):
@@ -56,6 +76,7 @@ def _child(name: str, level: int, count: bool) -> dict:
     row = {"wall_s": time.perf_counter() - t0, "classes": D.class_count,
            "peak_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
     if count:
+        tracemalloc.stop()
         deep = rasterize(spec, Level(level + RelationParams().deep_levels, spec.base))
         row.update(tally, deep_px=int(deep.mask.size), deep_fg=deep.count)
     return row
@@ -85,14 +106,16 @@ def main() -> int:
         print(json.dumps(_child(args.child[0], int(args.child[1]), args.count)))
         return 0
     print(f"{'row':<22} {'wall s':>7} {'peak MiB':>9} {'classes':>8} {'label calls':>12} "
-          f"{'label s':>8} {'deep Mpx':>9} {'px x deep':>10} {'fg x deep':>10}")
+          f"{'label s':>8} {'deep Mpx':>9} {'px x deep':>10} {'fg x deep':>10} "
+          f"{'blocks MiB':>11} {'support MiB':>12}")
     for row in args.rows:
         name, level = row.rsplit(":", 1)
         timed, counted = _run(name, int(level), False), _run(name, int(level), True)
         print(f"{name + ' L' + level:<22} {timed['wall_s']:7.2f} {timed['peak_mib']:9.1f} "
               f"{timed['classes']:8d} {counted['calls']:12d} {counted['label_s']:8.2f} "
               f"{counted['deep_px'] / 1e6:9.2f} {counted['px'] / counted['deep_px']:10.2f} "
-              f"{counted['fg'] / max(counted['deep_fg'], 1):10.2f}", flush=True)
+              f"{counted['fg'] / max(counted['deep_fg'], 1):10.2f} "
+              f"{counted['label_mib']:11.1f} {counted['support_mib']:12.1f}", flush=True)
     return 0
 
 

@@ -239,14 +239,19 @@ _STRUCT_TILES = np.stack([np.zeros_like(_STRUCT_8), _STRUCT_8, np.zeros_like(_ST
 # steps (dc, dr) to the 8 neighbouring blocks, the 4 forward ones first
 _DIRS = ((1, 0), (0, 1), (1, 1), (-1, 1), (-1, 0), (0, -1), (-1, -1), (1, -1))
 _SIDE = {-1: slice(1), 0: slice(None), 1: slice(-1, None)}
+# bit k of _STEPS[lc + 1, hc + 2, lr + 1, hr + 2] says the step (dc, dr) = _DIRS[k] has
+# lc <= dc <= hc and lr <= dr <= hr: the steps that stay within those spans of steps
+_STEPS = np.zeros((4, 4, 4, 4), dtype=np.uint8)
+for _k, (_dc, _dr) in enumerate(_DIRS):
+    _STEPS[:_dc + 2, _dc + 2:, :_dr + 2, _dr + 2:] |= 1 << _k
 _FAR = 1 << 40  # beyond every block of a raster
-_NODES = 1 << 17  # pixels of a band of tiles, or graph nodes, handled at once
+_NODES = 1 << 17  # pixels, nodes and seams, pairs, fine cells or probes of one batch
 
 
 def _edge(tiles: np.ndarray, t: np.ndarray, dc: int, dr: int) -> np.ndarray:
     """The pixels of tiles t on their side or corner facing (dc, dr), a row each."""
     e = tiles[t, _SIDE[dr], _SIDE[dc]]
-    return e.reshape(len(t), e.shape[1] * e.shape[2]).astype(np.int64)
+    return e.reshape(len(t), e.shape[1] * e.shape[2])
 
 
 class _BlockRegions:
@@ -270,7 +275,7 @@ class _BlockRegions:
         """Label K for the regions of the given windows (of K).  A method,
         not __init__, since a constructor call would keep a raster passed
         inline alive to its end: this one frees it once the blocks are cut
-        out."""
+        out.  Its batches count pixels, nodes and seams (_graph), or nodes."""
         (oi, oj), (H, W) = K.origin, K.mask.shape
         self.f, self.corner, self.windows = f, (oi // f * f, oj // f * f), list(windows)
         self.shape = R, C = -(-(oj + H) // f) - oj // f, -(-(oi + W) // f) - oi // f
@@ -293,7 +298,7 @@ class _BlockRegions:
         tr, tc = np.nonzero(full)
         self.tkey = tr * C + tc
         self.start = np.r_[1, self.tiles[:m].reshape(m, f * f).max(axis=1) + 1]
-        block = np.repeat(np.stack([tc, tr], axis=1), np.diff(self.start), axis=0)
+        block = np.repeat(np.stack([tc, tr], axis=1).astype(np.int32), np.diff(self.start), axis=0)
         # over a run of tiles, the running max first reaches a label at its
         # first pixel, which is also its first in row-major order
         step = max(1, _NODES // (f * f))
@@ -314,31 +319,29 @@ class _BlockRegions:
                 a, b = (_edge(self.tiles, p[(p < m) & (q < m)], dc, dr),
                         _edge(self.tiles, q[(p < m) & (q < m)], -dc, -dr))
                 w = a.shape[1]
-                for s in (-1, 0, 1):
+                for s in (-1, 0, 1) if w > 1 else (0,):  # each shift's label pairs, once
                     e = a[:, max(-s, 0):w - max(s, 0)], b[:, max(s, 0):w - max(-s, 0)]
-                    seams.append((e[0] * (n + 1) + e[1])[(e[0] > 0) & (e[1] > 0)])
+                    both = (e[0] > 0) & (e[1] > 0)
+                    seams.append(np.unique(e[0][both] * np.int64(n + 1) + e[1][both]))
         seam = np.unique(np.concatenate(seams))
+        del seams, a, b, e, both  # freed before the graph is built
         self.seam_b = seam % (n + 1)
         self.ptr = np.searchsorted(seam // (n + 1), np.arange(n + 2))
-        self.frames = np.array([self._frame(w) for w in self.windows],
-                               dtype=np.int64).reshape(-1, 8)
+        self.frames = np.array([self._frame(w) for w in self.windows], dtype=np.int64).reshape(
+            -1, 8).clip(-2, max(R, C) + 1).astype(np.int32)  # int32, clipped past every block
 
-        reg, self.lab, self.comp = self._graph(self.frames)
+        reg, self.lab, self.comp, nc = self._graph(self.frames)
         self.bounds = np.searchsorted(reg, np.arange(len(self.windows) + 1))
-        ends = np.zeros((2, len(reg)), dtype=bool)
-        for a in range(0, len(reg), _NODES):  # a chunk of nodes at a time bounds the memory
-            g, (c, r) = self.frames[reg[a:a + _NODES]], block[self.lab[a:a + _NODES] - 1].T
-            # per axis and step d: the node's block on the frame's edge, and
-            # the block d away past the second boundary
-            edge = [{-1: c == g[:, 0], 0: False, 1: c == g[:, 2]},
-                    {-1: r == g[:, 1], 0: False, 1: r == g[:, 3]}]
-            past = [{d: (g[:, 4] <= c + d) & (c + d <= g[:, 6]) for d in (-1, 0, 1)},
-                    {d: (g[:, 5] <= r + d) & (r + d <= g[:, 7]) for d in (-1, 0, 1)}]
-            for k, (dc, dr) in enumerate(_DIRS):
-                far = past[0][dc] & past[1][dr]
-                ends[:, a:a + _NODES] |= (exits[self.lab[a:a + _NODES]] >> k & 1 == 1) & \
-                    np.stack([(edge[0][dc] | edge[1][dr]) & ~far, far])
-        nc = int(self.comp.max(initial=-1)) + 1
+        # chunks of nodes, each 8 entries of its frame, bound the memory
+        ends, step = np.zeros((2, len(reg)), dtype=bool), max(1, _NODES // 8)
+        for a in range(0, max(len(reg), 1), step):
+            g, (c, r) = self.frames[reg[a:a + step]], block[self.lab[a:a + step] - 1].T
+            # bits over _DIRS: steps into the frame's box (j = 0), or past its 2nd boundary (j = 4)
+            box, far = (_STEPS[(g[:, j] - c).clip(-1, 2) + 1, (g[:, j + 2] - c).clip(-2, 1) + 2,
+                               (g[:, j + 1] - r).clip(-1, 2) + 1, (g[:, j + 3] - r).clip(-2, 1) + 2]
+                        for j in (0, 4))
+            ends[:, a:a + step] = exits[self.lab[a:a + step]] & [~(box | far), far] > 0
+        del g, c, r, box, far
         hit, owner, self.first = np.zeros((2, nc), dtype=bool), np.zeros(nc, dtype=np.int64), \
             np.full(nc, R * C * f * f)
         hit[0, self.comp[ends[0]]] = hit[1, self.comp[ends[1]]] = True
@@ -361,11 +364,13 @@ class _BlockRegions:
         return [(i - ci) // f, (j - cj) // f, (i + w - 1 - ci) // f, (j + h - 1 - cj) // f,
                 (i + i0 - ci) // f, (j + j0 - cj) // f, (i + i1 - ci) // f, (j + j1 - cj) // f]
 
-    def _graph(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _graph(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """The nodes (region, label) of the regions `frames` (the blocks
         past the second boundary left out where they lie inside), region-major
-        and labels ascending, as region positions and labels, and the
-        component of each node."""
+        and labels ascending, as region positions and labels, the component
+        of each node, all int32, and the count of components; by runs of
+        whole regions, some _NODES nodes and the seams out of them, each an
+        entry of the per-edge temporaries and of the graph of grid._components."""
         (R, C), n = self.shape, self.n
         lo, hi = frames[:, :2].clip(0), np.minimum(frames[:, 2:4], [C - 1, R - 1]) + 1
         row, k = _ranges(lo[:, 1], (hi[:, 1] - lo[:, 1]).clip(0))
@@ -375,20 +380,27 @@ class _BlockRegions:
         cols = np.stack([c0[:, 0], np.where(hole, g[:, 4], c1[:, 0]),
                          np.where(hole, g[:, 6] + 1, c1[:, 0]), c1[:, 0]], axis=1)
         ids = self.start[np.searchsorted(self.tkey, row[:, None] * C + cols.clip(c0, c1))]
-        lab, run = _ranges(ids[:, ::2].ravel(), (ids[:, 1::2] - ids[:, ::2]).ravel())
-        reg, comp, nc = k[run // 2], np.empty(len(lab), dtype=np.int64), 0
-        # a run of whole regions, some _NODES nodes, at a time bounds the memory
-        bounds = np.searchsorted(reg, np.arange(len(frames) + 1))
-        for a, b in (bounds[[ra, rb]] for ra, rb in _runs(np.diff(bounds))):
-            key = reg[a:b] * (n + 1) + lab[a:b]
+        # runs of labels (first, count), two a row, and each region's runs;
+        # the seams out of a run's labels are ptr[first + count] - ptr[first]
+        first, count = ids[:, ::2].ravel(), (ids[:, 1::2] - ids[:, ::2]).ravel()
+        span = 2 * np.searchsorted(k, np.arange(len(frames) + 1))
+        bounds = np.r_[0, np.cumsum(count)][span]
+        cost = np.r_[0, np.cumsum(count + self.ptr[first + count] - self.ptr[first])][span]
+        nc, (reg, lab, comp) = 0, (np.empty(bounds[-1], dtype=np.int32) for _ in range(3))
+        for (a, b), (ia, ib) in ((bounds[[u, v]], span[[u, v]]) for u, v in _runs(np.diff(cost))):
+            lab[a:b], x = _ranges(first[ia:ib], count[ia:ib])
+            reg[a:b] = k[(x + ia) // 2]
+            key = reg[a:b] * np.int64(n + 1) + lab[a:b]
             s, e = _ranges(self.ptr[lab[a:b]], self.ptr[lab[a:b] + 1] - self.ptr[lab[a:b]])
             want = key[e] - lab[a:b][e] + self.seam_b[s]
-            at = np.minimum(np.searchsorted(key, want), b - a - 1)
+            at = np.searchsorted(key, want).clip(max=b - a - 1)
             hit = key[at] == want
-            del s, want  # freed before the graph is built, which lowers the peak
-            comp[a:b] = _components(b - a, e[hit], at[hit])[1] + nc
-            nc = int(comp[a:b].max(initial=nc - 1)) + 1
-        return reg, lab, comp
+            del s, key, want  # freed before the graph is built, which lowers the peak
+            m, comp[a:b] = _components(b - a, e[hit], at[hit])
+            del e, at, hit
+            comp[a:b] += nc
+            nc += m
+        return reg, lab, comp, nc
 
     def units(self, ks: Sequence[int]) -> np.ndarray:
         """The unit of every component: for the components of the annulus
@@ -401,15 +413,15 @@ class _BlockRegions:
         ks = np.asarray(ks, dtype=np.int64)
         frames = self.frames[ks]
         frames[:, 4:] = [0, 0, -1, -1]
-        reg, lab, comp = self._graph(frames)
+        reg, lab, comp, _ = self._graph(frames)
         nodes, x = _ranges(self.bounds[ks], self.bounds[ks + 1] - self.bounds[ks])
         # both node lists run region-major with labels ascending
-        at = np.searchsorted(reg * (self.n + 1) + lab, x * (self.n + 1) + self.lab[nodes])
+        at = np.searchsorted(reg * np.int64(self.n + 1) + lab, x * (self.n + 1) + self.lab[nodes])
         unit[self.comp[nodes]] = nc + comp[at]
         return unit
 
     def at(self, x: np.ndarray, cells: Cells) -> np.ndarray:
-        """The component of region x that holds pixel (i, j), -1 where none does."""
+        """The component (int64) of region x that holds pixel (i, j), -1 where none does."""
         f, (R, C), n = self.f, self.shape, self.n
         b = cells // f - np.array(self.corner) // f
         key = np.where(((b >= 0) & (b < [C, R])).all(axis=1), b[:, 1] * C + b[:, 0], -1)
@@ -418,7 +430,7 @@ class _BlockRegions:
         # the nodes run region-major with labels ascending
         nkey = np.repeat(np.arange(len(self.windows)), np.diff(self.bounds)) * (n + 1) + self.lab
         node = np.searchsorted(nkey, x * (n + 1) + lab).clip(max=len(nkey) - 1)
-        return np.where(nkey[node] == x * (n + 1) + lab, self.comp[node], -1)  # no label 0 node
+        return np.where(nkey[node] == x * (n + 1) + lab, self.comp[node], np.int64(-1))
 
     def block(self, nodes: np.ndarray) -> Cells:
         """The block of each node as a cell f times coarser, (i, j)."""
@@ -436,12 +448,16 @@ class _BlockRegions:
 
 
 def _runs(cost: np.ndarray) -> list[tuple[int, int]]:
-    """Runs (a, b) of whole items, some _NODES of cost at a time: the
-    batches that bound the memory of a pass over many items."""
-    cum = np.r_[0, np.cumsum(cost)]
-    cuts = np.unique(np.r_[0, np.searchsorted(cum, np.arange(0, cum[-1], _NODES),
-                                              side="right") - 1, len(cost)])
-    return list(zip(cuts[:-1].tolist(), cuts[1:].tolist()))
+    """Runs (a, b) of whole items tiling 0..len(cost), at most _NODES of cost
+    each unless one item holds it all, an item of no cost in a run with
+    cost: the batches that bound the memory of a pass over many items."""
+    cum, out, a = np.r_[0, np.cumsum(cost)], [], 0
+    while a < len(cost):
+        least = cum[min(int(np.searchsorted(cum, cum[a], side="right")), len(cost))]
+        b = int(np.searchsorted(cum, max(cum[a] + _NODES, least), side="right")) - 1
+        out.append((a, b))
+        a = b
+    return out
 
 
 def _near(box: np.ndarray, bounds: np.ndarray, delta: float, s: float) -> np.ndarray:
@@ -525,8 +541,9 @@ def _support(cells: Cells, f: int, bunit: np.ndarray, bcell: Cells, owner: np.nd
     its row and its row-major index in the cell (for f = 1, None: the rows
     are the fine cells).  Each unit a pair asks about has a row.  Exact in
     integers (see _spans): when reach allows, a unit with a fine cell in the
-    cell or a 4-neighbour reaches it; then only the units of open pairs key
-    their fine cells, some _NODES at a time, and a row in reach is one
+    cell or a 4-neighbour reaches it; then the units of open pairs key their
+    fine cells, a run of units with some _NODES fine cells (f*f a row) and
+    probes (len(t) a pair) at a time, and a probe (a row in reach) is one
     column span, one searchsorted in the sorted keys unit*H*W + row*W + col.
     Units are any integers, so one query answers many regions when each
     region's units get ids of their own."""
@@ -539,11 +556,10 @@ def _support(cells: Cells, f: int, bunit: np.ndarray, bcell: Cells, owner: np.nd
     t, lo, hi = _spans(f, lim)
     # only the rows of units some pair asks about, units as 0..n-1
     used, unit = np.unique(unit, return_inverse=True)
-    compact = np.full(max(int(used[-1]), int(bunit.max())) + 2, -1)
-    compact[used] = np.arange(len(used))
-    rows = np.flatnonzero(compact[bunit] >= 0)
-    rows = rows[np.argsort(compact[bunit[rows]], kind="stable")]
-    bu = compact[bunit[rows]]
+    bu = np.searchsorted(used, bunit).clip(max=len(used) - 1)
+    rows = np.flatnonzero(used[bu] == bunit)
+    rows = rows[np.argsort(bu[rows], kind="stable")]
+    bu = bu[rows]
     at = np.searchsorted(bu, np.arange(len(used) + 1))
     b0, b1 = np.minimum.reduceat(bcell[rows], at[:-1]), np.maximum.reduceat(bcell[rows], at[:-1])
     x0 = cells[owner, 0] * f
@@ -563,32 +579,36 @@ def _support(cells: Cells, f: int, bunit: np.ndarray, bcell: Cells, owner: np.nd
         sure &= table[i] | table[i + 1] | table[i - 1] | table[i + w] | table[i - w]
         acc += np.bincount(owner[sure], minlength=len(cells))
         live &= ~sure & (acc[owner] < k[owner])  # settled cells ask no more
-    p = np.flatnonzero(live)
-    p = p[np.argsort(unit[p], kind="stable")]
-    need = np.zeros(len(used), dtype=bool)
-    need[unit[p]] = True
-    for ua, ub in _runs(np.where(need, np.diff(at), 0) * f * f):
-        qs = rows[at[ua]:at[ub]]
-        qs = qs[need[compact[bunit[qs]]]]
-        if not len(qs):
-            continue
+        del table, c, i, sure
+    # the open pairs by unit; the units they ask about, with their rows
+    p = np.flatnonzero(live)[np.argsort(unit[live], kind="stable")]
+    del x0, live
+    nu, npair = np.unique(unit[p], return_counts=True)
+    nrow, pat, got = at[nu + 1] - at[nu], np.r_[0, np.cumsum(npair)], np.zeros(len(p), dtype=bool)
+    for a, b in _runs(nrow * (f * f) + npair * len(t)):
+        qs, uq = _ranges(at[nu[a:b]], nrow[a:b])
+        qs = rows[qs]
         q, e = (np.arange(len(qs)), 0) if pixels is None else pixels(qs)
-        # keys in a frame of whole cells around the batch's fine cells
+        # keys in a frame of whole cells around the batch's cells, its units as 0..b-a-1
         c0 = bcell[qs].min(axis=0)
         c, (W, H) = (bcell[qs] - c0) * f, (bcell[qs].max(axis=0) - c0 + 1) * f
-        base = (compact[bunit[qs]] * H + c[:, 1]) * W + c[:, 0]
-        keys = np.sort(base[q] + (np.arange(f * f) // f * W + np.arange(f * f) % f)[e])
-        ends = np.searchsorted(keys, np.arange(ua, ub + 1) * (H * W))
-        pb = p[np.searchsorted(unit[p], ua):np.searchsorted(unit[p], ub)]
-        u, (x, y) = unit[pb], ((cells[owner[pb]] - c0) * f).T
-        r0 = np.maximum(y + t[0], keys[ends[u - ua]] % (H * W) // W)
-        r, e = _ranges(r0, (np.minimum(y + t[-1], keys[ends[u - ua + 1] - 1] % (H * W) // W)
+        keys = ((uq * H + c[:, 1]) * W + c[:, 0])[q]
+        keys += (np.arange(f * f) // f * W + np.arange(f * f) % f)[e]
+        del q, e
+        keys.sort()
+        ends = np.searchsorted(keys, np.arange(b - a + 1) * (H * W))
+        u = np.repeat(np.arange(b - a), npair[a:b])
+        x, y = ((cells[owner[p[pat[a]:pat[b]]]] - c0) * f).T
+        r0 = np.maximum(y + t[0], keys[ends[u]] % (H * W) // W)
+        r, e = _ranges(r0, (np.minimum(y + t[-1], keys[ends[u + 1] - 1] % (H * W) // W)
                             - r0 + 1).clip(0))
-        ti, key = r - y[e] - t[0], u[e] * (H * W) + r * W
-        first = np.append(keys, np.iinfo(np.int64).max)[
-            np.searchsorted(keys, key + np.maximum(x[e] + lo[ti], 0))]
-        hit = np.unique(pb[e[first <= key + np.minimum(x[e] + hi[ti], W - 1)]])
-        acc += np.bincount(owner[hit], minlength=len(cells))
+        key, r = u[e] * (H * W) + r * W, r - y[e] - t[0]  # r now indexes t, lo and hi
+        lo_key, hi_key = key + np.maximum(x[e] + lo[r], 0), key + np.minimum(x[e] + hi[r], W - 1)
+        del key, r
+        first = keys[np.searchsorted(keys, lo_key).clip(max=len(keys) - 1)]
+        got[pat[a] + e[(first >= lo_key) & (first <= hi_key)]] = True
+        del keys, e, lo_key, hi_key, first  # freed before the next batch is built
+    acc += np.bincount(owner[p[got]], minlength=len(cells))
     return acc >= k
 
 

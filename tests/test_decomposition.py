@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -655,6 +656,42 @@ def test_deep_split_does_not_depend_on_its_chunks(gp, n):
     assert want["merge_sets"]
     with mock.patch.object(schoenflies, "_NODES", 512):
         assert schoenflies_relation(K, params).to_dict() == want
+
+
+def test_deep_split_memory():
+    """A warm spiral L4 decompose, the wild-sets benchmark step with the
+    largest traced peak, holds at most 7.2 MiB of traced allocations above
+    its start: 5.7 MiB under numpy 2.4, against 9.8 MiB while the support
+    query and the block graph cut their batches by keyed cells and by
+    nodes alone."""
+    spec = make_spec(GeneratorParams("spiral_disk", t_max=6.0))
+    decompose(spec, Level(4))  # the spiral's cell cache is built outside the trace
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        decompose(spec, Level(4))
+        assert tracemalloc.get_traced_memory()[1] - start < 7.2 * 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("gp,n", DEEP_CORPUS)
+def test_block_labelling_does_not_depend_on_its_budget(gp, n):
+    """The block engine at f = 1 and at the deep factor, over both region
+    families, with budgets that put every band of block rows, every chunk
+    of nodes and every run of regions (nodes plus seams) on a boundary,
+    gives the default labelling, id for id."""
+    spec = make_spec(gp)
+    K = rasterize(spec, Level(n, spec.base))
+    regions = _strip_family(K) + _annulus_family(K, 8)
+    for raster, f in ((K, 1), (rasterize(spec, Level(n + 3, spec.base)), spec.base ** 3)):
+        windows = [_window(raster, r) for r in regions]
+        want = _BlockRegions().label(raster, f, windows)
+        for budget in (1, 7, 64):
+            with mock.patch.object(schoenflies, "_NODES", budget):
+                got = _BlockRegions().label(raster, f, windows)
+            for name in ("lab", "comp", "cross", "counts", "order", "first"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (budget, f, name)
 
 
 @pytest.mark.parametrize("gen,n,fields", [

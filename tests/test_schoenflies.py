@@ -37,7 +37,7 @@ from pcx import (
 from pcx import schoenflies
 from pcx.grid import _label_mask, _slab
 from pcx.decomposition import _annulus_family, _strip_family
-from pcx.schoenflies import (_BlockRegions, _crossing_counts, _near, _single_linkage,
+from pcx.schoenflies import (_BlockRegions, _crossing_counts, _near, _runs, _single_linkage,
                              _support, _window)
 
 from conftest import (
@@ -252,6 +252,25 @@ def test_single_linkage_small_cases():
     # sets on the same cells in two regions never link across them
     assert _linkage([one, {}, {0: one[4]}], 2 * S, S) == [[[4]], [], [[0]]]
     assert _linkage([cells_of, cells_of], S, S, 2) == [[[3, 7]], [[3, 7]]]
+
+
+@given(st.lists(st.integers(0, 9) | st.just(0), max_size=40), st.integers(1, 12))
+@settings(max_examples=300, deadline=None)
+@example([0, 0, 5], 1 << 17)
+@example([3, 10, 0, 1], 5)
+def test_runs_tile_the_items_and_bound_their_cost(cost, budget):
+    """The runs tile 0..n in order; none is empty; none costs nothing when
+    the total is positive; and each costs at most the budget unless one of
+    its items holds all of its cost."""
+    cost = np.array(cost, dtype=np.int64)
+    with mock.patch.object(schoenflies, "_NODES", budget):
+        runs = _runs(cost)
+    cuts = [0] + [b for _, b in runs]
+    assert [a for a, _ in runs] == cuts[:-1] and cuts[-1] == len(cost)
+    for a, b in runs:
+        assert a < b
+        assert cost[a:b].sum() > 0 or cost.sum() == 0
+        assert cost[a:b].sum() <= budget or cost[a:b].max() == cost[a:b].sum()
 
 
 @given(st.lists(st.lists(st.tuples(*[st.integers(0, 12)] * 4), max_size=7), max_size=6),
