@@ -6,13 +6,15 @@
 Each row (generator and level) runs twice, in fresh processes with the
 default RelationParams:
 
-* a timed run: the wall time of `decompose(spec, Level(n))` and the peak
-  resident memory (`ru_maxrss`) of that process, imports included;
+* a timed run: the wall time of `decompose(spec, Level(n))`, the peak
+  resident memory (`ru_maxrss`) of that process, imports included, and the
+  seconds spent in the support queries (`_support`, as `schoenflies` and
+  `decomposition` call it), summed over the calls;
 * a counting run, with `scipy.ndimage.label` wrapped to sum the pixels and
-  foreground pixels it is given, its calls and the seconds spent in it, and
+  foreground pixels it is given, its calls and the seconds spent in it,
+  the rows whose fine cells the support queries' exact stage keys, and
   under `tracemalloc` the largest peak of any block labelling
-  (`schoenflies._BlockRegions.label`) and of any support query
-  (`_support`, as `schoenflies` and `decomposition` call it) above the
+  (`schoenflies._BlockRegions.label`) and of any support query above the
   call's start.
 
 The pixels are reported as multiples of the deep raster, the raster
@@ -38,11 +40,14 @@ DEFAULT_ROWS = ("sierpinski_carpet:5", "cantor_comb:5", "spiral_disk:7")
 
 def _child(name: str, level: int, count: bool) -> dict:
     """One run in this process: the timed decompose, or the counted one."""
+    import numpy as np
     from scipy import ndimage
 
     from pcx import GeneratorParams, Level, RelationParams, decompose, make_spec, rasterize
     from pcx import decomposition, schoenflies
-    tally = {"calls": 0, "px": 0, "fg": 0, "label_s": 0.0, "label_mib": 0.0, "support_mib": 0.0}
+    tally = {"calls": 0, "px": 0, "fg": 0, "label_s": 0.0, "label_mib": 0.0, "support_mib": 0.0,
+             "support_s": 0.0, "support_rows": 0}
+    support = schoenflies._support
     if count:
         def traced(fn, key):
             def run(*args, **kwargs):
@@ -55,8 +60,7 @@ def _child(name: str, level: int, count: bool) -> dict:
             return run
 
         schoenflies._BlockRegions.label = traced(schoenflies._BlockRegions.label, "label_mib")
-        schoenflies._support = decomposition._support = traced(schoenflies._support,
-                                                               "support_mib")
+        support = traced(support, "support_mib")
         tracemalloc.start()
         label = ndimage.label
 
@@ -70,11 +74,24 @@ def _child(name: str, level: int, count: bool) -> dict:
             return out
 
         ndimage.label = counted
+
+    def timed(cells, f, bunit, bcell, owner, unit, reach, k, pixels=None):
+        def rows(qs):  # at f = 1 (pixels None) each row is its one fine cell
+            tally["support_rows"] += len(qs)
+            return (np.arange(len(qs)), np.zeros(len(qs), dtype=np.int64)) \
+                if pixels is None else pixels(qs)
+        t0 = time.perf_counter()
+        out = support(cells, f, bunit, bcell, owner, unit, reach, k, rows if count else pixels)
+        tally["support_s"] += time.perf_counter() - t0
+        return out
+
+    schoenflies._support = decomposition._support = timed
     spec = make_spec(GeneratorParams(name))
     t0 = time.perf_counter()
     D = decompose(spec, Level(level, spec.base))
     row = {"wall_s": time.perf_counter() - t0, "classes": D.class_count,
-           "peak_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+           "peak_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+           "support_s": tally["support_s"]}
     if count:
         tracemalloc.stop()
         deep = rasterize(spec, Level(level + RelationParams().deep_levels, spec.base))
@@ -107,7 +124,7 @@ def main() -> int:
         return 0
     print(f"{'row':<22} {'wall s':>7} {'peak MiB':>9} {'classes':>8} {'label calls':>12} "
           f"{'label s':>8} {'deep Mpx':>9} {'px x deep':>10} {'fg x deep':>10} "
-          f"{'blocks MiB':>11} {'support MiB':>12}")
+          f"{'blocks MiB':>11} {'support MiB':>12} {'support s':>10} {'keyed rows':>11}")
     for row in args.rows:
         name, level = row.rsplit(":", 1)
         timed, counted = _run(name, int(level), False), _run(name, int(level), True)
@@ -115,7 +132,8 @@ def main() -> int:
               f"{timed['classes']:8d} {counted['calls']:12d} {counted['label_s']:8.2f} "
               f"{counted['deep_px'] / 1e6:9.2f} {counted['px'] / counted['deep_px']:10.2f} "
               f"{counted['fg'] / max(counted['deep_fg'], 1):10.2f} "
-              f"{counted['label_mib']:11.1f} {counted['support_mib']:12.1f}", flush=True)
+              f"{counted['label_mib']:11.1f} {counted['support_mib']:12.1f} "
+              f"{timed['support_s']:10.3f} {counted['support_rows']:11d}", flush=True)
     return 0
 
 

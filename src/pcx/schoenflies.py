@@ -524,6 +524,22 @@ def _spans(f: int, lim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, -((h - f + 1) // 2), (h + f - 1) // 2
 
 
+@lru_cache(maxsize=32)
+def _disc_blocks(f: int, lim: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The disc of _spans(f, lim) by blocks (cells, f fine cells a side): the
+    offsets (x, y), at most two away, of the blocks it meets, the fine cells
+    it holds in each (f * f: the whole block), and how many blocks away the
+    farthest block it meets lies."""
+    t, lo, hi = _spans(f, lim)
+    d = np.arange(-2 * f, 3 * f)[:, None]  # the fine offsets of the blocks two round
+    k = (d - t[0]).clip(0, len(t) - 1)  # each offset's row of the spans, clipped
+    held = ((d >= t[0]) & (d <= t[-1]) & (lo[k] <= d.T) & (d.T <= hi[k]))
+    held = held.reshape(5, f, 5, f).sum(axis=(1, 3))
+    y, x = np.nonzero(held)
+    m = np.abs(np.stack([t, lo, hi])[:, lo <= hi] // f).max()
+    return np.stack([x - 2, y - 2], axis=1), held[y, x], int(m)
+
+
 def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ranges start[k] .. start[k] + count[k] - 1 end to end, and the k of each entry."""
     k = np.repeat(np.arange(len(count)), count)
@@ -540,20 +556,21 @@ def _support(cells: Cells, f: int, bunit: np.ndarray, bcell: Cells, owner: np.nd
     pixels(qs) gives each such fine cell of rows qs as the position in qs of
     its row and its row-major index in the cell (for f = 1, None: the rows
     are the fine cells).  Each unit a pair asks about has a row.  Exact in
-    integers (see _spans): when reach allows, a unit with a fine cell in the
-    cell or a 4-neighbour reaches it; then the units of open pairs key their
-    fine cells, a run of units with some _NODES fine cells (f*f a row) and
-    probes (len(t) a pair) at a time, and a probe (a row in reach) is one
-    column span, one searchsorted in the sorted keys unit*H*W + row*W + col.
-    Units are any integers, so one query answers many regions when each
-    region's units get ids of their own."""
+    integers, one disc (_disc_blocks) for both stages: a table of the units'
+    cells settles a pair with a row where the disc holds a whole cell; if
+    the disc ends within two cells, it drops a pair with no row where the
+    disc meets a cell, and open pairs key only such rows (else all their
+    unit's), some _NODES fine cells (f*f a row) and probes (len(t) a pair)
+    at a time.  A probe (a row in reach) is one column span, one searchsorted
+    in the sorted keys unit*H*W + row*W + col.  Units are any integers, so
+    one query answers many regions when each region's units get ids of their own."""
     acc, k = np.zeros(len(cells), dtype=np.int64), np.broadcast_to(k, len(cells))
     if not len(unit):
         return acc >= k
     # a reach past the diagonal of the cells' and units' frame counts as it does
-    frame = np.ptp([fn(c, axis=0) for c in (cells, bcell) for fn in (np.min, np.max)], axis=0) + 1
+    frame = np.array([np.ptp(np.r_[cells[:, j], bcell[:, j]]) for j in (0, 1)]) + 1
     lim = int(min(2 * reach, math.hypot(*(2 * f * frame).tolist())) ** 2)
-    t, lo, hi = _spans(f, lim)
+    (t, lo, hi), (off, held, m) = _spans(f, lim), _disc_blocks(f, lim)
     # only the rows of units some pair asks about, units as 0..n-1
     used, unit = np.unique(unit, return_inverse=True)
     bu = np.searchsorted(used, bunit).clip(max=len(used) - 1)
@@ -561,28 +578,46 @@ def _support(cells: Cells, f: int, bunit: np.ndarray, bcell: Cells, owner: np.nd
     rows = rows[np.argsort(bu[rows], kind="stable")]
     bu = bu[rows]
     at = np.searchsorted(bu, np.arange(len(used) + 1))
-    b0, b1 = np.minimum.reduceat(bcell[rows], at[:-1]), np.maximum.reduceat(bcell[rows], at[:-1])
-    x0 = cells[owner, 0] * f
-    live = (x0 + lo.min() < (b1[unit, 0] + 1) * f) & (x0 + hi.max() >= b0[unit, 0] * f)
-    if (3 * f - 1) ** 2 + (f - 1) ** 2 <= lim:
-        # a unit with a fine cell in the cell or a 4-neighbour reaches it: a
-        # table marks each unit's cells over its bounding box of them, with
-        # two spare cells on every side
-        b0, size = b0 - 2, b1 - b0 + 5
-        start = np.cumsum(size.prod(axis=1)) - size.prod(axis=1)
-        table = np.zeros(int(size.prod(axis=1).sum()), dtype=bool)
-        c = bcell[rows] - b0[bu]
-        table[start[bu] + c[:, 1] * size[bu, 0] + c[:, 0]] = True
-        c, w = cells[owner] - b0[unit], size[unit, 0]
-        sure = ((c >= 1) & (c <= size[unit] - 2)).all(axis=1)
-        i = np.where(sure, start[unit] + c[:, 1] * w + c[:, 0], 0)
-        sure &= table[i] | table[i + 1] | table[i - 1] | table[i + w] | table[i - w]
-        acc += np.bincount(owner[sure], minlength=len(cells))
-        live &= ~sure & (acc[owner] < k[owner])  # settled cells ask no more
-        del table, c, i, sure
+    rc = np.take(bcell, rows, axis=0)  # take: far quicker than fancy indexing of (n, 2) rows
+    b0 = np.minimum.reduceat(rc, at[:-1])
+    ext = np.maximum.reduceat(rc, at[:-1]) - b0
+    # a table of each unit's box b0..b0 + ext, 2r spare cells a side: the
+    # offsets of a cell within r of the box stay in it
+    r = min(m, 2)
+    w, h = ext[:, 0] + 1 + 4 * r, ext[:, 1] + 1 + 4 * r
+    start = np.cumsum(w * h) - w * h + 2 * r * (w + 1)  # where each box's corner b0 sits
+    ti = start[bu] + (rc[:, 1] - b0[bu, 1]) * w[bu] + rc[:, 0] - b0[bu, 0]
+    del rc
+    table, p, hits = np.zeros(int((w * h).sum()), dtype=bool), [], [ti[:0]]
+    table[ti] = True
+    whole, part = off[held == f * f].tolist(), off[held < f * f].tolist() if m <= 2 else []
+    step = max(_NODES // 16, 1)  # runs of pairs bound the temporaries
+    for a in range(0, len(owner), step):
+        o, u = owner[a:a + step], unit[a:a + step]
+        c = np.take(cells, o, axis=0) - np.take(b0, u, axis=0)
+        g = np.maximum(*np.maximum(-c, c - np.take(ext, u, axis=0)).T)  # cells off the box
+        box = np.flatnonzero(g <= r)
+        i, uw, sure = start[u[box]] + c[box, 1] * w[u[box]] + c[box, 0], w[u[box]], box < 0
+        for x, y in whole:
+            sure |= table[i + y * uw + x]
+        acc += np.bincount(o[box[sure]], minlength=len(cells))
+        ask = (acc[o] < k[o]) & (g <= m)  # settled cells ask no more, nor cells out of reach
+        ask[box[sure]] = False
+        del c, g
+        box, i, uw = box[ask[box]], i[ask[box]], uw[ask[box]]
+        met = np.full(len(o), m > 2)  # past two cells, every pair left open stays open
+        for j in (i + y * uw + x for x, y in part):  # else those that meet a row of their unit
+            met[box[table[j]]] = True
+            hits.append(j[table[j]])
+        p.append(a + np.flatnonzero(ask & met))
+    table[ti] = m > 2  # the rows to key: those an open pair meets; past two cells, all
+    table[np.concatenate(hits)] = True
+    rows, bu = rows[table[ti]], bu[table[ti]]
+    at = np.searchsorted(bu, np.arange(len(used) + 1))
+    del table, ti, hits
+    p = np.concatenate(p)
     # the open pairs by unit; the units they ask about, with their rows
-    p = np.flatnonzero(live)[np.argsort(unit[live], kind="stable")]
-    del x0, live
+    p = p[np.argsort(unit[p], kind="stable")]
     nu, npair = np.unique(unit[p], return_counts=True)
     nrow, pat, got = at[nu + 1] - at[nu], np.r_[0, np.cumsum(npair)], np.zeros(len(p), dtype=bool)
     for a, b in _runs(nrow * (f * f) + npair * len(t)):
@@ -598,7 +633,7 @@ def _support(cells: Cells, f: int, bunit: np.ndarray, bcell: Cells, owner: np.nd
         keys.sort()
         ends = np.searchsorted(keys, np.arange(b - a + 1) * (H * W))
         u = np.repeat(np.arange(b - a), npair[a:b])
-        x, y = ((cells[owner[p[pat[a]:pat[b]]]] - c0) * f).T
+        x, y = ((np.take(cells, owner[p[pat[a]:pat[b]]], axis=0) - c0) * f).T
         r0 = np.maximum(y + t[0], keys[ends[u]] % (H * W) // W)
         r, e = _ranges(r0, (np.minimum(y + t[-1], keys[ends[u + 1] - 1] % (H * W) // W)
                             - r0 + 1).clip(0))

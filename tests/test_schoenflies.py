@@ -23,6 +23,7 @@ from pcx import (
     crossing_components,
     crossing_path,
     cut_wire,
+    decompose,
     default_strip_family,
     hausdorff_distance,
     make_spec,
@@ -34,11 +35,11 @@ from pcx import (
     transform_cells,
     label_components,
 )
-from pcx import schoenflies
+from pcx import decomposition, schoenflies
 from pcx.grid import _label_mask, _slab
 from pcx.decomposition import _annulus_family, _strip_family
-from pcx.schoenflies import (_BlockRegions, _crossing_counts, _near, _runs, _single_linkage,
-                             _support, _window)
+from pcx.schoenflies import (_BlockRegions, _crossing_counts, _disc_blocks, _near, _runs,
+                             _single_linkage, _support, _window)
 
 from conftest import (
     HAND_PATTERNS,
@@ -306,6 +307,9 @@ def _support_reference(cells, s, members, delta):
        st.integers(0, 2 ** 32 - 1))
 @example((3, 27), 2, 2.0, 0)  # 2 cells = 108 half fine cells: ties on the bound
 @example((3, 27), 3, "4/27", 1)  # a user delta of 4 * 3**-3
+@example((2, 8), 0, 2.5, 2)  # the disc ends on the far side of the blocks two away
+@example((2, 8), 0, 2.6, 3)  # the disc passes two blocks: the table only settles
+@example((2, 8), 1, 2.0, 148)  # every cell more than two blocks outside every unit's box
 @settings(max_examples=150, deadline=None)
 def test_support_matches_per_member_kdtrees(bf, n, d, seed):
     # delta is d cells, or 4 * 3**-3 in scene units; f fine cells per cell side
@@ -349,17 +353,53 @@ def test_support_matches_per_member_kdtrees(bf, n, d, seed):
         assert np.array_equal(got, want >= k), (k, got, want)
 
 
+@pytest.mark.parametrize("f", [1, 2, 3, 8, 27])
+def test_disc_blocks_count_the_fine_cells_of_the_disc(f):
+    """Each block of the disc at most two away, with the fine cells the disc
+    holds in it, and the farthest block it meets, against every fine cell
+    whose centre lies within sqrt(lim) half fine cells of the cell's centre;
+    lims from a single fine cell to discs past three blocks."""
+    for lim in sorted({*range(2 * (f % 2 == 0), 40), *range(40, 49 * f * f, f * f // 4 + 1)}):
+        h = math.isqrt(lim) // 2 + 2 * f + 2
+        dx, dy = np.meshgrid(np.arange(-h, h + 1), np.arange(-h, h + 1))
+        inside = (2 * dx + 1 - f) ** 2 + (2 * dy + 1 - f) ** 2 <= lim
+        bx, by = dx[inside] // f, dy[inside] // f
+        near = (np.abs(bx) <= 2) & (np.abs(by) <= 2)
+        want, count = np.unique(np.stack([bx[near], by[near]], axis=1), axis=0,
+                                return_counts=True)
+        off, held, m = _disc_blocks(f, lim)
+        order = np.lexsort(off.T[::-1])
+        assert np.array_equal(off[order], want) and np.array_equal(held[order], count), lim
+        assert m == max(np.abs(bx).max(), np.abs(by).max()), lim
+
+
+def test_support_keys_only_rows_an_open_pair_reaches():
+    """On the spiral step (t_max 6, level 4) the deep split's support keys
+    the fine cells of at most 2,000 rows: the table gate settles or drops
+    most open pairs, and a unit's rows in blocks no open pair's disc meets
+    stay unkeyed (keying every row of an open pair's unit takes 8,465)."""
+    keyed, support = [], schoenflies._support
+
+    def counted(*args):
+        pixels = args[8]
+        return support(*args[:8], lambda qs: (keyed.append(len(qs)), pixels(qs))[1])
+
+    with mock.patch.object(decomposition, "_support", counted):
+        decompose(make_spec(GeneratorParams("spiral_disk", t_max=6.0)), Level(4, 2))
+    assert 0 < sum(keyed) <= 2000, sum(keyed)
+
+
 @given(st.sampled_from([1, 2, 3, 8, 27]), st.sampled_from([1.0, 1.5, 2.0, 3.0]),
        st.integers(2, 5), st.integers(0, 2 ** 32 - 1))
-@example(8, 1.0, 3, 0)  # reach below the 4-neighbour-block shortcut
-@example(8, 3.0, 3, 0)  # and above it
+@example(8, 1.0, 3, 0)  # a disc holding only its own block whole
+@example(8, 3.0, 3, 0)  # a disc past the blocks two away
 @settings(max_examples=80, deadline=None)
 def test_batched_support_matches_per_region_support(f, d, regions, seed):
     """One query over several regions, each with units of its own and its
     windows overlapping the others', against one query per region.  Reaches
-    of d cells fall on both sides of the shortcut for units in a cell's
-    4-neighbours ((3f-1)^2 + (f-1)^2 against (2df)^2 in half fine cells),
-    and a budget of a few fine cells splits the units into many batches."""
+    of d cells give discs that end within the blocks one or two away and
+    discs past them, and a budget of a few fine cells splits the units into
+    many batches and the pairs into many runs."""
     rng = np.random.default_rng(seed)
     reach = d * f + 1e-9
     per, cells, owner, unit, bunit, fine = [], [], [], [], [], []
