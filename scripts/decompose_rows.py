@@ -3,7 +3,9 @@
 
     python scripts/decompose_rows.py [--rows sierpinski_carpet:5 cantor_comb:5 ...]
 
-Each row (generator and level) runs twice, in fresh processes with the
+It first prints the line count of each module of `src/pcx` and their total,
+as `wc -l src/pcx/*.py` gives them, the size metric the ROADMAP tracks.
+Then each row (generator and level) runs twice, in fresh processes with the
 default RelationParams:
 
 * a timed run: the wall time of `decompose(spec, Level(n))`, the peak
@@ -99,6 +101,13 @@ def _child(name: str, level: int, count: bool) -> dict:
     return row
 
 
+def _line_counts() -> str:
+    """Newlines per `src/pcx` module, in name order, then their total."""
+    counts = {p.name: p.read_bytes().count(b"\n") for p in sorted((SRC / "pcx").glob("*.py"))}
+    return ("src/pcx lines: " + ", ".join(f"{k} {v}" for k, v in counts.items())
+            + f"; total {sum(counts.values())}")
+
+
 def _run(name: str, level: int, count: bool) -> dict:
     """One child run, with this checkout's src first on its PYTHONPATH.  A
     child that fails prints its stderr and ends this script with exit 2."""
@@ -122,6 +131,7 @@ def main() -> int:
     if args.child:
         print(json.dumps(_child(args.child[0], int(args.child[1]), args.count)))
         return 0
+    print(_line_counts())
     print(f"{'row':<22} {'wall s':>7} {'peak MiB':>9} {'classes':>8} {'label calls':>12} "
           f"{'label s':>8} {'deep Mpx':>9} {'px x deep':>10} {'fg x deep':>10} "
           f"{'blocks MiB':>11} {'support MiB':>12} {'support s':>10} {'keyed rows':>11}")

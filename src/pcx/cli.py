@@ -240,13 +240,8 @@ def _cmd_components(args: argparse.Namespace) -> int:
         "base": K.level.base,
         "cell_size": K.level.cell_size,
         "count": lab.count,
-        "components": [{
-            "id": m.id,
-            "size": m.size,
-            "cell_bbox": list(m.cell_bbox),
-            "diameter": m.diameter,
-            "touches_frame": m.touches_frame,
-        } for m in lab.metas],
+        "components": [{"id": k, "size": n, "cell_bbox": b, "diameter": d, "touches_frame": u}
+                       for k, (n, b, d, u) in enumerate(lab._rows())],
     }
     _dump_json(payload, args.out)
     return 0

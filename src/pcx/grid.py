@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 from scipy import ndimage
@@ -372,19 +372,36 @@ class ComponentMeta:
         return self.touches_frame
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentLabeling:
+    """Components as columns: component k is grouped[bounds[k]:bounds[k + 1]], its
+    cells row-major, with cell box boxes[k], diameter diameters[k] and unbounded[k]
+    when it touches the labeled frame.  metas is built on first read."""
     level: Level
     origin: tuple[int, int]
-    labels: np.ndarray  # int32; -1 outside the labeled set
-    metas: tuple[ComponentMeta, ...]
+    labels: np.ndarray     # int32; -1 outside the labeled set
+    grouped: Cells         # every labeled cell, component by component
+    bounds: np.ndarray     # count + 1 offsets into grouped
+    boxes: np.ndarray      # (count, 4) inclusive (i0, j0, i1, j1)
+    diameters: np.ndarray  # float64 per component
+    unbounded: np.ndarray  # bool per component
 
     @property
     def count(self) -> int:
-        return len(self.metas)
+        return len(self.bounds) - 1
 
     def component_cells(self, cid: int) -> Cells:
-        return _cells_of(self.labels == cid, self.origin)
+        return self.grouped[self.bounds[cid]:self.bounds[cid + 1]]
+
+    def _rows(self) -> Iterator[tuple[int, tuple[int, ...], float, bool]]:
+        """(size, box, diameter, unbounded) per component, as Python values."""
+        return zip(np.diff(self.bounds).tolist(), map(tuple, self.boxes.tolist()),
+                   self.diameters.tolist(), self.unbounded.tolist())
+
+    @functools.cached_property
+    def metas(self) -> tuple[ComponentMeta, ...]:
+        """One ComponentMeta per component, built on first read."""
+        return tuple(ComponentMeta(k, *row) for k, row in enumerate(self._rows()))
 
     def id_at(self, i: int, j: int) -> int:
         return int(_at(self.labels, self.origin, i, j))
@@ -397,42 +414,28 @@ def _label_mask(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, int]:
     labels = np.empty(mask.shape, dtype=np.int32)
     n = ndimage.label(mask, structure=struct, output=labels)
     labels -= 1  # background -> -1, ids 0-based
-    if n == 0:
-        return labels, 0
-    # scipy assigns ids in scan order already, but renumber by first-encounter
-    # row-major position anyway so determinism never rests on its internals.
-    flat = labels.ravel()
-    fg = np.nonzero(flat >= 0)[0]
-    first = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(first, flat[fg], fg)
-    remap = np.empty(n, dtype=np.int32)
-    remap[np.argsort(first, kind="stable")] = np.arange(n, dtype=np.int32)
-    flat[fg] = remap[flat[fg]]
+    # scipy numbers in scan order already; renumbering by first pixel keeps ids off its internals
+    fg = labels >= 0
+    labels[fg] = _canonical(labels[fg])[0]
     return labels, n
 
 
-def _metas_from_labels(labels: np.ndarray, n: int, origin: tuple[int, int],
-                       level: Level) -> tuple[ComponentMeta, ...]:
-    if n == 0:
-        return ()
+def _labeling(level: Level, origin: tuple[int, int], mask: np.ndarray,
+              connectivity: int) -> ComponentLabeling:
+    """The components of an origin-anchored mask, as columns."""
+    labels, n = _label_mask(mask, connectivity)
     fg = labels >= 0
     cells, bounds = _group(labels[fg], n, _cells_of(fg, origin))
-    bbox = np.concatenate([np.minimum.reduceat(cells, bounds[:-1]),
-                           np.maximum.reduceat(cells, bounds[:-1])], axis=1)
-    frame = (origin[0], origin[1], origin[0] + labels.shape[1] - 1,
-             origin[1] + labels.shape[0] - 1)
-    touches = (bbox == frame).any(axis=1).tolist()
-    diams = diameters(cells, bounds, level.cell_size).tolist()
-    return tuple(ComponentMeta(cid, size, tuple(box), diams[cid], touches[cid])
-                 for cid, (size, box) in enumerate(zip(np.diff(bounds).tolist(),
-                                                       bbox.tolist())))
+    boxes = np.hstack([f.reduceat(cells, bounds[:-1]) for f in (np.minimum, np.maximum)])
+    frame = (origin[0], origin[1], origin[0] + mask.shape[1] - 1, origin[1] + mask.shape[0] - 1)
+    return ComponentLabeling(level, origin, labels, cells, bounds, boxes,
+                             diameters(cells, bounds, level.cell_size),
+                             (boxes == frame).any(axis=1))
 
 
 def label_components(K: GridCompactum, connectivity: int = 8) -> ComponentLabeling:
     """Deterministic component labeling of an occupied-cell raster."""
-    labels, n = _label_mask(K.mask, connectivity)
-    return ComponentLabeling(K.level, K.origin, labels,
-                             _metas_from_labels(labels, n, K.origin, K.level))
+    return _labeling(K.level, K.origin, K.mask, connectivity)
 
 
 def _cell_span(lo: float, hi: float, s: float) -> tuple[int, int]:
@@ -461,9 +464,7 @@ def complement_components(K: GridCompactum, window: Box) -> ComponentLabeling:
         ki0, kj0, ki1, kj1 = K.cell_bbox()
         if ki0 < i0 or kj0 < j0 or ki1 > i1 or kj1 > j1:
             raise WindowError("window smaller than K's bounding box")
-    labels, n = _label_mask(~_slab(K, i0, j0, i1, j1), 4)
-    return ComponentLabeling(K.level, (i0, j0), labels,
-                             _metas_from_labels(labels, n, (i0, j0), K.level))
+    return _labeling(K.level, (i0, j0), ~_slab(K, i0, j0, i1, j1), 4)
 
 
 def hausdorff_distance(a: Cells, b: Cells, cell_size: float) -> float:

@@ -701,6 +701,8 @@ def crossing_components(K: GridCompactum, region: Region,
         raise GridError(f"delta {delta} is below one cell ({s})")
     if mode not in ("intersection", "difference"):
         raise GridError(f"mode must be intersection or difference, got {mode!r}")
+    if n_min < 1:
+        raise GridError(f"n_min must be at least 1, got {n_min}")
     win = _window(K, region)
     image = _slab(K, *win.box)
     if mode == "difference":
@@ -867,14 +869,15 @@ def complement_diameter_scan(spec: SetSpec, levels: Iterable[int],
     lvls = tuple(sorted(set(int(n) for n in levels)))
     if not lvls:
         raise GridError("scan needs at least one level")
+    if k < 1:
+        raise GridError(f"k must be at least 1, got {k}")
     per_level = []
     for n in lvls:
         level = Level(n, spec.base)
         K = rasterize(spec, level)
         window = spec.bbox.pad(2 * level.cell_size)
         labeling = complement_components(K, window)
-        ds = sorted((meta.diameter for meta in labeling.metas
-                     if not meta.unbounded), reverse=True)
+        ds = sorted(labeling.diameters[~labeling.unbounded].tolist(), reverse=True)
         per_level.append(LevelDiameters(n, tuple(ds)))
     flag = False
     for prev, cur in zip(per_level, per_level[1:]):

@@ -9,9 +9,12 @@ from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 import pcx.grid as pcx_grid
+from pcx.cli import run
 
 from pcx import (
     Box,
+    ComponentMeta,
+    GeneratorParams,
     DepthExceeded,
     GridCompactum,
     GridError,
@@ -20,12 +23,14 @@ from pcx import (
     WindowError,
     coarsen,
     complement_components,
+    complement_diameter_scan,
     decompose,
     diameter,
     diameters,
     hausdorff_distance,
     inverse_transform,
     label_components,
+    make_spec,
     max_level,
     rasterize,
     sort_cells,
@@ -371,6 +376,74 @@ def test_component_metas_are_consistent():
         i0, j0, i1, j1 = m.cell_bbox
         assert i0 == cells[:, 0].min() and i1 == cells[:, 0].max()
         assert j0 == cells[:, 1].min() and j1 == cells[:, 1].max()
+
+
+def check_columns(lab, mask, connectivity):
+    """The labeling's columns and metas against a reference built one
+    component at a time from _label_mask and diameter."""
+    labels, n = pcx_grid._label_mask(mask, connectivity)
+    assert np.array_equal(lab.labels, labels) and lab.count == n == len(lab.metas)
+    (oi, oj), (h, w) = lab.origin, mask.shape
+    frame = (oi, oj, oi + w - 1, oj + h - 1)
+    for k, meta in enumerate(lab.metas):
+        cells = pcx_grid._cells_of(labels == k, lab.origin)
+        assert np.array_equal(lab.component_cells(k), cells)
+        box = (int(cells[:, 0].min()), int(cells[:, 1].min()),
+               int(cells[:, 0].max()), int(cells[:, 1].max()))
+        touches = any(b == f for b, f in zip(box, frame))
+        assert meta == ComponentMeta(k, len(cells), box,
+                                     diameter(cells, lab.level.cell_size), touches)
+
+
+label_masks = hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1,
+                                                max_side=12))
+
+
+@given(label_masks, st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+       st.sampled_from([4, 8]))
+@example(np.zeros((3, 4), dtype=bool), (0, 0), 8)  # empty
+@example(np.ones((1, 1), dtype=bool), (2, -3), 4)  # one cell
+@example(np.eye(5, dtype=bool), (-1, 1), 4)  # diagonal: 5 components at 4, 1 at 8
+def test_label_components_columns_match_per_component_reference(mask, origin, connectivity):
+    K = GridCompactum.from_mask(Level(4, 2), origin, mask)
+    check_columns(label_components(K, connectivity), K.mask, connectivity)
+
+
+@given(label_masks, st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+       st.tuples(*[st.integers(0, 2)] * 4))
+@example(np.zeros((2, 2), dtype=bool), (0, 0), (1, 0, 0, 2))  # empty K: all one piece
+@example(np.ones((1, 1), dtype=bool), (3, 3), (0, 0, 0, 0))  # one cell, the window
+@example(np.ones((4, 4), dtype=bool) ^ np.pad(np.ones((2, 2), bool), 1), (0, 0),
+         (0, 1, 0, 1))  # a ring on the frame: one bounded hole
+def test_complement_components_columns_match_per_component_reference(mask, origin, margin):
+    level = Level(4, 2)
+    K = GridCompactum.from_mask(level, origin, mask)
+    i0, j0, i1, j1 = (0, 0, 0, 0) if K.is_empty else K.cell_bbox()
+    s = level.cell_size
+    window = Box((i0 - margin[0]) * s, (j0 - margin[1]) * s,
+                 (i1 + 1 + margin[2]) * s, (j1 + 1 + margin[3]) * s)
+    lab = complement_components(K, window)
+    assert lab.origin == (i0 - margin[0], j0 - margin[1])
+    check_columns(lab, ~pcx_grid._slab(K, *pcx_grid.window_cell_range(window, level)), 4)
+
+
+def test_diameter_readers_build_no_component_meta(monkeypatch, tmp_path):
+    """complement_diameter_scan and `pcx components` read the columns; only
+    a read of metas builds ComponentMeta."""
+    real, built = pcx_grid.ComponentMeta, []
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pcx_grid, "ComponentMeta", counted)
+    spec = make_spec(GeneratorParams("sierpinski_carpet"))
+    assert complement_diameter_scan(spec, [2, 3], k=1).diameters[1].diameters
+    assert run(["components", "--gen", "sierpinski_carpet", "--level", "2",
+                "--out", str(tmp_path / "c.json")]) == 0
+    assert built == []
+    lab = label_components(rasterize(spec, Level(2, 3)))
+    assert len(lab.metas) == len(built) == lab.count == 1
 
 
 def test_complement_components_of_a_ring():

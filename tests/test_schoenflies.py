@@ -576,6 +576,21 @@ def test_unknown_mode_rejected():
         crossing_components(K, Strip("h", 0.0, S), mode="sideways")
 
 
+@pytest.mark.parametrize("n_min", [0, -2])
+def test_n_min_below_one_rejected(n_min):
+    """Below 1 every candidate would be a limit cell (136 a cluster on comb
+    L3, against 30 at n_min 1); the delta and mode checks still come first."""
+    K = rasterize(make_spec(GeneratorParams("cantor_comb")), Level(3, 3))
+    strip = Strip("h", 0.3, 0.7)
+    assert [len(c.limit) for c in crossing_components(K, strip, n_min=1).clusters] == [30] * 4
+    with pytest.raises(GridError, match="n_min must be at least 1"):
+        crossing_components(K, strip, n_min=n_min)
+    with pytest.raises(GridError, match="below one cell"):
+        crossing_components(K, strip, delta=K.level.cell_size / 4, n_min=n_min)
+    with pytest.raises(GridError, match="mode"):
+        crossing_components(K, strip, mode="sideways", n_min=n_min)
+
+
 # ---------------------------------------------------------------------------
 # strip duality fuzz: |m_int - m_diff| <= 1
 
@@ -782,6 +797,19 @@ def test_refused_scan_fills_no_level(monkeypatch):
         schoenflies_scan(spec, [Strip("h", 0.3, 0.4)], range(2, 14))
     with pytest.raises(DepthExceeded, match="level 13 exceeds cap 12"):
         schoenflies_scan(spec, [Strip("h", 0.3, 0.4)], [2, 13])
+    assert spec.fill.call_count == 0
+
+
+@pytest.mark.parametrize("name", ["unit_square", "sierpinski_carpet"])
+@pytest.mark.parametrize("k", [0, -1])
+def test_complement_diameter_scan_refuses_k_below_one(name, k):
+    """k below 1 names no k-th largest diameter: it raised IndexError on the
+    unit square and compared the smallest ones on the carpet.  It is refused
+    before any fill."""
+    spec = make_spec(GeneratorParams(name))
+    spec = replace(spec, fill=mock.Mock(wraps=spec.fill))
+    with pytest.raises(GridError, match="k must be at least 1"):
+        complement_diameter_scan(spec, [2, 3], k=k)
     assert spec.fill.call_count == 0
 
 

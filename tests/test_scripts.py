@@ -31,6 +31,10 @@ def test_study_script_runs(argv):
                        capture_output=True, text=True, env=env, timeout=300)
     assert p.returncode == 0, p.stderr
     assert p.stdout.strip()
+    if argv[0] == "decompose_rows.py":  # the size metric, as `wc -l src/pcx/*.py` counts it
+        counts = {f.name: f.read_bytes().count(b"\n") for f in Path(src, "pcx").glob("*.py")}
+        assert p.stdout.splitlines()[0] == "src/pcx lines: " + ", ".join(
+            f"{k} {counts[k]}" for k in sorted(counts)) + f"; total {sum(counts.values())}"
 
 
 def test_decompose_rows_shows_a_failing_child():
