@@ -140,6 +140,14 @@ CASES += [
     ("error_scan_collapse_order.json", ["scan", "--gen", "bars", "--levels", "2..4",
                                         "--strip", "h:0.125:0.175",
                                         "--strip", "v:0.2:0.22"]),
+    # strips that reach far past the set, counted on its cell box and a cell
+    # more; a line 2**40 cells out, refused; a stride past the set's extent
+    ("scan_far_strips.json", ["scan", "--gen", "unit_square", "--levels", "2..9",
+                              "--strip", "h:0:1e9", "--strip", "v:-3:0.5"]),
+    ("error_scan_far_line.json", ["scan", "--gen", "unit_square", "--levels", "2..3",
+                                  "--strip", "h:0:1e300"]),
+    ("decompose_stride_huge.json", ["decompose", "--gen", "unit_square", "--level", "3",
+                                    "--stride", str(10 ** 21)]),
 ]
 LIBRARY_OUTPUTS = ("closure_a.json", "closure_b.json", "complement_scan_carpet.json",
                    "crossing_components.json", "relation_seeds.json",

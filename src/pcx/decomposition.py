@@ -29,12 +29,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .grid import (Box, Cells, GridCompactum, GridError, Level, SetSpec,
+from .grid import (Cells, GridCompactum, GridError, Level, SetSpec,
                    _as_cells, _at, _canonical, _cells_of, _components, _group,
                    _label_mask, _raster_range, diameters, max_level, rasterize)
-from .schoenflies import (RectAnnulus, Region, Strip, _band_strips, _BlockRegions,
-                          _crossing_counts, _limit_cells, _near_cells, _ranges, _runs,
-                          _single_linkage, _support, _strictly_increasing_tail, _window)
+from .schoenflies import (_FAR, _BlockRegions, _crossing_counts, _limit_cells, _near_cells,
+                          _ranges, _runs, _single_linkage, _support, _strictly_increasing_tail)
 
 _FAMILIES = ("strips-all-offsets", "rect-annuli-sampled", "both")
 
@@ -180,26 +179,37 @@ class QuotientGraph:
 # ---------------------------------------------------------------------------
 # region families
 
-def _strip_family(K: GridCompactum) -> list[Strip]:
-    """All bands two cells wide, both axes, overlapping by one cell so glued
-    bands chain transitively along a fiber."""
-    i0, j0, i1, j1 = K.cell_bbox()
-    return _band_strips(K.level, i0 - 1, j0 - 1, i1, j1)
-
-
-def _annulus_family(K: GridCompactum, stride: int) -> list[RectAnnulus]:
-    """Square annuli (17x17 outer, 7x7 inner hole, 5-cell ring) centered on a
-    stride-sampled subset of K's cells.  A cell is sampled when both
-    coordinates sit at a stride-block edge (i mod stride in {0, stride-1},
-    same for j): that set is invariant under the 8 grid isometries, so the
-    family commutes with them.  The hole is wide enough to sever a fattened
-    curve bundle into one crossing piece per side, and the ring reaches past
-    the sample spacing so neighbouring glue patches overlap and chain."""
-    s, cells = K.level.cell_size, K.cells()
-    r = cells % stride
-    return [RectAnnulus(Box((i - 8) * s, (j - 8) * s, (i + 9) * s, (j + 9) * s),
-                        Box((i - 3) * s, (j - 3) * s, (i + 4) * s, (j + 4) * s))
-            for i, j in cells[((r == 0) | (r == stride - 1)).all(axis=1)].tolist()]
+def _family(K: GridCompactum, params: RelationParams, R: GridCompactum) -> np.ndarray:
+    """The relation's regions, from K's cells, as a window table at the
+    raster R, at K's level or finer: one int64 row per region as _window
+    gives it, a cell of K f cells of R a side.  First the strips: all bands
+    two cells wide, h then v, overlapping by one cell so glued bands chain
+    transitively along a fiber, laterally across R's cell box and two cells
+    more (0..2 for an empty R, as _lateral_range has it).  Then the square
+    annuli (17x17 outer, 7x7 inner hole, 5-cell ring) centered on a
+    stride-sampled subset of K's cells, row-major.  A cell is sampled when
+    both coordinates sit at a stride-block edge (i mod stride in {0,
+    stride-1}, same for j): that set is invariant under the 8 grid
+    isometries, so the family commutes with them.  The hole is wide enough
+    to sever a fattened curve bundle into one crossing piece per side, and
+    the ring reaches past the sample spacing so neighbouring glue patches
+    overlap and chain."""
+    f, (i0, j0, i1, j1) = K.level.base ** (R.level.n - K.level.n), K.cell_bbox()
+    lat = np.add(R.cell_bbox(), [-2, -2, 2, 2]) if not R.is_empty else [0, 0, 2, 2]
+    rows = [np.zeros((0, 9), dtype=np.int64)]
+    if params.annulus_family != "rect-annuli-sampled":
+        for kind, (a, b) in enumerate(((j0, j1), (i0, i1))):
+            k = np.arange(a - 1, b + 1)[:, None]
+            band = np.tile(np.r_[lat, -_FAR, -_FAR, _FAR, _FAR, kind], (len(k), 1))
+            band[:, [1 - kind, 3 - kind, 5 - kind]] = np.hstack([k, k + 2, k + 2]) * f - [0, 1, 0]
+            rows.append(band)
+    if params.annulus_family != "strips-all-offsets":
+        # past K's extent every stride samples only coordinates 0 and -1
+        cells, stride = K.cells(), min(params.stride, max(-i0, -j0, i1, j1) + 2)
+        c = cells[((cells % stride == 0) | (cells % stride == stride - 1)).all(axis=1)]
+        rows.append(np.c_[(np.tile(c, 4) + [-8, -8, 9, 9, -3, -3, 4, 4]) * f
+                          - [0, 0, 1, 1, 0, 0, 1, 1], np.full(len(c), 2)])
+    return np.concatenate(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +230,13 @@ def _crossing_pieces(blocks: _BlockRegions) -> tuple[np.ndarray, Cells, np.ndarr
             np.r_[0, np.cumsum(blocks.counts)])
 
 
-def _clusters(K: GridCompactum, regions: Sequence[Region], coarse: _BlockRegions,
+def _clusters(K: GridCompactum, picked: np.ndarray, coarse: _BlockRegions,
               params: RelationParams, delta: float) -> tuple[np.ndarray, list[Cells]]:
-    """The same-level merge sets of the regions that coarse, a labelling at
-    f = 1 at K, lists: the position of each set's region and its cells,
-    row-major; by region, then by smallest id.  A region with fewer than
-    n_min crossing pieces has no group and never reaches the pair query.
+    """The same-level merge sets of the regions picked (rows of K's family)
+    that coarse, a labelling at f = 1 at K, lists: the position in picked
+    of each set's region and its cells, row-major; by region, then by
+    smallest id.  A region with fewer than n_min crossing pieces has no
+    group and never reaches the pair query.
     Three phases serve all regions at once: the gated groups, from one
     single linkage; the persistence of every group, from one labelling one
     level finer of the regions with a group, one more linkage and one lookup
@@ -242,7 +253,7 @@ def _clusters(K: GridCompactum, regions: Sequence[Region], coarse: _BlockRegions
         xs = np.unique(gx)
         K2 = rasterize(K.source, K.level.finer())
         _, cells2, sizes2, bounds2 = _crossing_pieces(
-            _BlockRegions().label(K2, 1, [_window(K2, regions[x]) for x in xs.tolist()]))
+            _BlockRegions().label(K2, 1, _family(K, params, K2)[picked[xs]]))
         members2, gb2 = _single_linkage(cells2, sizes2, bounds2, delta, K2.level.cell_size, n_min)
         u, h = _ranges((np.cumsum(sizes2) - sizes2)[members2], sizes2[members2])
         h = np.searchsorted(gb2, h, side="right") - 1  # the fine group of each cell
@@ -258,7 +269,7 @@ def _clusters(K: GridCompactum, regions: Sequence[Region], coarse: _BlockRegions
         return gx, []
     # each group's candidates: the cells of K near its region's window
     rx, gr = np.unique(gx, return_inverse=True)
-    cand = [_near_cells(K, windows[x].box, delta, s) for x in rx.tolist()]
+    cand = [_near_cells(K, windows[x, :4], delta, s) for x in rx.tolist()]
     cb = np.r_[0, np.cumsum([len(c) for c in cand])]
     limits = _limit_cells(np.concatenate(cand), cb[gr], cb[gr + 1], cells, sizes, members, gb,
                           (delta + 1e-9) / s, n_min)
@@ -295,7 +306,7 @@ def _fracture_loci(blocks: _BlockRegions, ts: np.ndarray, coarse: _BlockRegions,
     and the patch's cells, row-major; by region, piece and first cell.
     Three phases serve all regions at once: the (piece, unit) pairs, one
     support query per _NODES pairs and nodes, and one graph of the loci."""
-    unit = blocks.units([t for t in ts.tolist() if blocks.windows[t].hole is not None])
+    unit = blocks.units(ts[blocks.windows[ts, 8] == 2])  # the annuli
     piece_of, unit_of = _unit_pairs(blocks, ts, coarse, factor, unit)
     nk = np.bincount(piece_of, minlength=len(coarse.cross))
     # the cells of each piece with enough units (only a crossing piece holds
@@ -351,7 +362,8 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
     within delta, one connected patch per merge set.
 
     No region is labelled alone, and each raster is labelled once.  The
-    regions are counted in batches at the working level
+    family is one window table per raster (_family), and no region object
+    is built.  The regions are counted in batches at the working level
     (schoenflies._crossing_counts): a region with fewer than n_min crossing
     ids has no cluster, one with no crossing no witness.  The deep raster's
     budget is checked first, but it is filled only once some region
@@ -374,12 +386,6 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
         raise GridError(f"delta {delta} is below one cell ({s})")
     base = K.level.base
 
-    regions: list[Region] = []
-    if params.annulus_family in ("strips-all-offsets", "both"):
-        regions.extend(_strip_family(K))
-    if params.annulus_family in ("rect-annuli-sampled", "both"):
-        regions.extend(_annulus_family(K, params.stride))
-
     # the deep level's budget is checked up front, even if no region crosses
     deep_n = min(K.level.n + params.deep_levels, max_level())
     deep = params.multi_level and K.source is not None and deep_n > K.level.n
@@ -387,7 +393,7 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
         _raster_range(K.source, Level(deep_n, base))
 
     # crossing counts of every region
-    windows = [_window(K, r) for r in regions]
+    windows = _family(K, params, K)
     counts = _crossing_counts(K, windows, "intersection")
 
     # the deep split is taken for regions with a coarse crossing; a piece
@@ -399,7 +405,7 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
         # in a list, so that the block labelling can take it over and free it
         held = [rasterize(K.source, Level(deep_n, base))]
         dcell, factor = held[0].level.cell_size, base ** (deep_n - K.level.n)
-        dwins = [_window(held[0], regions[k]) for k in live]
+        dwins = _family(K, params, held[0])[live]
         blocks = _BlockRegions().label(held.pop(), factor, dwins)
         ts = np.flatnonzero(blocks.counts >= params.deep_children)
     # one labelling at f = 1 for both routes: the deep-gated regions first,
@@ -408,7 +414,7 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
     picked = np.r_[live[ts], np.setdiff1d(same, live[ts])]
     if not len(picked):
         return RelationSeed(K.level, ())
-    coarse = _BlockRegions().label(K, 1, [windows[k] for k in picked])
+    coarse = _BlockRegions().label(K, 1, windows[picked])
     xs, sets = np.zeros(0, dtype=np.int64), []
     if len(ts):
         # a piece exploding into many deep crossing components is a witness:
@@ -419,7 +425,7 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
     blocks = None  # the deep labelling is freed before the same-level route
     if len(same):
         # same-level accumulation: big clusters glue their limit cells
-        ys, clusters = _clusters(K, [regions[k] for k in picked], coarse, params, delta)
+        ys, clusters = _clusters(K, picked, coarse, params, delta)
         xs, sets = np.r_[ys, xs], clusters + sets
     # by region in family order; stable, so same-level sets stay first
     order = np.argsort(picked[xs], kind="stable")
@@ -667,9 +673,9 @@ def peano_check(graphs: Sequence[QuotientGraph],
     divergent = False
     reps = [GridCompactum.from_cells(g.level, g.representatives) for g in graphs]
     if not reps[0].is_empty:
-        strips = _strip_family(reps[0])
-        ms = np.array([_crossing_counts(R, [_window(R, st) for st in strips],
-                                        "intersection") for R in reps]).T
+        strips = RelationParams(annulus_family="strips-all-offsets")
+        ms = np.array([_crossing_counts(R, _family(reps[0], strips, R), "intersection")
+                       for R in reps]).T
         divergent = any(_strictly_increasing_tail(m.tolist()) for m in ms)
     return PeanoReport(levels, tuple(float(c) for c in C_grid), counts,
                        stable, divergent)

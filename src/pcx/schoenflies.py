@@ -55,6 +55,9 @@ class Strip:
         r2 = int(np.rint(self.c2 / s))
         if r2 <= r1:
             raise GridError(f"strip [{self.c1}, {self.c2}] collapses at level {level.n}")
+        if max(-r1, r2) >= _FAR:
+            raise GridError(f"strip [{self.c1}, {self.c2}] reaches 2**40 cells or more "
+                            f"from the origin at level {level.n}")
         return r1, r2
 
 
@@ -136,55 +139,54 @@ def _lateral_range(K: GridCompactum, strip: Strip, level: Level) -> tuple[int, i
     return (kb[0] - 2, kb[2] + 2) if horizontal else (kb[1] - 2, kb[3] + 2)
 
 
-@dataclass(frozen=True)
-class _Window:
-    """A region's cell rectangle at one raster, as a tile: `shape` rows by
-    columns, a v strip transposed (`turned`) so that every strip crosses
-    from its first row to its last; an annulus also has a `hole`, (row0,
-    col0, row1, col1) inclusive in the tile."""
-    origin: tuple[int, int]
-    shape: tuple[int, int]
-    turned: bool
-    hole: tuple[int, int, int, int] | None
-    snapped: tuple[float, float] | tuple[Box, Box]
-
-    @property
-    def box(self) -> tuple[int, int, int, int]:
-        """The window's cells (i0, j0, i1, j1), inclusive."""
-        (i, j), (h, w) = self.origin, self.shape[::-1] if self.turned else self.shape
-        return i, j, i + w - 1, j + h - 1
-
-
-def _window(K: GridCompactum, region: Region) -> _Window:
-    s = K.level.cell_size
+def _window(K: GridCompactum, region: Region) -> np.ndarray:
+    """A region's window at raster K as one int64 row: its cells (i0, j0,
+    i1, j1), the cells past its second boundary (an annulus' hole, every
+    cell beyond a strip's last line out to _FAR), both inclusive, and its
+    kind (0: h strip, 1: v strip, 2: annulus).  Whole families come as
+    tables of such rows (decomposition._family)."""
     if isinstance(region, Strip):
         r1, r2 = region.snapped_lines(K.level)
         lo, hi = _lateral_range(K, region, K.level)
-        turned = region.axis == "v"
-        return _Window((r1, lo) if turned else (lo, r1), (r2 - r1, hi - lo + 1),
-                       turned, None, (r1 * s, r2 * s))
+        kind = "hv".index(region.axis)
+        row = [lo, lo, hi, hi, -_FAR, -_FAR, _FAR, _FAR, kind]
+        row[1 - kind], row[3 - kind], row[5 - kind] = r1, r2 - 1, r2  # lines on the axis it crosses
+        return np.array(row, dtype=np.int64)
     if isinstance(region, RectAnnulus):
-        (oi0, oj0, oi1, oj1), (ii0, ij0, ii1, ij1) = region.snapped_rects(K.level)
-        snapped = (Box(oi0 * s, oj0 * s, (oi1 + 1) * s, (oj1 + 1) * s),
-                   Box(ii0 * s, ij0 * s, (ii1 + 1) * s, (ij1 + 1) * s))
-        return _Window((oi0, oj0), (oj1 - oj0 + 1, oi1 - oi0 + 1), False,
-                       (ij0 - oj0, ii0 - oi0, ij1 - oj0, ii1 - oi0), snapped)
+        return np.array([*np.ravel(region.snapped_rects(K.level)), 2], dtype=np.int64)
     raise GridError(f"unsupported region {type(region).__name__}")
 
 
+def _snapped(row: np.ndarray, s: float) -> tuple[float, float] | tuple[Box, Box]:
+    """What a report records of a window row at cell size s: a strip's lines, an annulus' boxes."""
+    r = row.tolist()
+    if r[8] == 2:
+        return tuple(Box(r[k] * s, r[k + 1] * s, (r[k + 2] + 1) * s, (r[k + 3] + 1) * s)
+                     for k in (0, 4))
+    return r[1 - r[8]] * s, (r[3 - r[8]] + 1) * s
+
+
+def _tiles(windows: np.ndarray) -> np.ndarray:
+    """The tile of each window row: its rows and columns, a v strip turned
+    so that every strip crosses from its first row to its last, then an
+    annulus' hole (row0, col0, row1, col1) inclusive in the tile, -1s for a strip."""
+    size, kind = windows[:, 2:4] - windows[:, :2] + 1, windows[:, 8:]
+    return np.hstack([np.where(kind == 1, size, size[:, ::-1]), np.where(
+        kind == 2, windows[:, [5, 4, 7, 6]] - windows[:, [1, 0, 1, 0]], -1)])
+
+
 @lru_cache(maxsize=32)
-def _rings(shape: tuple[int, int], hole: tuple[int, int, int, int] | None
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The row-major tile positions on the two boundaries a crossing
-    component meets (a strip's first and last rows; an annulus' outer ring
-    and the ring around its hole), and the annulus mask (None for a strip)."""
-    (h, w), a = shape, np.arange(shape[1])
-    if hole is None:
+def _rings(tile: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The row-major positions in a tile (_tiles) on the two boundaries a
+    crossing component meets (a strip's first and last rows; an annulus'
+    outer ring and the ring around its hole), and the annulus mask (None
+    for a strip)."""
+    (h, w, j0, i0, j1, i1), a = tile, np.arange(tile[1])
+    if j0 < 0:
         return a, a + (h - 1) * w, None
-    j0, i0, j1, i1 = hole
-    region, outer = np.ones(shape, dtype=bool), np.ones(shape, dtype=bool)
+    region, outer = np.ones((h, w), dtype=bool), np.ones((h, w), dtype=bool)
     region[j0:j1 + 1, i0:i1 + 1] = outer[1:-1, 1:-1] = False
-    inner = np.zeros(shape, dtype=bool)
+    inner = np.zeros((h, w), dtype=bool)
     inner[max(j0 - 1, 0):j1 + 2, max(i0 - 1, 0):i1 + 2] = True
     return np.flatnonzero(outer), np.flatnonzero(inner & region), region
 
@@ -193,26 +195,26 @@ def _rings(shape: tuple[int, int], hole: tuple[int, int, int, int] | None
 _CANVAS_PIXELS = 1 << 18
 
 
-def _crossing_counts(K: GridCompactum, windows: Sequence[_Window],
-                     mode: str) -> np.ndarray:
-    """Crossing components of each window of one raster in one mode.
-    Same-shape windows are stacked as tiles of one canvas of at most
-    _CANVAS_PIXELS, a blank guard row under each, and labelled once: no
-    component spans two tiles under 4- or 8-connectivity."""
+def _crossing_counts(K: GridCompactum, windows: np.ndarray, mode: str) -> np.ndarray:
+    """Crossing components of each window row (_window) of one raster in
+    one mode.  Windows of one tile (_tiles) are stacked as tiles of one
+    canvas of at most _CANVAS_PIXELS, a blank guard row under each, and
+    labelled once: no component spans two tiles under 4- or 8-connectivity."""
     struct = _STRUCT_8 if mode == "intersection" else _STRUCT_4
     counts = np.zeros(len(windows), dtype=np.int64)
     groups: dict[tuple, list[int]] = {}
-    for k, win in enumerate(windows):
-        groups.setdefault((win.shape, win.hole), []).append(k)
-    for (shape, hole), members in groups.items():
-        (h, w), (a, b, region) = shape, _rings(shape, hole)
+    for k, tile in enumerate(map(tuple, _tiles(windows).tolist())):
+        groups.setdefault(tile, []).append(k)
+    boxes, turned = windows[:, :4].tolist(), (windows[:, 8] == 1).tolist()
+    for tile, members in groups.items():
+        (h, w), (a, b, region) = tile[:2], _rings(tile)
         per = max(1, _CANVAS_PIXELS // ((h + 1) * w))
         for c in range(0, len(members), per):
             index = members[c:c + per]
             canvas = np.zeros((len(index), h + 1, w), dtype=bool)
             for t, k in enumerate(index):
-                slab = _slab(K, *windows[k].box)
-                canvas[t, :h] = slab.T if windows[k].turned else slab
+                slab = _slab(K, *boxes[k])
+                canvas[t, :h] = slab.T if turned[k] else slab
             if mode == "difference":
                 np.logical_not(canvas[:, :h], out=canvas[:, :h])
             if region is not None:
@@ -266,18 +268,19 @@ class _BlockRegions:
     labels and their seams (grid._components over runs of whole regions).  One
     crosses when a label faces a block before the first boundary and one a
     block past the second: below a strip's first line and above its last
-    (left and right when turned; its lateral range holds all of K), or
+    (left and right for a v strip; its lateral range holds all of K), or
     outside an annulus' outer box and inside its hole.  Ids rank a region's
     components by first pixel, as labelling the region alone numbers them.
     """
 
-    def label(self, K: GridCompactum, f: int, windows: Sequence[_Window]) -> _BlockRegions:
-        """Label K for the regions of the given windows (of K).  A method,
+    def label(self, K: GridCompactum, f: int, windows: np.ndarray) -> _BlockRegions:
+        """Label K for the regions of a window table (rows of _window, at K);
+        their frames are the rows' boxes in blocks, clipped.  A method,
         not __init__, since a constructor call would keep a raster passed
         inline alive to its end: this one frees it once the blocks are cut
         out.  Its batches count pixels, nodes and seams (_graph), or nodes."""
         (oi, oj), (H, W) = K.origin, K.mask.shape
-        self.f, self.corner, self.windows = f, (oi // f * f, oj // f * f), list(windows)
+        self.f, self.corner, self.windows = f, (oi // f * f, oj // f * f), windows
         self.shape = R, C = -(-(oj + H) // f) - oj // f, -(-(oi + W) // f) - oi // f
         (ci, cj), band = self.corner, max(1, _NODES // max(C * f * f, 1))
         # the nonempty blocks, cut out a band of block rows at a time
@@ -327,8 +330,10 @@ class _BlockRegions:
         del seams, a, b, e, both  # freed before the graph is built
         self.seam_b = seam % (n + 1)
         self.ptr = np.searchsorted(seam // (n + 1), np.arange(n + 2))
-        self.frames = np.array([self._frame(w) for w in self.windows], dtype=np.int64).reshape(
-            -1, 8).clip(-2, max(R, C) + 1).astype(np.int32)  # int32, clipped past every block
+        # the window's blocks (c0, r0, c1, r1) and those past its second boundary,
+        # both inclusive: int32, clipped past every block
+        self.frames = ((windows[:, :8] - np.tile(self.corner, 4)) // f).clip(
+            -2, max(R, C) + 1).astype(np.int32)
 
         reg, self.lab, self.comp, nc = self._graph(self.frames)
         self.bounds = np.searchsorted(reg, np.arange(len(self.windows) + 1))
@@ -352,17 +357,6 @@ class _BlockRegions:
         self.cbounds = np.searchsorted(owner[self.order], np.arange(len(self.windows) + 1))
         self.counts = np.bincount(owner[self.cross], minlength=len(self.windows))
         return self
-
-    def _frame(self, win: _Window) -> list[int]:
-        """The window's blocks (c0, r0, c1, r1) and those past its second
-        boundary (an annulus' hole, every block beyond a strip's last line),
-        both inclusive."""
-        f, (ci, cj) = self.f, self.corner
-        (i, j), (h, w) = win.origin, win.shape[::-1] if win.turned else win.shape
-        j0, i0, j1, i1 = win.hole or ((-_FAR, w, _FAR, _FAR) if win.turned
-                                      else (h, -_FAR, _FAR, _FAR))
-        return [(i - ci) // f, (j - cj) // f, (i + w - 1 - ci) // f, (j + h - 1 - cj) // f,
-                (i + i0 - ci) // f, (j + j0 - cj) // f, (i + i1 - ci) // f, (j + j1 - cj) // f]
 
     def _graph(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """The nodes (region, label) of the regions `frames` (the blocks
@@ -704,23 +698,24 @@ def crossing_components(K: GridCompactum, region: Region,
     if n_min < 1:
         raise GridError(f"n_min must be at least 1, got {n_min}")
     win = _window(K, region)
-    image = _slab(K, *win.box)
+    box, origin = win[:4].tolist(), tuple(win[:2].tolist())
+    image = _slab(K, *box)
     if mode == "difference":
         np.logical_not(image, out=image)
-    a, b, ring = _rings(win.shape, win.hole)
+    a, b, ring = _rings(tuple(_tiles(win[None])[0].tolist()))
     if ring is not None:
         image &= ring
     labels, n = _label_mask(image, 8 if mode == "intersection" else 4)
-    tile = (labels.T if win.turned else labels).ravel()
+    tile = (labels.T if win[8] == 1 else labels).ravel()
     ids = np.intersect1d(tile[a][tile[a] >= 0], tile[b][tile[b] >= 0])
     # candidate universe for approximate limits: occupied cells near the
     # region (intersection mode reaches into K outside the region by delta;
     # difference mode stays inside the labeled window)
     if mode == "intersection":
-        candidates = _near_cells(K, win.box, delta, s)
+        candidates = _near_cells(K, box, delta, s)
     else:
-        candidates = _cells_of(labels >= 0, win.origin)
-    groups = _cells_by_label(labels, n, win.origin)
+        candidates = _cells_of(labels >= 0, origin)
+    groups = _cells_by_label(labels, n, origin)
     sets = [groups[c] for c in ids.tolist()]
     sizes = np.array([len(c) for c in sets], dtype=np.int64)
     cells = np.concatenate([np.zeros((0, 2), dtype=np.int64)] + sets)
@@ -730,7 +725,7 @@ def crossing_components(K: GridCompactum, region: Region,
                           sizes, members, gb, (delta + 1e-9) / s, np.minimum(gs, n_min))
     clusters = tuple(Cluster(tuple(ids[members[gb[g]:gb[g + 1]]].tolist()), limits[g])
                      for g in range(len(gs)))
-    return CrossingReport(region, mode, K.level, win.snapped, tuple(ids.tolist()), len(ids),
+    return CrossingReport(region, mode, K.level, _snapped(win, s), tuple(ids.tolist()), len(ids),
                           clusters)
 
 
@@ -795,22 +790,13 @@ class ScanReport:
         return out
 
 
-def _band_strips(level: Level, i0: int, j0: int, i1: int,
-                 j1: int) -> list[Strip]:
-    """Strips two cells wide whose lower line sits on cell row j0..j1 (h),
-    then on cell column i0..i1 (v), bounds inclusive."""
-    s = level.cell_size
-    fam = [Strip("h", k * s, (k + 2) * s) for k in range(j0, j1 + 1)]
-    fam += [Strip("v", k * s, (k + 2) * s) for k in range(i0, i1 + 1)]
-    return fam
-
-
 def default_strip_family(spec: SetSpec, level: Level) -> list[Strip]:
     """Every axis-aligned strip two cells wide at the given level, across the
     spec's bounding box.  Offsets are multiples of this level's cell size, so
     they stay exactly aligned at every finer level of the same base."""
-    i0, j0, i1, j1 = window_cell_range(spec.bbox, level)
-    return _band_strips(level, i0, j0, i1 - 1, j1 - 1)
+    (i0, j0, i1, j1), s = window_cell_range(spec.bbox, level), level.cell_size
+    return [Strip(axis, k * s, (k + 2) * s) for axis, a, b in (("h", j0, j1), ("v", i0, i1))
+            for k in range(a, b)]
 
 
 # Levels over which a crossing count must strictly increase to diverge.
@@ -836,19 +822,27 @@ def schoenflies_scan(spec: SetSpec, strips: Sequence[Strip],
     level, are checked before any fill.  Every strip is placed at every level
     first, strip by strip, so a strip that collapses or a window that misses
     K raises for the first such pair in that order; then each (level, mode)
-    is one batch of crossing counts.  `jobs` is accepted and has no effect.
-    """
+    is one batch of crossing counts of the window rows, each cut to K's cell
+    box and a cell more (an empty K counts alike on any box).  `jobs` has no
+    effect."""
     lvls = tuple(sorted(set(int(n) for n in levels)))
     if not lvls:
         raise GridError("scan needs at least one level")
     for n in lvls:  # every level's depth and budget before any fill
         _raster_range(spec, Level(n, spec.base))
     rasters = [rasterize(spec, Level(n, spec.base)) for n in lvls]
-    windows = [[_window(K, strip) for K in rasters] for strip in strips]
-    m_int, m_diff = (np.array([_crossing_counts(K, [w[x] for w in windows], mode)
+    windows = np.array([[_window(K, strip) for K in rasters] for strip in strips],
+                       dtype=np.int64).reshape(len(strips), len(lvls), 9)
+    cut = windows.copy()
+    for x, K in enumerate(rasters):
+        # past K's cell box and a cell more, a strip repeats its edge: same counts, less work
+        e = np.add(K.cell_bbox() if not K.is_empty else (0, 0, 0, 0), [-1, -1, 1, 1])
+        cut[:, x, :4] = cut[:, x, :4].clip(np.tile(e[:2], 2), np.tile(e[2:], 2))
+    m_int, m_diff = (np.array([_crossing_counts(K, cut[:, x], mode)
                                for x, K in enumerate(rasters)]).T
                      for mode in ("intersection", "difference"))
-    per_strip = [StripScan(strip, lvls, tuple(w.snapped for w in wins),
+    per_strip = [StripScan(strip, lvls, tuple(_snapped(w, K.level.cell_size)
+                                               for w, K in zip(wins, rasters)),
                            tuple(mi.tolist()), tuple(md.tolist()),
                            _strictly_increasing_tail(mi.tolist()))
                  for strip, wins, mi, md in zip(strips, windows, m_int, m_diff)]

@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from pcx import GridCompactum, Level, Strip
+from pcx import Box, GridCompactum, Level, RectAnnulus, Strip
 from pcx.grid import _cells_by_label, _label_mask, _slab
-from pcx.schoenflies import _lateral_range
+from pcx.schoenflies import _lateral_range, _window
 
 settings.register_profile("pcx", deadline=None, max_examples=60)
 settings.load_profile("pcx")
@@ -125,6 +125,32 @@ def bfs_crossing_exists(rect_cells: set, blocked: set) -> bool:
                 seen.add(nb)
                 frontier.append(nb)
     return False
+
+
+# ---------------------------------------------------------------------------
+# the relation's region family as objects
+
+def object_family(K, family="both", stride=8):
+    """The regions of schoenflies_relation as Strip and RectAnnulus objects,
+    in family order: bands two cells wide from K's cell box (h, then v),
+    then 17x17 annuli with 7x7 holes from a loop over K's cells, each centred
+    on a cell whose coordinates both sit at a stride-block edge."""
+    s, (i0, j0, i1, j1), out = K.level.cell_size, K.cell_bbox(), []
+    if family != "rect-annuli-sampled":
+        out += [Strip("h", k * s, (k + 2) * s) for k in range(j0 - 1, j1 + 1)]
+        out += [Strip("v", k * s, (k + 2) * s) for k in range(i0 - 1, i1 + 1)]
+    if family != "strips-all-offsets":
+        edge = {0, stride - 1}
+        for i, j in K.cells().tolist():
+            if i % stride in edge and j % stride in edge:
+                out.append(RectAnnulus(Box((i - 8) * s, (j - 8) * s, (i + 9) * s, (j + 9) * s),
+                                       Box((i - 3) * s, (j - 3) * s, (i + 4) * s, (j + 4) * s)))
+    return out
+
+
+def window_table(R, regions):
+    """The window rows of the regions at raster R, one _window call each."""
+    return np.array([_window(R, r) for r in regions], dtype=np.int64).reshape(-1, 9)
 
 
 # ---------------------------------------------------------------------------

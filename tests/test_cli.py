@@ -91,6 +91,7 @@ _RANGE_ERRORS = [
     ["decompose", "--gen", "bars", "--level", "3", "--delta", "inf"],
     ["decompose", "--gen", "bars", "--level", "3", "--delta", "nan"],
     ["scan", "--gen", "bars", "--levels", "3", "--strip", "h:0:inf"],
+    ["scan", "--gen", "unit_square", "--levels", "2", "--strip", "h:0:1e300"],
     ["compare", "--a", "a.json", "--b", "b.json", "--tol", "nan"],
     ["compare", "--a", "a.json", "--b", "b.json", "--tol", "inf"],
     ["compare", "--a", "a.json", "--b", "b.json", "--tol", "-0.5"],
@@ -141,6 +142,19 @@ def test_a_delta_past_the_extent_glues_as_the_extent_does(capsys):
             assert captured.err == ""
             outs.append(captured.out)
         assert outs[0] and outs.count(outs[0]) == len(outs)
+
+
+def test_a_stride_past_the_extent_samples_as_the_extent_does(capsys):
+    """Past the set's extent every stride samples the same annulus centres,
+    so a stride too large for int64 gives the bytes of --stride 1000."""
+    for gen, level in (("unit_square", "3"), ("cantor_comb", "3")):
+        outs = []
+        for stride in ("1000", str(10 ** 21)):
+            assert run(["decompose", "--gen", gen, "--level", level, "--stride", stride]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outs.append(captured.out)
+        assert outs[0] and outs[0] == outs[1]
 
 
 def test_a_huge_level_range_stops_past_the_cap(monkeypatch, capsys):
@@ -280,6 +294,30 @@ def test_scan_explicit_strip_counts(tmp_path):
     assert strip["m_int"] == [4, 8, 16, 32]
     assert strip["m_diff"] == [5, 9, 17, 33]
     assert strip["divergent"] is True
+
+
+def test_scan_strip_far_past_the_set(tmp_path):
+    """h:0:1e9 reaches some 5e11 cells past the unit square at level 9.  The
+    scan counts it on the square's cell box and a cell more, with the same
+    counts: no piece of the square crosses it, one piece of the complement
+    does."""
+    out = run_to_file(tmp_path, "far.json", ["scan", "--gen", "unit_square", "--levels", "2..9",
+                                             "--strip", "h:0:1e9"])
+    (strip,) = load_json(out)["strips"]
+    assert (strip["m_int"], strip["m_diff"]) == ([0] * 8, [1] * 8)
+    assert strip["snapped"] == [[0.0, 1e9]] * 8
+
+
+def test_scan_of_a_blank_pbm(tmp_path):
+    """An empty raster has no cell box; each strip still counts no piece of
+    the set and one of its complement, however far it reaches."""
+    blank = tmp_path / "blank.pbm"
+    blank.write_bytes(b"P1\n4 4\n" + b"0 0 0 0\n" * 4)
+    out = run_to_file(tmp_path, "blank.json", ["scan", "--in", str(blank), "--levels", "2..3",
+                                               "--strip", "h:0.2:0.5", "--strip", "v:-3:0.5"])
+    strips = load_json(out)["strips"]
+    assert [(s["m_int"], s["m_diff"]) for s in strips] == [([0, 0], [1, 1])] * 2
+    assert [s["snapped"] for s in strips] == [[[0.25, 0.5]] * 2, [[-3.0, 0.5]] * 2]
 
 
 # ---------------------------------------------------------------------------

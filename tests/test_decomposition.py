@@ -44,11 +44,12 @@ from pcx import (
 from pcx import decomposition, schoenflies
 from pcx.cli import decomposition_to_payload, json_text, load_decomposition
 from pcx.decomposition import ClassInfo
-from pcx.decomposition import _annulus_family, _fracture_loci, _strip_family, _unit_pairs
+from pcx.decomposition import _family, _fracture_loci, _unit_pairs
 from pcx.grid import _canonical, _cells_by_label, _label_mask, _slab, coarsen
-from pcx.schoenflies import RectAnnulus, _BlockRegions, _crossing_counts, _window
+from pcx.schoenflies import RectAnnulus, _BlockRegions, _crossing_counts, _tiles
 
-from conftest import bfs_components, cells_from_art, grid_from_art, reference_core
+from conftest import (bfs_components, cells_from_art, grid_from_art, object_family,
+                      reference_core, window_table)
 
 LVL = Level(6, 2)
 S = LVL.cell_size
@@ -332,13 +333,14 @@ def test_deep_children_match_cell_list_count(family):
         K = rasterize(spec, Level(n, spec.base))
         deep = rasterize(spec, Level(n + 3, spec.base))
         factor = spec.base ** 3
-        regions = _strip_family(K) if family == "strips" else _annulus_family(K, 8)
-        blocks = _BlockRegions().label(deep, factor, [_window(deep, r) for r in regions])
+        regions = object_family(K, "strips-all-offsets" if family == "strips"
+                                else "rect-annuli-sampled")
+        blocks = _BlockRegions().label(deep, factor, window_table(deep, regions))
         ts = np.arange(len(regions))
         core_list = [reference_core(K, region, "intersection") for region in regions]
         # the coarse pieces: components of the same regions labelled at f = 1,
         # as (region, id) through the region's components by first pixel
-        coarse = _BlockRegions().label(K, 1, [_window(K, r) for r in regions])
+        coarse = _BlockRegions().label(K, 1, window_table(K, regions))
         region_of, cid_of = np.empty((2, len(coarse.cross)), dtype=np.int64)
         for t in ts:
             comps = coarse.order[coarse.cbounds[t]:coarse.cbounds[t + 1]]
@@ -435,13 +437,12 @@ def check_fracture_loci(K, deep, factor, regions, cases):
     against each region split alone, for each (deep_children, delta in
     cells); the number of patches compared."""
     s = K.level.cell_size
-    live = np.flatnonzero(_crossing_counts(K, [_window(K, r) for r in regions],
-                                           "intersection") > 0)
-    blocks = _BlockRegions().label(deep, factor, [_window(deep, regions[k]) for k in live])
+    live = np.flatnonzero(_crossing_counts(K, window_table(K, regions), "intersection") > 0)
+    blocks = _BlockRegions().label(deep, factor, window_table(deep, [regions[k] for k in live]))
     seen = 0
     for children, d in cases:
         ts = np.flatnonzero(blocks.counts >= children)
-        coarse = _BlockRegions().label(K, 1, [_window(K, regions[k]) for k in live[ts]])
+        coarse = _BlockRegions().label(K, 1, window_table(K, [regions[k] for k in live[ts]]))
         xs, patches = _fracture_loci(blocks, ts, coarse, factor,
                                      (d * s + 1e-9) / deep.level.cell_size, children)
         want = [(x, p) for x, t in enumerate(ts.tolist()) for p in
@@ -458,8 +459,7 @@ def test_fracture_loci_match_the_per_region_split(gp, n):
     """The same patches, cells and order as each region split alone."""
     spec = make_spec(gp)
     K, deep = (rasterize(spec, Level(m, spec.base)) for m in (n, n + 3))
-    seen = check_fracture_loci(K, deep, spec.base ** 3, _strip_family(K) + _annulus_family(K, 8),
-                               ((3, 2), (2, 3)))
+    seen = check_fracture_loci(K, deep, spec.base ** 3, object_family(K), ((3, 2), (2, 3)))
     assert (seen > 0) == (gp.name in ("cantor_comb", "spiral_disk", "topologist_sine"))
 
 
@@ -478,8 +478,7 @@ def test_fracture_loci_match_the_per_region_split_on_noise(seed, base):
     assume(not deep.is_empty)
     K = coarsen(coarsen(deep))
     # nearly every such raster has patches (597 of the first 600 seeds)
-    check_fracture_loci(K, deep, f, _strip_family(K) + _annulus_family(K, 2),
-                        ((2, 1), (2, 2), (3, 2)))
+    check_fracture_loci(K, deep, f, object_family(K, stride=2), ((2, 1), (2, 2), (3, 2)))
 
 
 def test_fracture_loci_come_by_piece_before_first_cell():
@@ -494,9 +493,9 @@ def test_fracture_loci_come_by_piece_before_first_cell():
     K = coarsen(coarsen(deep))
     strip = [Strip("h", 0.0, 2 * K.level.cell_size)]
     assert check_fracture_loci(K, deep, 4, strip, ((2, 1),)) == 2
-    blocks = _BlockRegions().label(deep, 4, [_window(deep, strip[0])])
+    blocks = _BlockRegions().label(deep, 4, window_table(deep, strip))
     xs, patches = _fracture_loci(blocks, np.array([0]),
-                                 _BlockRegions().label(K, 1, [_window(K, strip[0])]), 4,
+                                 _BlockRegions().label(K, 1, window_table(K, strip)), 4,
                                  (K.level.cell_size + 1e-9) / deep.level.cell_size, 2)
     assert [p.tolist() for p in patches] == [[[0, 1], [1, 1]], [[4, 0], [5, 0], [4, 1], [5, 1]]]
 
@@ -532,13 +531,13 @@ def test_relation_labels_alone_only_the_regions_that_pass_the_count_gate():
         K = rasterize(spec, Level(3, spec.base))
         params = RelationParams(multi_level=False,
                                 **dict(fields, delta=fields.get("delta", 2) * K.level.cell_size))
-        windows = [_window(K, r) for r in _strip_family(K) + _annulus_family(K, params.stride)]
+        windows = _family(K, params, K)
         gated = np.flatnonzero(_crossing_counts(K, windows, "intersection") >= params.n_min)
         with mock.patch.object(schoenflies.ndimage, "label",
                                wraps=schoenflies.ndimage.label) as label:
             seed = schoenflies_relation(K, params)
         assert 0 < len(gated) < len(windows)
-        assert label.call_count == len({(w.shape, w.hole) for w in windows}) + 1 < len(gated)
+        assert label.call_count == len(np.unique(_tiles(windows), axis=0)) + 1 < len(gated)
         assert bool(seed.merge_sets) == (gen == "cantor_comb")
 
 
@@ -623,25 +622,47 @@ def _translated(spec: SetSpec, n: int, di: int, dj: int) -> SetSpec:
                    fill=fill, base=spec.base)
 
 
-def _annulus_family_loop(K, stride):
-    """The family as a loop over K's cells, as it was built before numpy."""
-    s = K.level.cell_size
-    edge = {0, stride - 1}
-    out = []
-    for i, j in K.cells():
-        if int(i) % stride in edge and int(j) % stride in edge:
-            out.append(RectAnnulus(
-                Box((i - 8) * s, (j - 8) * s, (i + 9) * s, (j + 9) * s),
-                Box((i - 3) * s, (j - 3) * s, (i + 4) * s, (j + 4) * s)))
-    return out
+@given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), min_size=1, max_size=60),
+       st.sampled_from([Level(4, 2), Level(3, 3), Level(7, 2)]), st.integers(1, 9),
+       st.sampled_from(["both", "strips-all-offsets", "rect-annuli-sampled"]),
+       st.sampled_from([0, 1, 3]), st.sampled_from([1, 5]), st.integers(0, 2 ** 32 - 1))
+def test_family_table_matches_the_windows_of_the_object_family(cells, level, stride, family,
+                                                               finer, shrink, seed):
+    """The window table of the relation's family, at K's level and at a
+    raster 1 or 3 levels finer, is _window of each region object, row for
+    row in family order: both bases, strides 1-9, and all three families.
+    K's cells are shrunk now and then, so that strides reach past its
+    extent.  The finer raster holds K's cells refined, each cut down to a
+    random part, plus a few cells of its own; now and then it is empty, as
+    no relation raster is."""
+    K = GridCompactum.from_cells(level, np.array(cells, dtype=np.int64) // shrink)
+    R, rng = K, np.random.default_rng(seed)
+    if finer:
+        f = level.base ** finer
+        fine = K.cells() * f + rng.integers(0, f, size=(K.count, 2))
+        fine = np.r_[fine, rng.integers(-30 * f, 30 * f, size=(int(rng.integers(0, 4)), 2))]
+        R = GridCompactum.from_cells(level.finer(finer), fine[:0] if rng.random() < 0.1 else fine)
+    got = _family(K, RelationParams(annulus_family=family, stride=stride), R)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, window_table(R, object_family(K, family, stride)))
 
 
-@given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), max_size=60),
-       st.sampled_from([Level(4, 2), Level(3, 3), Level(7, 2)]), st.integers(1, 9))
-def test_annulus_family_matches_the_cell_loop(cells, level, stride):
-    """Same annuli, in the same order, with bit-equal float box sides."""
-    K = GridCompactum.from_cells(level, np.array(cells, dtype=np.int64).reshape(-1, 2))
-    assert _annulus_family(K, stride) == _annulus_family_loop(K, stride)
+def test_relation_builds_no_region_object():
+    """decompose and peano_check read their regions from window tables:
+    they construct no Strip or RectAnnulus, on spiral L4 (t_max 6), where
+    the deep split fires, or on comb L3, where both routes do."""
+    made = []
+    with mock.patch.object(Strip, "__post_init__", lambda self: made.append(self)), \
+            mock.patch.object(RectAnnulus, "__post_init__", lambda self: made.append(self)):
+        for gp, n in ((GeneratorParams("spiral_disk", t_max=6.0), 4),
+                      (GeneratorParams("cantor_comb"), 3)):
+            spec = make_spec(gp)
+            graphs = [quotient_graph(rasterize(spec, Level(m, spec.base)),
+                                     decompose(spec, Level(m, spec.base))) for m in (n - 1, n)]
+            peano_check(graphs, [0.1, 0.5])
+        assert made == []
+        Strip("h", 0.0, 1.0)  # the watch itself sees a construction
+    assert len(made) == 1
 
 
 @pytest.mark.parametrize("gp,n", DEEP_CORPUS[:3])
@@ -683,9 +704,9 @@ def test_block_labelling_does_not_depend_on_its_budget(gp, n):
     gives the default labelling, id for id."""
     spec = make_spec(gp)
     K = rasterize(spec, Level(n, spec.base))
-    regions = _strip_family(K) + _annulus_family(K, 8)
+    regions = object_family(K)
     for raster, f in ((K, 1), (rasterize(spec, Level(n + 3, spec.base)), spec.base ** 3)):
-        windows = [_window(raster, r) for r in regions]
+        windows = window_table(raster, regions)
         want = _BlockRegions().label(raster, f, windows)
         for budget in (1, 7, 64):
             with mock.patch.object(schoenflies, "_NODES", budget):
@@ -716,8 +737,8 @@ def test_same_level_prefilter_drops_only_regions_without_a_group(gen, n, fields)
                               wraps=decomposition._single_linkage) as linkage:
         assert schoenflies_relation(K, params).to_dict() == want
     cell_sizes = [c.args[4] for c in linkage.call_args_list]
-    gated = (_crossing_counts(K, [_window(K, r) for r in _strip_family(K) + _annulus_family(
-        K, params.stride)], "intersection") >= params.n_min).any()
+    gated = (_crossing_counts(K, window_table(K, object_family(K, stride=params.stride)),
+                              "intersection") >= params.n_min).any()
     assert cell_sizes in (([s], [s, s / spec.base]) if gated else ([],))
 
 
@@ -837,13 +858,8 @@ def reference_same_level(K, params, delta):
     distance, persistence from the region labelled alone one level finer,
     and limit cells by brute-force centre distances."""
     s, reach, kc = K.level.cell_size, int(np.ceil(delta / K.level.cell_size)) + 1, K.cells()
-    regions = []
-    if params.annulus_family != "rect-annuli-sampled":
-        regions += _strip_family(K)
-    if params.annulus_family != "strips-all-offsets":
-        regions += _annulus_family(K, params.stride)
     out = []
-    for region in regions:
+    for region in object_family(K, params.annulus_family, params.stride):
         pieces, box = _alone(K, region)
         groups = _groups_alone(pieces, delta, s, params.n_min)
         if groups and params.multi_level:

@@ -17,6 +17,7 @@ from pcx import (
     GridError,
     Level,
     RectAnnulus,
+    SetSpec,
     Strip,
     WindowError,
     complement_diameter_scan,
@@ -37,9 +38,8 @@ from pcx import (
 )
 from pcx import decomposition, schoenflies
 from pcx.grid import _label_mask, _slab
-from pcx.decomposition import _annulus_family, _strip_family
 from pcx.schoenflies import (_BlockRegions, _crossing_counts, _disc_blocks, _near, _runs,
-                             _single_linkage, _support, _window)
+                             _single_linkage, _snapped, _support)
 
 from conftest import (
     HAND_PATTERNS,
@@ -49,10 +49,12 @@ from conftest import (
     bfs_reaches,
     cells_from_art,
     grid_from_art,
+    object_family,
     pattern_art_size,
     pattern_cells,
     ray_winding,
     reference_core,
+    window_table,
 )
 
 LVL = Level(6, 2)
@@ -459,14 +461,14 @@ def test_batched_regions_match_per_region_labelling(seed, budget, mode):
                               [(3, 1), (6, 2)] * 3 + [(3, 1)]):
         regions.append(RectAnnulus(Box((i - o) * S, (j - o) * S, (i + o + 1) * S, (j + o + 1) * S),
                                    Box((i - h) * S, (j - h) * S, (i + h + 1) * S, (j + h + 1) * S)))
-    windows = [_window(K, r) for r in regions]
+    windows = window_table(K, regions)
     want = [reference_core(K, r, mode) for r in regions]
     with mock.patch.object(schoenflies, "_CANVAS_PIXELS", budget):
         assert _crossing_counts(K, windows, mode).tolist() == [len(w.crossing) for w in want]
     for region, win, core in zip(regions, windows, want):
         rep = crossing_components(K, region, mode)
         assert (rep.crossing_ids, rep.m, rep.snapped) == \
-            (core.crossing, len(core.crossing), win.snapped)
+            (core.crossing, len(core.crossing), _snapped(win, S))
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 3, 4, 8, 9, 16, 27, 81]))
@@ -496,14 +498,14 @@ def test_block_engine_matches_per_window_labelling(seed, f):
     assume(len(cells))
     K = GridCompactum.from_cells(level, cells + corner + lo)
     coarse_K = GridCompactum.from_cells(coarse, np.unique(K.cells() // f, axis=0))
-    regions = _strip_family(coarse_K) + _annulus_family(coarse_K, 2)
+    regions = object_family(coarse_K, stride=2)
     for (i, j), (o, h) in zip(rng.integers(-3, 6, size=(4, 2)).tolist() + [[0, 0]],
                               [(2, 0), (3, 1), (4, 1), (5, 2), (2, 0)]):
         i, j = i + corner[0] // f, j + corner[1] // f
         regions.append(RectAnnulus(
             Box((i - o) * f * s, (j - o) * f * s, (i + o + 1) * f * s, (j + o + 1) * f * s),
             Box((i - h) * f * s, (j - h) * f * s, (i + h + 1) * f * s, (j + h + 1) * f * s)))
-    blocks = _BlockRegions().label(K, f, [_window(K, r) for r in regions])
+    blocks = _BlockRegions().label(K, f, window_table(K, regions))
     annuli = [t for t, r in enumerate(regions) if isinstance(r, RectAnnulus)]
     units = blocks.units(annuli)
     (ci, cj), width = blocks.corner, blocks.shape[1] * f
@@ -767,6 +769,44 @@ def test_scan_jobs_agree():
     for sa, sb in zip(a.strips, b.strips):
         assert sa.m_int == sb.m_int and sa.m_diff == sb.m_diff
     assert a.verdict == b.verdict
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_scan_counts_of_clipped_strips_are_those_of_the_whole_windows(seed):
+    """schoenflies_scan counts each strip cut to K's cell box and a cell
+    more: the same counts, in both modes, as the whole windows labelled
+    with _crossing_counts, for strips partly or wholly outside K, some
+    windowed, on noise (now and then empty) at two levels."""
+    rng = np.random.default_rng(seed)
+    masks = {n: rng.random(rng.integers(1, 12, size=2)) < rng.uniform(0, 0.7) for n in (3, 4)}
+    origin = tuple(rng.integers(-4, 8, size=2).tolist())
+    spec = SetSpec("noise", Box(-1, -1, 2, 2), fill=lambda level: (origin, masks[level.n]))
+    s, strips = Level(3).cell_size, []
+    for axis, r, width, pad in zip(rng.choice(["h", "v"], 8), rng.integers(-30, 30, size=8),
+                                   rng.integers(1, 40, size=8), rng.integers(0, 3, size=8)):
+        window = None if not pad else Box((-5 - pad) * s, (-5 - pad) * s, (20 + pad) * s,
+                                          (20 + pad) * s)
+        strips.append(Strip(str(axis), int(r) * s, int(r + width) * s, window))
+    rep = schoenflies_scan(spec, strips, [3, 4])
+    for x, n in enumerate((3, 4)):
+        K = rasterize(spec, Level(n))
+        windows = window_table(K, strips)
+        for mode, got in (("intersection", "m_int"), ("difference", "m_diff")):
+            assert [getattr(sc, got)[x] for sc in rep.strips] == \
+                _crossing_counts(K, windows, mode).tolist()
+        assert [sc.snapped[x] for sc in rep.strips] == [_snapped(w, K.level.cell_size)
+                                                       for w in windows]
+
+
+def test_strip_lines_past_2_pow_40_cells_are_refused():
+    """A line 2**40 cells or more from the origin is refused: the scan would
+    count a strip that far out as one at K's edge, but its window rows keep
+    _FAR beyond every line."""
+    for c1, c2 in ((0.0, 2.0 ** 38), (-(2.0 ** 38), 0.5), (0.0, 1e300)):
+        with pytest.raises(GridError, match="2\\*\\*40 cells or more"):
+            Strip("h", c1, c2).snapped_lines(Level(2))
+    assert Strip("h", 0.0, 2.0 ** 37).snapped_lines(Level(2)) == (0, 2 ** 39)
 
 
 def test_default_family_covers_bbox():
