@@ -98,6 +98,10 @@ CASES += [
     # the same-level route: four-cell delta builds the persistence raster
     ("quotient_comb_delta.json", ["quotient", "--contract", "--gen", "cantor_comb",
                                   "--level", "3", "--delta", repr(4 * 3.0 ** -3)]),
+    # quotients with several components of distinct diameters, and with no edge
+    ("quotient_blobs7.json", ["quotient", "--contract", "--gen", "random_blobs", "--seed",
+                              "7", "--level", "5"]),
+    ("quotient_dust.json", ["quotient", "--contract", "--gen", "cantor_dust", "--level", "3"]),
     ("decompose_comb_nmin3.json", ["decompose", "--gen", "cantor_comb", "--level", "3",
                                    "--nmin", "3", "--delta", repr(3 * 3.0 ** -3),
                                    "--family", "strips-all-offsets"]),

@@ -269,9 +269,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     elif args.format == "text":
         lines = [f"{D.class_count} classes at level {K.level.n} "
                  f"(cell_size {K.level.cell_size:.8g})"]
-        lines += [f"  class {c['id']}: size={c['size']} diameter={c['diameter']:.8g} "
-                  f"rep=({c['representative'][0]},{c['representative'][1]})"
-                  for c in D.to_dict()["classes"]]
+        lines += [f"  class {k}: size={j - i} diameter={d:.8g} rep=({r[0]},{r[1]})"
+                  for k, (i, j, r, d) in enumerate(D._rows())]
         _emit_text("\n".join(lines) + "\n", args.out)
     else:
         _dump_json(decomposition_to_payload(D), args.out)

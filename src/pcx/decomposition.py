@@ -153,26 +153,29 @@ class Decomposition:
 
 @dataclass(frozen=True, eq=False)
 class QuotientGraph:
-    """Classes as nodes, joined when they contain 8-adjacent cells."""
+    """Classes as nodes, joined when they contain 8-adjacent cells, as columns:
+    component k is members[cbounds[k]:cbounds[k + 1]], by smallest node."""
     level: Level
-    nodes: tuple[int, ...]
-    sizes: tuple[int, ...]
-    diameters: tuple[float, ...]
-    representatives: Cells  # one cell per node, aligned with nodes
-    edges: tuple[tuple[int, int], ...]
-    components: tuple[tuple[int, ...], ...]
-    component_diameters: tuple[float, ...]
+    nodes: np.ndarray                # int64 0..n-1
+    sizes: np.ndarray                # int64 cells per node
+    diameters: np.ndarray            # float64 per node
+    representatives: Cells           # one cell per node, aligned with nodes
+    edges: np.ndarray                # (E, 2) int64, a < b, ascending
+    members: np.ndarray              # every node, component by component
+    cbounds: np.ndarray              # component count + 1 offsets into members
+    component_diameters: np.ndarray  # float64 per component
 
     def to_dict(self) -> dict:
+        m, b = self.members.tolist(), self.cbounds.tolist()
         return {
             "level": self.level.n,
             "base": self.level.base,
             "nodes": [{"id": n, "size": s, "diameter": d, "representative": r}
-                      for n, s, d, r in zip(self.nodes, self.sizes, self.diameters,
-                                            self.representatives.tolist())],
-            "edges": [list(e) for e in self.edges],
-            "components": [list(c) for c in self.components],
-            "component_diameters": list(self.component_diameters),
+                      for n, s, d, r in zip(*(c.tolist() for c in (
+                          self.nodes, self.sizes, self.diameters, self.representatives)))],
+            "edges": self.edges.tolist(),
+            "components": [m[i:j] for i, j in zip(b, b[1:])],
+            "component_diameters": self.component_diameters.tolist(),
         }
 
 
@@ -517,20 +520,15 @@ def quotient_graph(K: GridCompactum, D: Decomposition) -> QuotientGraph:
     a, b = ids[p], ids[q]
     n = D.class_count
     keys = np.unique((np.minimum(a, b) * n + np.maximum(a, b))[a != b])
-    edges = np.stack([keys // n, keys % n], axis=1)
     comp_ids, count = _canonical(_components(n, a, b)[1])
-    members, bounds = _group(comp_ids, count, np.arange(n))
-    components = tuple(tuple(members[bounds[k]:bounds[k + 1]].tolist())
-                       for k in range(count))
-    cells, cbounds = _group(comp_ids[ids], count, D.cells())
-    comp_diams = tuple(diameters(cells, cbounds, K.level.cell_size).tolist())
-    return QuotientGraph(K.level, tuple(range(n)), tuple(np.diff(D.bounds).tolist()),
-                         tuple(D.diameters.tolist()), D.grouped[D.bounds[:-1]],
-                         tuple(map(tuple, edges.tolist())), components, comp_diams)
+    members, cbounds = _group(comp_ids, count, np.arange(n))
+    cells, bounds = _group(comp_ids[ids], count, D.cells())
+    return QuotientGraph(K.level, np.arange(n), np.diff(D.bounds), D.diameters,
+                         D.grouped[D.bounds[:-1]], np.stack([keys // n, keys % n], axis=1),
+                         members, cbounds, diameters(cells, bounds, K.level.cell_size))
 
 
-def contract_degree_two(nodes: Iterable[int],
-                        edges: Iterable[tuple[int, int]]
+def contract_degree_two(nodes: Iterable[int], edges: Sequence[tuple[int, int]] | np.ndarray
                         ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Repeatedly remove vertices of degree two, until stable.
 
@@ -543,11 +541,15 @@ def contract_degree_two(nodes: Iterable[int],
       the vertex and joining the neighbors un-subdivides the chain edge.
 
     A chordless quadrilateral admits neither move, which is what keeps a
-    genuine loop from ever contracting into a path."""
+    genuine loop from ever contracting into a path.  The edges are pairs or
+    an (E, 2) array, and each end must be a node."""
     adj: dict[int, set[int]] = {int(v): set() for v in nodes}
-    for a, b in edges:
-        adj[int(a)].add(int(b))
-        adj[int(b)].add(int(a))
+    try:
+        for a, b in np.asarray(edges, dtype=np.int64).reshape(-1, 2).tolist():
+            adj[a].add(b)
+            adj[b].add(a)
+    except KeyError:
+        raise GridError(f"edge ({a}, {b}) has an end that is not a node") from None
     changed = True
     while changed:
         changed = False
@@ -570,16 +572,18 @@ def contract_degree_two(nodes: Iterable[int],
 
 
 def is_simple_path(nodes: Sequence[int],
-                   edges: Sequence[tuple[int, int]]) -> bool:
+                   edges: Sequence[tuple[int, int]] | np.ndarray) -> bool:
     """True for a path graph: connected, acyclic, max degree 2.  A connected
     graph with one edge fewer than nodes is a tree, and a tree whose degrees
     are at most 2 is a path."""
-    n = len(nodes)
-    if n == 0 or len(edges) != n - 1:
-        return False
-    index = {v: k for k, v in enumerate(nodes)}
-    a, b = np.array([(index[u], index[v]) for u, v in edges],
+    n, index = len(nodes), {v: k for k, v in enumerate(nodes)}
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    a, b = np.array([index.get(v, -1) for v in ends.ravel().tolist()],
                     dtype=np.int64).reshape(-1, 2).T
+    if (bad := np.flatnonzero((a < 0) | (b < 0))).size:
+        raise GridError(f"edge {tuple(ends[bad[0]].tolist())} has an end that is not a node")
+    if n == 0 or len(a) != n - 1:
+        return False
     degree = np.bincount(np.concatenate([a, b]), minlength=n)
     return bool((degree <= 2).all()) and _components(n, a, b)[0] == 1
 
@@ -663,10 +667,9 @@ def peano_check(graphs: Sequence[QuotientGraph],
         raise GridError("peano_check needs quotient graphs of one base")
     graphs = sorted(graphs, key=lambda g: g.level.n)
     levels = tuple(g.level.n for g in graphs)
-    counts = tuple(
-        tuple(sum(1 for d in g.component_diameters if d >= C - 1e-12)
-              for g in graphs)
-        for C in C_grid)
+    C = np.asarray(C_grid, dtype=np.float64).reshape(-1, 1) - 1e-12
+    counts = tuple(map(tuple, np.array([(g.component_diameters >= C).sum(axis=1)
+                                        for g in graphs]).T.tolist()))
     stable = tuple(row[-1] == row[-2] if len(row) >= 2 else True
                    for row in counts)
 

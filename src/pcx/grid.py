@@ -88,7 +88,7 @@ class Box:
     y1: float
 
     def __post_init__(self) -> None:
-        if self.x1 < self.x0 or self.y1 < self.y0:
+        if not (-np.inf < self.x0 <= self.x1 < np.inf and -np.inf < self.y0 <= self.y1 < np.inf):
             raise GridError(f"degenerate box {self}")
 
     def intersects(self, other: "Box") -> bool:
@@ -202,14 +202,6 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
     np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
     graph = csr_matrix((np.ones(len(a)), b[np.argsort(a)], indptr), shape=(n, n))
     return connected_components(graph, directed=False)
-
-
-def _cells_by_label(labels: np.ndarray, n: int,
-                    origin: tuple[int, int]) -> list[Cells]:
-    """Cells of each label id 0..n-1 (-1 is background), row-major within an id."""
-    fg = labels >= 0
-    cells, bounds = _group(labels[fg], n, _cells_of(fg, origin))
-    return [cells[bounds[k]:bounds[k + 1]] for k in range(n)]
 
 
 @dataclass(frozen=True, eq=False)

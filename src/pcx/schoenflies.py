@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 
 from .grid import (_STRUCT_4, _STRUCT_8, Box, Cells, GridCompactum, GridError,
                    Level, SetSpec, WindowError, _as_cells, _at, _canonical,
-                   _cell_span, _cells_by_label, _cells_of, _components, _group,
+                   _cell_span, _cells_of, _components, _group,
                    _label_mask, _mask_of, _raster_range, _slab, complement_components,
                    rasterize, sort_cells, window_cell_range)
 
@@ -51,14 +51,14 @@ class Strip:
 
     def snapped_lines(self, level: Level) -> tuple[int, int]:
         s = level.cell_size
-        r1 = int(np.rint(self.c1 / s))
-        r2 = int(np.rint(self.c2 / s))
+        r1 = np.rint(self.c1 / s)  # a float, which an overflow leaves infinite
+        r2 = np.rint(self.c2 / s)
         if r2 <= r1:
             raise GridError(f"strip [{self.c1}, {self.c2}] collapses at level {level.n}")
         if max(-r1, r2) >= _FAR:
             raise GridError(f"strip [{self.c1}, {self.c2}] reaches 2**40 cells or more "
                             f"from the origin at level {level.n}")
-        return r1, r2
+        return int(r1), int(r2)
 
 
 @dataclass(frozen=True)
@@ -144,17 +144,20 @@ def _window(K: GridCompactum, region: Region) -> np.ndarray:
     i1, j1), the cells past its second boundary (an annulus' hole, every
     cell beyond a strip's last line out to _FAR), both inclusive, and its
     kind (0: h strip, 1: v strip, 2: annulus).  Whole families come as
-    tables of such rows (decomposition._family)."""
+    tables of such rows (decomposition._family); none reaches past _FAR."""
     if isinstance(region, Strip):
         r1, r2 = region.snapped_lines(K.level)
         lo, hi = _lateral_range(K, region, K.level)
         kind = "hv".index(region.axis)
         row = [lo, lo, hi, hi, -_FAR, -_FAR, _FAR, _FAR, kind]
         row[1 - kind], row[3 - kind], row[5 - kind] = r1, r2 - 1, r2  # lines on the axis it crosses
-        return np.array(row, dtype=np.int64)
-    if isinstance(region, RectAnnulus):
-        return np.array([*np.ravel(region.snapped_rects(K.level)), 2], dtype=np.int64)
-    raise GridError(f"unsupported region {type(region).__name__}")
+    elif isinstance(region, RectAnnulus):
+        row = [c for rect in region.snapped_rects(K.level) for c in rect] + [2]
+    else:
+        raise GridError(f"unsupported region {type(region).__name__}")
+    if max(map(abs, row)) > _FAR:
+        raise GridError(f"{region} reaches past 2**40 cells from the origin at level {K.level.n}")
+    return np.array(row, dtype=np.int64)
 
 
 def _snapped(row: np.ndarray, s: float) -> tuple[float, float] | tuple[Box, Box]:
@@ -708,17 +711,15 @@ def crossing_components(K: GridCompactum, region: Region,
     labels, n = _label_mask(image, 8 if mode == "intersection" else 4)
     tile = (labels.T if win[8] == 1 else labels).ravel()
     ids = np.intersect1d(tile[a][tile[a] >= 0], tile[b][tile[b] >= 0])
+    fg = labels >= 0
+    labelled = _cells_of(fg, origin)
     # candidate universe for approximate limits: occupied cells near the
     # region (intersection mode reaches into K outside the region by delta;
     # difference mode stays inside the labeled window)
-    if mode == "intersection":
-        candidates = _near_cells(K, box, delta, s)
-    else:
-        candidates = _cells_of(labels >= 0, origin)
-    groups = _cells_by_label(labels, n, origin)
-    sets = [groups[c] for c in ids.tolist()]
-    sizes = np.array([len(c) for c in sets], dtype=np.int64)
-    cells = np.concatenate([np.zeros((0, 2), dtype=np.int64)] + sets)
+    candidates = _near_cells(K, box, delta, s) if mode == "intersection" else labelled
+    grouped, bounds = _group(labels[fg], n, labelled)
+    sizes = bounds[ids + 1] - bounds[ids]
+    cells = grouped[_ranges(bounds[ids], sizes)[0]]
     members, gb = _single_linkage(cells, sizes, np.array([0, len(ids)]), delta, s)
     gs = np.diff(gb)
     limits = _limit_cells(candidates, np.zeros_like(gs), np.full_like(gs, len(candidates)), cells,

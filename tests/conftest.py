@@ -18,7 +18,7 @@ import pytest
 from hypothesis import settings
 
 from pcx import Box, GridCompactum, Level, RectAnnulus, Strip
-from pcx.grid import _cells_by_label, _label_mask, _slab
+from pcx.grid import _cells_of, _label_mask, _slab
 from pcx.schoenflies import _lateral_range, _window
 
 settings.register_profile("pcx", deadline=None, max_examples=60)
@@ -163,9 +163,8 @@ class RegionCore(NamedTuple):
     crossing: tuple[int, ...]
 
     def crossing_cells(self) -> dict[int, np.ndarray]:
-        """Cells of each crossing component, row-major."""
-        groups = _cells_by_label(self.labels, self.n, self.origin)
-        return {cid: groups[cid] for cid in self.crossing}
+        """Cells of each crossing component, row-major, one scan per label."""
+        return {cid: _cells_of(self.labels == cid, self.origin) for cid in self.crossing}
 
 
 def reference_core(K, region, mode) -> RegionCore:

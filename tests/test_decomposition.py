@@ -45,7 +45,7 @@ from pcx import decomposition, schoenflies
 from pcx.cli import decomposition_to_payload, json_text, load_decomposition
 from pcx.decomposition import ClassInfo
 from pcx.decomposition import _family, _fracture_loci, _unit_pairs
-from pcx.grid import _canonical, _cells_by_label, _label_mask, _slab, coarsen
+from pcx.grid import _canonical, _cells_of, _label_mask, _slab, coarsen
 from pcx.schoenflies import RectAnnulus, _BlockRegions, _crossing_counts, _tiles
 
 from conftest import (bfs_components, cells_from_art, grid_from_art, object_family,
@@ -428,7 +428,8 @@ def reference_fracture_loci(K, deep, region, factor, delta, children):
                        for u in children_of[cid])
             locus[js[hits >= 2], is_[hits >= 2]] = True
     oi, oj = core.origin
-    return sorted(_cells_by_label(*_label_mask(locus, 8), core.origin),
+    patches, n = _label_mask(locus, 8)
+    return sorted((_cells_of(patches == k, core.origin) for k in range(n)),
                   key=lambda p: core.labels[p[0, 1] - oj, p[0, 0] - oi])
 
 
@@ -1036,12 +1037,41 @@ def test_quotient_graph_edges_and_validation():
                               np.array([[1, 0], [2, 0]])))
     D = close_equivalence(K, seed)
     G = quotient_graph(K, D)
-    assert G.nodes == (0, 1)
-    assert G.edges == ((0, 1),)  # the two dominoes share a cell edge
-    assert G.components == ((0, 1),)
+    assert G.nodes.tolist() == [0, 1]
+    assert G.edges.tolist() == [[0, 1]]  # the two dominoes share a cell edge
+    assert (G.members.tolist(), G.cbounds.tolist()) == ([0, 1], [0, 2])  # one component
     other = grid_from_art("###", level=LVL)
     with pytest.raises(GridError):
         quotient_graph(other, D)
+
+
+@pytest.mark.parametrize("params, n", [(GeneratorParams("random_blobs", seed=7), 5),
+                                       (GeneratorParams("cantor_dust"), 3)])
+def test_quotient_graph_is_columns(params, n):
+    """The quotient holds int64 and float64 arrays: members and cbounds
+    partition the nodes 0..n-1 into components ordered by smallest node, and
+    edges is an (E, 2) array of pairs a < b in ascending order (none for the
+    dust)."""
+    spec = make_spec(params)
+    K = rasterize(spec, Level(n, spec.base))
+    D = decompose(spec, K.level)
+    G = quotient_graph(K, D)
+    for col in (G.nodes, G.sizes, G.edges, G.members, G.cbounds):
+        assert col.dtype == np.int64
+    assert G.diameters.dtype == G.component_diameters.dtype == np.float64
+    nodes = np.arange(D.class_count)
+    assert np.array_equal(G.nodes, nodes) and np.array_equal(np.sort(G.members), nodes)
+    assert G.cbounds[0] == 0 and G.cbounds[-1] == len(nodes) and (np.diff(G.cbounds) > 0).all()
+    firsts = G.members[G.cbounds[:-1]]
+    assert (np.diff(firsts) > 0).all()
+    assert np.array_equal(firsts, np.minimum.reduceat(G.members, G.cbounds[:-1]))
+    assert len(G.component_diameters) == len(firsts)
+    assert G.edges.ndim == 2 and G.edges.shape[1] == 2 and (G.edges[:, 0] < G.edges[:, 1]).all()
+    keys = G.edges[:, 0] * len(nodes) + G.edges[:, 1]
+    assert (np.diff(keys) > 0).all()
+    comp = np.repeat(np.arange(len(firsts)), np.diff(G.cbounds))[np.argsort(G.members)]
+    assert np.array_equal(comp[G.edges[:, 0]], comp[G.edges[:, 1]])
+    assert len(G.edges) == (483 if params.name == "random_blobs" else 0)
 
 
 def test_partition_check_compares_the_occupied_cells():
@@ -1088,6 +1118,17 @@ def test_contract_degree_two_cases():
     # branch vertices survive
     n, e = contract_degree_two(range(4), [(0, 1), (0, 2), (0, 3)])
     assert len(n) == 4
+    # an (E, 2) array reads as its pairs
+    assert contract_degree_two(np.arange(3), np.array([[0, 1], [1, 2]])) == ((0, 2), ((0, 2),))
+
+
+def test_an_edge_off_the_nodes_is_refused():
+    """An edge with an end that is not a node raises a GridError naming the
+    edge, not a bare KeyError."""
+    with pytest.raises(GridError, match=r"edge \(0, 1\) has an end that is not a node"):
+        contract_degree_two([0], [(0, 1)])
+    with pytest.raises(GridError, match=r"edge \(0, 2\) has an end that is not a node"):
+        is_simple_path([0, 1], [(0, 2)])
 
 
 @pytest.mark.parametrize("nodes,edges,expected", [
@@ -1149,20 +1190,22 @@ def test_quotient_and_monotone_match_brute_force(cells, data):
     # quotient components: unions of classes that 8-touch, i.e. K's pieces
     # glued by classes spanning them
     G = quotient_graph(K, D)
-    assert rep.quotient_components == len(G.components)
+    m, cb = G.members.tolist(), G.cbounds.tolist()
+    components = [m[i:j] for i, j in zip(cb, cb[1:])]
+    assert rep.quotient_components == len(components)
     cls = {c: D.class_of(*c) for c in map(tuple, cells.tolist())}
-    assert list(G.edges) == sorted(
-        {(min(x, y), max(x, y)) for (i, j), x in cls.items()
-         for di in (-1, 0, 1) for dj in (-1, 0, 1)
-         if (y := cls.get((i + di, j + dj), x)) != x})
-    assert G.component_diameters == tuple(
+    pairs = {(min(x, y), max(x, y)) for (i, j), x in cls.items()
+             for di in (-1, 0, 1) for dj in (-1, 0, 1)
+             if (y := cls.get((i + di, j + dj), x)) != x}
+    assert G.edges.tolist() == [list(e) for e in sorted(pairs)]
+    assert G.component_diameters.tolist() == [
         diameter(np.concatenate([D.classes[c].cells for c in comp]), S)
-        for comp in G.components)
+        for comp in components]
     glued = bfs_classes(cells, [np.array(sorted(p), dtype=np.int64) for p in
                                 bfs_components(cells, 8)] + [c.cells for c in D.classes])
     assert {frozenset(x for c in comp for x in map(tuple, D.classes[c].cells.tolist()))
-            for comp in G.components} == glued
-    firsts = [min(comp) for comp in G.components]
+            for comp in components} == glued
+    firsts = [min(comp) for comp in components]
     assert firsts == sorted(firsts)
 
 
@@ -1170,7 +1213,9 @@ def test_quotient_and_monotone_of_an_empty_raster():
     K = GridCompactum.from_cells(LVL, np.zeros((0, 2), dtype=np.int64))
     D = close_equivalence(K, all_singleton_seed(K))
     G = quotient_graph(K, D)
-    assert G.nodes == G.edges == G.components == G.component_diameters == ()
+    assert G.nodes.tolist() == G.edges.tolist() == G.members.tolist() == \
+        G.component_diameters.tolist() == []
+    assert G.edges.shape == (0, 2) and G.cbounds.tolist() == [0]
     rep = monotone_check(K, D)
     assert rep.ok and rep.quotient_components == rep.compactum_components == 0
 

@@ -809,6 +809,30 @@ def test_strip_lines_past_2_pow_40_cells_are_refused():
     assert Strip("h", 0.0, 2.0 ** 37).snapped_lines(Level(2)) == (0, 2 ** 39)
 
 
+def test_far_or_non_finite_boxes_are_refused():
+    """A region box reaching past 2**40 cells, a strip line whose cell index
+    overflows a float, and a box with a coordinate that is not finite all
+    end in a GridError."""
+    spec = make_spec(GeneratorParams("unit_square"))
+    K = rasterize(spec, Level(2))
+    far = "reaches past 2\\*\\*40 cells"
+    for call in (
+            lambda: schoenflies_scan(spec, [Strip("h", 0.2, 0.6, Box(-1e300, -1, 1e300, 2))], [2]),
+            lambda: crossing_components(K, RectAnnulus(Box(-1e300, -1e300, 1e300, 1e300),
+                                                       Box(0, 0, 1, 1))),
+            lambda: crossing_components(K, Strip("h", 0.2, 0.6, Box(-1e13, -1, 1e13, 2)))):
+        with pytest.raises(GridError, match=far):
+            call()
+    with pytest.raises(GridError, match="2\\*\\*40 cells or more"):
+        schoenflies_scan(spec, [Strip("h", 0.0, 1e308)], [3])  # 8e308 cells: inf
+    for bad in (-math.inf, math.inf, math.nan):
+        for k in range(4):
+            coords = [-1.0, -1.0, 2.0, 2.0]
+            coords[k] = bad
+            with pytest.raises(GridError, match="degenerate box"):
+                Box(*coords)
+
+
 def test_default_family_covers_bbox():
     spec = make_spec(GeneratorParams("unit_square"))
     fam = default_strip_family(spec, Level(3, 2))
