@@ -111,6 +111,12 @@ CASES += [
                                      "--deep-levels", "2", "--deep-children", "2"]),
     ("decompose_comb_flat.json", ["decompose", "--gen", "cantor_comb", "--level", "3",
                                   "--no-multi-level"]),
+    # the deep split's boundary-run gate at its lowest threshold, on strips and on rings
+    ("decompose_blobs11_deep2.json", ["decompose", "--gen", "random_blobs", "--seed", "11",
+                                      "--level", "5", "--deep-children", "2"]),
+    ("decompose_sine_annuli_deep2.json", ["decompose", "--gen", "topologist_sine", "--level",
+                                          "5", "--family", "rect-annuli-sampled",
+                                          "--deep-children", "2"]),
     ("decompose_pbm.json", ["decompose", "--in", "{out}/gen_blobs7.pbm",
                             "--level", "5"]),
     ("compare_comb.json", ["compare", "--a", "{out}/decompose_cantor_comb.json",
@@ -251,7 +257,7 @@ def _closures(out: Path) -> None:
     import numpy as np
     from pcx import (GeneratorParams, Level, RelationSeed, close_equivalence,
                      make_spec, rasterize)
-    from pcx.cli import _dump_json, decomposition_to_payload
+    from pcx import cli
     K = rasterize(make_spec(GeneratorParams("sierpinski_carpet")), Level(4, 3))
     cells = K.cells()
     occupied = set(map(tuple, cells.tolist()))
@@ -270,7 +276,10 @@ def _closures(out: Path) -> None:
     for name, sets in (("closure_a.json", fine),
                        ("closure_b.json", fine + merge_sets(K.count // 2, 2))):
         D = close_equivalence(K, RelationSeed(K.level, tuple(sets)))
-        _dump_json(decomposition_to_payload(D), str(out / name))
+        if hasattr(cli, "decomposition_json"):  # the CLI's writer; older checkouts lack it
+            cli._emit_text(cli.decomposition_json(D), str(out / name))
+        else:
+            cli._dump_json(cli.decomposition_to_payload(D), str(out / name))
 
 
 def _bad_documents(out: Path) -> None:

@@ -17,7 +17,9 @@ default RelationParams:
   the rows whose fine cells the support queries' exact stage keys, and
   under `tracemalloc` the largest peak of any block labelling
   (`schoenflies._BlockRegions.label`) and of any support query above the
-  call's start.
+  call's start, and the deep regions: the regions with a coarse crossing
+  that the boundary-run gate (`_boundary_runs`) sees, and those it passes
+  to the deep block labelling.
 
 The pixels are reported as multiples of the deep raster, the raster
 `deep_levels` (3) finer that the deep split refines to.  The default rows
@@ -48,7 +50,7 @@ def _child(name: str, level: int, count: bool) -> dict:
     from pcx import GeneratorParams, Level, RelationParams, decompose, make_spec, rasterize
     from pcx import decomposition, schoenflies
     tally = {"calls": 0, "px": 0, "fg": 0, "label_s": 0.0, "label_mib": 0.0, "support_mib": 0.0,
-             "support_s": 0.0, "support_rows": 0}
+             "support_s": 0.0, "support_rows": 0, "live": 0, "gated": 0}
     support = schoenflies._support
     if count:
         def traced(fn, key):
@@ -76,6 +78,15 @@ def _child(name: str, level: int, count: bool) -> dict:
             return out
 
         ndimage.label = counted
+        runs = decomposition._boundary_runs
+
+        def gate(R, windows):
+            out = runs(R, windows)
+            tally["live"] += len(windows)
+            tally["gated"] += int((out >= RelationParams().deep_children).sum())
+            return out
+
+        decomposition._boundary_runs = gate
 
     def timed(cells, f, bunit, bcell, owner, unit, reach, k, pixels=None):
         def rows(qs):  # at f = 1 (pixels None) each row is its one fine cell
@@ -134,7 +145,8 @@ def main() -> int:
     print(_line_counts())
     print(f"{'row':<22} {'wall s':>7} {'peak MiB':>9} {'classes':>8} {'label calls':>12} "
           f"{'label s':>8} {'deep Mpx':>9} {'px x deep':>10} {'fg x deep':>10} "
-          f"{'blocks MiB':>11} {'support MiB':>12} {'support s':>10} {'keyed rows':>11}")
+          f"{'blocks MiB':>11} {'support MiB':>12} {'support s':>10} {'keyed rows':>11} "
+          f"{'deep regions':>13}")
     for row in args.rows:
         name, level = row.rsplit(":", 1)
         timed, counted = _run(name, int(level), False), _run(name, int(level), True)
@@ -143,7 +155,8 @@ def main() -> int:
               f"{counted['deep_px'] / 1e6:9.2f} {counted['px'] / counted['deep_px']:10.2f} "
               f"{counted['fg'] / max(counted['deep_fg'], 1):10.2f} "
               f"{counted['label_mib']:11.1f} {counted['support_mib']:12.1f} "
-              f"{timed['support_s']:10.3f} {counted['support_rows']:11d}", flush=True)
+              f"{timed['support_s']:10.3f} {counted['support_rows']:11d} "
+              f"{str(counted['live']) + '/' + str(counted['gated']):>13}", flush=True)
     return 0
 
 

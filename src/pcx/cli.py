@@ -145,6 +145,24 @@ def decomposition_to_payload(D: Decomposition) -> dict:
     return payload
 
 
+def decomposition_json(D: Decomposition) -> str:
+    """json_text(decomposition_to_payload(D)) byte for byte, from D's columns: one
+    f-string piece per cell and per class, each diameter the repr of its distinct value."""
+    g, b, sep = D.grouped.tolist(), D.bounds.tolist(), ",\n"
+    cells = [f"        [\n          {i},\n          {j}\n        ]" for i, j in g]
+    values, which = np.unique(D.diameters, return_inverse=True)
+    d = [repr(v) for v in values.tolist()]
+    classes = sep.join(
+        f'    {{\n      "cells": [\n{sep.join(cells[i:j])}\n      ],\n      "diameter": {d[x]},\n'
+        f'      "id": {k},\n      "representative": [\n        {g[i][0]},\n        {g[i][1]}\n'
+        f'      ],\n      "size": {j - i}\n    }}'
+        for k, (i, j, x) in enumerate(zip(b, b[1:], which.tolist())))
+    return (f'{{\n  "base": {D.level.base},\n  "cell_size": {D.level.cell_size!r},\n'
+            f'  "class_count": {D.class_count},\n  "classes": '
+            + (f"[\n{classes}\n  ]" if classes else "[]") + ',\n  "command": "decompose",\n'
+            f'  "level": {D.level.n},\n  "schema": "{SCHEMA}"\n}}\n')
+
+
 def load_decomposition(path: str) -> Decomposition:
     """Rebuild a Decomposition from `pcx decompose` JSON output."""
     try:
@@ -273,7 +291,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
                   for k, (i, j, r, d) in enumerate(D._rows())]
         _emit_text("\n".join(lines) + "\n", args.out)
     else:
-        _dump_json(decomposition_to_payload(D), args.out)
+        _emit_text(decomposition_json(D), args.out)
     return 0
 
 

@@ -32,8 +32,9 @@ from scipy.spatial import cKDTree
 from .grid import (Cells, GridCompactum, GridError, Level, SetSpec,
                    _as_cells, _at, _canonical, _cells_of, _components, _group,
                    _label_mask, _raster_range, diameters, max_level, rasterize)
-from .schoenflies import (_FAR, _BlockRegions, _crossing_counts, _limit_cells, _near_cells,
-                          _ranges, _runs, _single_linkage, _support, _strictly_increasing_tail)
+from .schoenflies import (_FAR, _BlockRegions, _boundary_runs, _crossing_counts, _limit_cells,
+                          _near_cells, _ranges, _runs, _single_linkage, _support,
+                          _strictly_increasing_tail)
 
 _FAMILIES = ("strips-all-offsets", "rect-annuli-sampled", "both")
 
@@ -370,15 +371,18 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
     (schoenflies._crossing_counts): a region with fewer than n_min crossing
     ids has no cluster, one with no crossing no witness.  The deep raster's
     budget is checked first, but it is filled only once some region
-    crosses, and labelled in blocks (schoenflies._BlockRegions) for those
-    regions; then one labelling at f = 1 lists the regions the deep count
-    passes, then the others with n_min crossing ids.  The deep split
-    (_fracture_loci) reads its first regions, and the deep labelling is
-    freed; the same-level route (_clusters) reads all of them, and labels
-    one level finer to test persistence.  Both routes need K.source to
-    refine; without one, clusters are not filtered and deep splitting is
-    off.  Merge sets come by region in family order, a region's same-level
-    sets (by smallest id) before its deep ones; `jobs` has no effect.
+    crosses.  A deep crossing component holds a whole run of deep cells on
+    each boundary of its region, so the regions with fewer than
+    deep_children runs on either (schoenflies._boundary_runs) are dropped,
+    and the rest labelled in blocks (schoenflies._BlockRegions); then one
+    labelling at f = 1 lists the regions the deep count passes, then the
+    others with n_min crossing ids.  The deep split (_fracture_loci) reads
+    its first regions, and the deep labelling is freed; the same-level
+    route (_clusters) reads all of them, and labels one level finer to
+    test persistence.  Both routes need K.source to refine; without one,
+    clusters are not filtered and deep splitting is off.  Merge sets come
+    by region in family order, a region's same-level sets (by smallest id)
+    before its deep ones; `jobs` has no effect.
     """
     params = params or RelationParams()
     if K.is_empty:
@@ -399,18 +403,21 @@ def schoenflies_relation(K: GridCompactum, params: RelationParams | None = None,
     windows = _family(K, params, K)
     counts = _crossing_counts(K, windows, "intersection")
 
-    # the deep split is taken for regions with a coarse crossing; a piece
-    # counts a unit once and units never outnumber deep crossing ids, so a
-    # region with too few ids has no witness.  Every such region is a union
-    # of whole coarse cells of the deep raster
+    # the deep split is taken for regions with a coarse crossing and enough
+    # boundary runs; a piece counts a unit once and units never outnumber deep
+    # crossing ids, so a region with too few ids has no witness.  Every such
+    # region is a union of whole coarse cells of the deep raster
     live, ts, blocks = np.flatnonzero(counts > 0), np.zeros(0, dtype=np.int64), None
     if deep and len(live):
         # in a list, so that the block labelling can take it over and free it
         held = [rasterize(K.source, Level(deep_n, base))]
         dcell, factor = held[0].level.cell_size, base ** (deep_n - K.level.n)
         dwins = _family(K, params, held[0])[live]
-        blocks = _BlockRegions().label(held.pop(), factor, dwins)
-        ts = np.flatnonzero(blocks.counts >= params.deep_children)
+        keep = _boundary_runs(held[0], dwins) >= params.deep_children
+        if len(live := live[keep]):
+            blocks = _BlockRegions().label(held.pop(), factor, dwins[keep])
+            ts = np.flatnonzero(blocks.counts >= params.deep_children)
+        del held
     # one labelling at f = 1 for both routes: the deep-gated regions first,
     # then those only the same-level gate passes
     same = np.flatnonzero(counts >= params.n_min)

@@ -25,6 +25,7 @@ DEFAULT_MAX_LEVEL = 12
 # labelled.  Admits base-3 level 8 and base-2 level 11 over the spiral's
 # +-17/8 box; rejects base-3 level 9 and above on the unit square.
 MAX_RASTER_CELLS = 10 ** 8
+_FAR = 1 << 40  # cells from the origin that no window reaches; beyond every block of a raster
 
 _STRUCT_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _STRUCT_8 = np.ones((3, 3), dtype=bool)
@@ -269,7 +270,10 @@ class GridCompactum:
 
 
 def _slab(K: GridCompactum, i0: int, j0: int, i1: int, j1: int) -> np.ndarray:
-    """K's occupancy over the inclusive cell rectangle as bool[nj, ni]."""
+    """K's occupancy over the inclusive cell rectangle, in the cell budget, as bool[nj, ni]."""
+    if (j1 - j0 + 1) * (i1 - i0 + 1) > MAX_RASTER_CELLS:
+        raise GridError(f"a window of {i1 - i0 + 1} x {j1 - j0 + 1} cells is over the budget "
+                        f"of {MAX_RASTER_CELLS}")
     out = np.zeros((j1 - j0 + 1, i1 - i0 + 1), dtype=bool)
     if K.is_empty:
         return out
@@ -433,7 +437,10 @@ def label_components(K: GridCompactum, connectivity: int = 8) -> ComponentLabeli
 def _cell_span(lo: float, hi: float, s: float) -> tuple[int, int]:
     """First and last index of the cells of side s that cover [lo, hi] on
     one axis, with 1e-9 cell of slack so an end on a grid line stays put."""
-    return int(np.floor(lo / s + 1e-9)), int(np.ceil(hi / s - 1e-9)) - 1
+    a, b = np.floor(lo / s + 1e-9), np.ceil(hi / s - 1e-9) - 1
+    if max(abs(a), abs(b)) >= _FAR:
+        raise GridError(f"[{lo}, {hi}] reaches past 2**40 cells of side {s} from the origin")
+    return int(a), int(b)
 
 
 def window_cell_range(window: Box, level: Level) -> tuple[int, int, int, int]:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .grid import (_STRUCT_4, _STRUCT_8, Box, Cells, GridCompactum, GridError,
+from .grid import (_FAR, _STRUCT_4, _STRUCT_8, Box, Cells, GridCompactum, GridError,
                    Level, SetSpec, WindowError, _as_cells, _at, _canonical,
                    _cell_span, _cells_of, _components, _group,
                    _label_mask, _mask_of, _raster_range, _slab, complement_components,
@@ -74,12 +74,10 @@ class RectAnnulus:
     def snapped_rects(self, level: Level) -> tuple[tuple[int, int, int, int],
                                                    tuple[int, int, int, int]]:
         s = level.cell_size
-
-        def snap(b: Box) -> tuple[int, int, int, int]:
-            return (int(np.rint(b.x0 / s)), int(np.rint(b.y0 / s)),
-                    int(np.rint(b.x1 / s)) - 1, int(np.rint(b.y1 / s)) - 1)
-
-        o, i = snap(self.outer), snap(self.inner)
+        r = np.rint([c / s for b in (self.outer, self.inner) for c in (b.x0, b.y0, b.x1, b.y1)])
+        if np.abs(r).max() >= _FAR:  # checked as floats, which an overflow leaves infinite
+            raise GridError(f"{self} reaches past 2**40 cells from the origin at level {level.n}")
+        o, i = map(tuple, (r.astype(np.int64) - [0, 0, 1, 1] * 2).reshape(2, 4).tolist())
         if i[0] <= o[0] or i[1] <= o[1] or i[2] >= o[2] or i[3] >= o[3]:
             raise GridError("annulus boxes must nest with at least one cell between "
                             f"boundaries at level {level.n}")
@@ -155,8 +153,6 @@ def _window(K: GridCompactum, region: Region) -> np.ndarray:
         row = [c for rect in region.snapped_rects(K.level) for c in rect] + [2]
     else:
         raise GridError(f"unsupported region {type(region).__name__}")
-    if max(map(abs, row)) > _FAR:
-        raise GridError(f"{region} reaches past 2**40 cells from the origin at level {K.level.n}")
     return np.array(row, dtype=np.int64)
 
 
@@ -192,6 +188,39 @@ def _rings(tile: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
     inner = np.zeros((h, w), dtype=bool)
     inner[max(j0 - 1, 0):j1 + 2, max(i0 - 1, 0):i1 + 2] = True
     return np.flatnonzero(outer), np.flatnonzero(inner & region), region
+
+
+def _perimeter(x0: int, y0: int, x1: int, y1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets (x, y) of a box's edge cells, inclusive, in cyclic order."""
+    x, y = np.arange(x0, x1, dtype=np.int32), np.arange(y0, y1, dtype=np.int32)
+    return (np.r_[x, np.full_like(y, x1), x[::-1] + 1, np.full_like(y, x0)],
+            np.r_[np.full_like(x, y0), y, np.full_like(x, y1), y[::-1] + 1])
+
+
+def _boundary_runs(R: GridCompactum, windows: np.ndarray) -> np.ndarray:
+    """A bound on the crossing components of each window row (_window) at
+    R: the fewer of the runs of R's cells along its first boundary and
+    along its second, as a crossing component holds a whole run on each.
+    These are an annulus' outer ring and the ring around its hole, or a
+    strip's first and last line, whose ends lie off R as its lateral range
+    holds all of R: both are counted cyclically, a full ring as one run.
+    The rows of one shape are gathered 64 at a time."""
+    out, kind = np.zeros(len(windows), dtype=np.int64), windows[:, 8:]
+    shapes, at = np.unique(np.hstack([windows[:, 2:4] - windows[:, :2], kind, np.where(
+        kind == 2, windows[:, 4:8] - windows[:, [0, 1, 0, 1]], 0)]), axis=0, return_inverse=True)
+    for k, (w, h, kd, a, b, c, d) in enumerate(shapes.tolist()):
+        if kd == 2:
+            sides = _perimeter(0, 0, w, h), _perimeter(a - 1, b - 1, c + 1, d + 1)
+        else:  # a strip's lines, across the axis it crosses
+            t = np.arange((w, h)[kd] + 1, dtype=np.int32)
+            sides = [(t, 0 * t + e)[::1 - 2 * kd] for e in (0, (h, w)[kd])]
+        rows = np.flatnonzero(at.ravel() == k)
+        for r in np.array_split(rows, -(-len(rows) // 64)):
+            corner = (windows[r, :2] - R.origin).astype(np.int32)[:, :, None]
+            v = [_at(R.mask, (0, 0), corner[:, 0] + x, corner[:, 1] + y, False) for x, y in sides]
+            out[r] = np.minimum(*(np.count_nonzero(u & ~np.roll(u, 1, axis=1), axis=1)
+                                  + u.all(axis=1) for u in v))
+    return out
 
 
 # pixels of one canvas; a window larger than this is labelled alone
@@ -249,7 +278,6 @@ _SIDE = {-1: slice(1), 0: slice(None), 1: slice(-1, None)}
 _STEPS = np.zeros((4, 4, 4, 4), dtype=np.uint8)
 for _k, (_dc, _dr) in enumerate(_DIRS):
     _STEPS[:_dc + 2, _dc + 2:, :_dr + 2, _dr + 2:] |= 1 << _k
-_FAR = 1 << 40  # beyond every block of a raster
 _NODES = 1 << 17  # pixels, nodes and seams, pairs, fine cells or probes of one batch
 
 

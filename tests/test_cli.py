@@ -17,8 +17,8 @@ from hypothesis import example, given, strategies as st
 import pcx
 from pcx import GridCompactum, Level, parse_pbm, rasterize, from_pbm
 from pcx import decomposition
-from pcx.cli import (build_parser, decomposition_to_payload, json_text, load_decomposition,
-                     render_svg, run)
+from pcx.cli import (build_parser, decomposition_json, decomposition_to_payload, json_text,
+                     load_decomposition, render_svg, run)
 
 
 def run_to_file(tmp_path, name, argv):
@@ -223,6 +223,34 @@ def _json_values(depth):
 def test_json_text_is_json_dumps_with_indent(payload):
     assert json_text(payload) == json.dumps(payload, sort_keys=True,
                                             ensure_ascii=False, indent=2) + "\n"
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]), st.booleans())
+@example(0, 2, True)
+def test_decomposition_json_is_the_payload_text(seed, base, glue_all):
+    """The decompose document written from the columns is the dict payload's
+    text, byte for byte: random closures on random rasters of both bases
+    (distinct classes sharing a diameter, one class over 64 cells when all
+    is glued), and the empty raster."""
+    rng = np.random.default_rng(seed)
+    h, w = rng.integers(1, 15, size=2)
+    mask = rng.random((h, w)) < rng.uniform(0, 1)
+    K = GridCompactum.from_mask(Level(int(rng.integers(0, 6)), base),
+                                tuple(rng.integers(-9, 9, size=2).tolist()), mask)
+    cells = K.cells()
+    sets = [cells[rng.integers(len(cells), size=int(rng.integers(1, 4)))]
+            for _ in range(len(cells) // 3)] + ([cells] if glue_all and len(cells) else [])
+    D = decomposition.close_equivalence(K, decomposition.RelationSeed(K.level, tuple(sets)))
+    assert decomposition_json(D) == json_text(decomposition_to_payload(D))
+
+
+def test_decomposition_json_of_an_empty_raster_and_a_large_class():
+    for K, sets in ((GridCompactum.from_cells(Level(3, 3), np.zeros((0, 2))), ()),
+                    (GridCompactum.from_mask(Level(4), (-3, 2), np.ones((9, 8), dtype=bool)),
+                     (np.argwhere(np.ones((9, 8)))[:, ::-1] + [-3, 2],))):
+        D = decomposition.close_equivalence(K, decomposition.RelationSeed(K.level, sets))
+        assert D.class_count == len(sets)
+        assert decomposition_json(D) == json_text(decomposition_to_payload(D))
 
 
 # ---------------------------------------------------------------------------

@@ -697,6 +697,27 @@ def test_deep_split_memory():
         tracemalloc.stop()
 
 
+def test_deep_labelling_skips_regions_short_of_boundary_runs(monkeypatch):
+    """The deep raster is block-labelled only for regions whose runs along
+    both boundaries reach deep_children: never for unit_square L5 or a blob
+    with no deep witness, though both have regions with a coarse crossing,
+    and still for spiral L4."""
+    factors, label = [], _BlockRegions.label
+
+    def recorded(self, K, f, windows):
+        factors.append(f)
+        return label(self, K, f, windows)
+
+    monkeypatch.setattr(_BlockRegions, "label", recorded)
+    for name, seed, n, labels_deep in (("unit_square", 0, 5, False), ("random_blobs", 2, 6, False),
+                                       ("spiral_disk", 0, 4, True)):
+        spec, factors[:] = make_spec(GeneratorParams(name, seed=seed, t_max=6.0)), []
+        K = rasterize(spec, Level(n))
+        assert (_crossing_counts(K, _family(K, RelationParams(), K), "intersection") > 0).any()
+        decompose(spec, Level(n))
+        assert (8 in factors) == labels_deep, (name, factors)
+
+
 @pytest.mark.parametrize("gp,n", DEEP_CORPUS)
 def test_block_labelling_does_not_depend_on_its_budget(gp, n):
     """The block engine at f = 1 and at the deep factor, over both region

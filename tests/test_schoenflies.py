@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -20,6 +21,7 @@ from pcx import (
     SetSpec,
     Strip,
     WindowError,
+    complement_components,
     complement_diameter_scan,
     crossing_components,
     crossing_path,
@@ -38,8 +40,8 @@ from pcx import (
 )
 from pcx import decomposition, schoenflies
 from pcx.grid import _label_mask, _slab
-from pcx.schoenflies import (_BlockRegions, _crossing_counts, _disc_blocks, _near, _runs,
-                             _single_linkage, _snapped, _support)
+from pcx.schoenflies import (_BlockRegions, _boundary_runs, _crossing_counts, _disc_blocks,
+                             _near, _runs, _single_linkage, _snapped, _support)
 
 from conftest import (
     HAND_PATTERNS,
@@ -557,6 +559,67 @@ def test_block_engine_matches_per_window_labelling(seed, f):
     assert ((got[ring] == -1) | (owner[got[ring]] == x[ring])).all()
 
 
+def reference_runs(K, row) -> int:
+    """The fewer runs of K's cells along a window row's two boundaries, each
+    walked cell by cell: a strip's first and last line, or an annulus' outer
+    ring and the ring around its hole, cyclically (a full ring is one run)."""
+    i0, j0, i1, j1, h0, k0, h1, k1, kind = row.tolist()
+
+    def runs(path, cyclic):
+        v = [K.contains_cell(i, j) for i, j in path]
+        if cyclic and all(v):
+            return 1
+        return sum(x and not (v[k - 1] if k or cyclic else False) for k, x in enumerate(v))
+
+    def ring(a, b, c, d):  # counterclockwise from (a, b)
+        return ([(i, b) for i in range(a, c + 1)] + [(c, j) for j in range(b + 1, d + 1)]
+                + [(i, d) for i in range(c - 1, a - 1, -1)] + [(a, j) for j in range(d - 1, b, -1)])
+
+    if kind == 2:
+        return min(runs(ring(i0, j0, i1, j1), True),
+                   runs(ring(h0 - 1, k0 - 1, h1 + 1, k1 + 1), True))
+    if kind == 0:
+        return min(runs([(i, j) for i in range(i0, i1 + 1)], False) for j in (j0, j1))
+    return min(runs([(i, j) for j in range(j0, j1 + 1)], False) for i in (i0, i1))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 3, 4, 8, 9]))
+@settings(max_examples=100, deadline=None)
+def test_boundary_runs_bound_the_block_counts(seed, f):
+    """_boundary_runs, the deep split's gate, equals the runs walked cell by
+    cell and is never below the block engine's crossing count, on rasters
+    of empty, full and noisy blocks off the block grid, with the strip and
+    annulus families of the coarse raster (the edge strips reach past the
+    raster) and annuli partly or wholly off it."""
+    rng = np.random.default_rng(seed)
+    base = 2 if f in (1, 2, 4, 8) else 3
+    coarse, level = Level(1, base), Level(1 + round(math.log(f, base)), base)
+    s = level.cell_size
+    (bh, bw), corner = rng.integers(1, 5, size=2), rng.integers(-3, 4, size=2) * f
+    mask = np.zeros((bh * f, bw * f), dtype=bool)
+    for bj in range(bh):
+        for bi in range(bw):
+            kind = rng.integers(3)  # empty, full or noise
+            mask[bj * f:(bj + 1) * f, bi * f:(bi + 1) * f] = \
+                kind == 1 or (kind == 2 and rng.random((f, f)) < rng.uniform(0.2, 0.9))
+    lo, hi = rng.integers(0, f, size=2), rng.integers(0, f, size=2)
+    cells = np.argwhere(mask[lo[1]:bh * f - hi[1], lo[0]:bw * f - hi[0]])[:, ::-1]
+    assume(len(cells))
+    K = GridCompactum.from_cells(level, cells + corner + lo)
+    regions = object_family(GridCompactum.from_cells(coarse, np.unique(K.cells() // f, axis=0)),
+                            stride=2)
+    for (i, j), (o, h) in zip(rng.integers(-3, 6, size=(4, 2)).tolist(),
+                              [(2, 0), (3, 1), (4, 1), (5, 2)]):
+        i, j = i + corner[0] // f, j + corner[1] // f
+        regions.append(RectAnnulus(
+            Box((i - o) * f * s, (j - o) * f * s, (i + o + 1) * f * s, (j + o + 1) * f * s),
+            Box((i - h) * f * s, (j - h) * f * s, (i + h + 1) * f * s, (j + h + 1) * f * s)))
+    windows = window_table(K, regions)
+    runs = _boundary_runs(K, windows)
+    assert runs.tolist() == [reference_runs(K, w) for w in windows]
+    assert (runs >= _BlockRegions().label(K, f, windows).counts).all()
+
+
 def test_strip_window_must_contain_k():
     K = grid_from_art("#####", level=LVL)
     strip = Strip("h", 0.0, S, window=Box(0.0, 0.0, 3 * S, S))
@@ -831,6 +894,25 @@ def test_far_or_non_finite_boxes_are_refused():
             coords[k] = bad
             with pytest.raises(GridError, match="degenerate box"):
                 Box(*coords)
+
+
+def test_windows_past_a_float_or_over_the_budget_are_refused():
+    """A strip window, an annulus box or a complement window whose cell
+    index overflows a float, and windows over the cell budget, end in a
+    GridError before any conversion or allocation, and warn of nothing."""
+    K = rasterize(make_spec(GeneratorParams("unit_square")), Level(2))
+    far, budget = "reaches past 2\\*\\*40 cells", "over the budget of 100000000"
+    for call, match in (
+            (lambda: crossing_components(K, Strip("h", 0.2, 0.6, Box(-1e308, -1, 1e308, 2))), far),
+            (lambda: crossing_components(K, RectAnnulus(Box(-1e308, -1e308, 1e308, 1e308),
+                                                        Box(0, 0, 1, 1))), far),
+            (lambda: complement_components(K, Box(-1e300, -1e300, 1e300, 1e300)), far),
+            (lambda: complement_components(K, Box(-1e7, -1e7, 1e7, 1e7)), budget),
+            (lambda: crossing_components(K, Strip("h", 0, 1e9)), budget)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match=match):
+                call()
 
 
 def test_default_family_covers_bbox():

@@ -35,6 +35,7 @@ def test_study_script_runs(argv):
         counts = {f.name: f.read_bytes().count(b"\n") for f in Path(src, "pcx").glob("*.py")}
         assert p.stdout.splitlines()[0] == "src/pcx lines: " + ", ".join(
             f"{k} {counts[k]}" for k in sorted(counts)) + f"; total {sum(counts.values())}"
+        assert p.stdout.splitlines()[1].split()[-2:] == ["deep", "regions"]
 
 
 def test_decompose_rows_shows_a_failing_child():
